@@ -24,6 +24,7 @@ from .linalg import (
     unitary_residual,
 )
 from .gns import GnsTriple, State, gns
+from .report import Certificate
 from .staralg import StarAlgebra, commute_residual
 
 
@@ -112,25 +113,9 @@ def cbase_from_state(triple: GnsTriple) -> CStarBase:
     return CStarBase(left, right, triple.cyclic_vector, triple.tol)
 
 
-class BaseEquivalence:
-    """Canonical unitary between a standard base and the cyclic
-    representation of its vector state."""
-
-    def __init__(self, base: CStarBase, triple: GnsTriple, state: State,
-                 unitary: np.ndarray, residuals: dict):
-        self.base = base
-        self.triple = triple
-        self.state = state
-        self.unitary = unitary
-        self.residuals = residuals
-
-    def ok(self, threshold: float) -> bool:
-        return all(v <= threshold for v in self.residuals.values())
-
-
-def base_equivalence(base: CStarBase) -> BaseEquivalence:
+def base_equivalence(base: CStarBase):
     """Rebuild the cyclic representation from the vector state and link it
-    back to the base by a unitary.
+    back to the base by a unitary; returns (unitary, Certificate).
 
     The unitary sends b zeta to rep(b) applied to the new cyclic vector; both
     families have the same Gram matrix, so the map is well defined and
@@ -163,20 +148,13 @@ def base_equivalence(base: CStarBase) -> BaseEquivalence:
     )
     op_span = span(triple.rep_op_stack(), triple.dim, triple.dim, base.tol)
     res["partner_matches_opposite"] = subspace_residual(moved_partner, op_span)
-    return BaseEquivalence(base, triple, state, u, res)
+    return u, Certificate(res, base.tol)
 
 
-class BaseConjugation:
-    """Antiunitary of a standard base exchanging the two algebras."""
-
-    def __init__(self, j: AntilinearMap, residuals: dict):
-        self.j = j
-        self.residuals = residuals
-
-
-def modular_conjugation_of_base(base: CStarBase) -> BaseConjugation:
+def modular_conjugation_of_base(base: CStarBase):
     """Polar part of b zeta -> b* zeta; conjugation exchanges the algebra
-    with its partner, reversing products."""
+    with its partner, reversing products.  Returns the antiunitary
+    (AntilinearMap) and its Certificate."""
     if base.cyclic_vector is None:
         raise PreconditionError("base has no cyclic vector")
     zeta = base.cyclic_vector
@@ -205,4 +183,4 @@ def modular_conjugation_of_base(base: CStarBase) -> BaseConjugation:
                 worst_anti, mat_norm(fab - j.sandwich(dagger(b)) @ fa)
             )
     res["reverses_products"] = worst_anti
-    return BaseConjugation(j, res)
+    return j, Certificate(res, base.tol)

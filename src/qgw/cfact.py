@@ -30,6 +30,7 @@ from .linalg import (
     span,
     subspace_residual,
 )
+from .report import Certificate
 from .staralg import StarAlgebra, commute_residual
 
 
@@ -190,23 +191,17 @@ def factorization_from_rep(base: CStarBase, rho, target_dim: int,
     return Factorization(base, target_dim, sub, flipped=flipped, tol=tol)
 
 
-class CompatibilityResult:
-    def __init__(self, compatible: bool, residuals: dict):
-        self.compatible = compatible
-        self.residuals = residuals
-
-
-def compatible(first: Factorization, second: Factorization,
-               threshold: float | None = None) -> CompatibilityResult:
+def compatible(first: Factorization, second: Factorization) -> Certificate:
     """Do the two factorizations of the same target coexist?
 
     Two criteria, computed independently and cross-checked: each induced
     action preserves the other factorization, and the two induced actions
-    commute.  Disagreement raises InternalInconsistencyError.
+    commute.  The certificate is ok exactly when both hold; disagreement
+    raises InternalInconsistencyError.
     """
     if first.target_dim != second.target_dim:
         raise DimensionError("factorizations of different targets")
-    thr = first.tol.check if threshold is None else threshold
+    thr = first.tol.check
     res = {}
     worst = 0.0
     for x in first.acting_algebra().basis():
@@ -232,4 +227,4 @@ def compatible(first: Factorization, second: Factorization,
         raise InternalInconsistencyError(
             f"module and commutation criteria disagree: {res}"
         )
-    return CompatibilityResult(by_modules, res)
+    return Certificate(res, first.tol)

@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Generates fixture bundles and runs the certification commands on them.  A
-bundle is one JSON document whose sections reference each other by name;
-check commands read the sections they need and print a check table.  Exit
-codes: 0 when every check passes, 1 when one fails, 2 on malformed input.
+bundle is one JSON document whose sections reference each other by name.
+A check command hands one lazily built bundle context to its certifier and
+prints the certificate as a check table.  Exit codes: 0 when every check
+passes, 1 when one fails, 2 on malformed input.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +29,7 @@ from .hopf import groupoid_hopf, hopf_equivalence, perturbed_hopf
 from .linalg import Tolerance, dagger, mat_norm
 from .pmu import PmuCandidate, groupoid_pmu, phase_perturbed_candidate, \
     pmu_equivalence, swapped_candidate
-from .report import Check, Report, checks_from_residuals
+from .report import Certificate, Check, Report, checks_from_residuals
 from .rtensor import ket_factorization, phi_unitary, rtp_cstar, rtp_state
 from .staralg import algebra_from_generators
 
@@ -55,27 +57,20 @@ def load_bundle(path: str) -> dict:
     return serialize.check_bundle(doc, path)
 
 
-def section(container: dict, name: str, where: str = "bundle"):
-    if not isinstance(container, dict) or name not in container:
-        raise FormatError(f"{where} lacks section '{name}'")
-    return container[name]
-
-
 # bundle assembly
 
 
-def groupoid_bundle_json(gpd: FiniteGroupoid, source: dict, variant: str,
-                         angle: float, hopf_perturb: int | None,
+def groupoid_bundle_json(gpd: FiniteGroupoid, source: dict,
                          tol: Tolerance) -> dict:
     hopf_data = groupoid_hopf(gpd, tol=tol)
-    if hopf_perturb is not None:
-        hopf_data = perturbed_hopf(hopf_data, seed=hopf_perturb)
+    if source["hopf_perturb"] is not None:
+        hopf_data = perturbed_hopf(hopf_data, seed=source["hopf_perturb"])
     pmu_data = groupoid_pmu(gpd, tol=tol)
     cand = pmu_data["candidate"]
-    if variant == "swap":
+    if source["variant"] == "swap":
         cand = swapped_candidate(pmu_data)
-    elif variant == "phase":
-        cand = phase_perturbed_candidate(pmu_data, angle)
+    elif source["variant"] == "phase":
+        cand = phase_perturbed_candidate(pmu_data, source["angle"])
     triple = hopf_data["triple"]
     arrow_alg = hopf_data["algebra"]
     out = serialize.bundle_skeleton("groupoid", source, tol)
@@ -140,9 +135,9 @@ def groupoid_bundle_json(gpd: FiniteGroupoid, source: dict, variant: str,
     return out
 
 
-def linked_bundle_json(blocks, mult_left: int, mult_right: int, seed: int,
-                       source: dict, tol: Tolerance) -> dict:
-    data = linked_bundle(blocks, mult_left, mult_right, seed, tol)
+def linked_bundle_json(source: dict, tol: Tolerance) -> dict:
+    data = linked_bundle(source["blocks"], source["mult_left"],
+                         source["mult_right"], source["seed"], tol)
     triple = data["triple"]
     out = serialize.bundle_skeleton("linked", source, tol)
     out["state"] = serialize.encode_state(triple.state)
@@ -158,162 +153,186 @@ def linked_bundle_json(blocks, mult_left: int, mult_right: int, seed: int,
     return out
 
 
-# shared decoding
+# the bundle context
 
 
-def load_triple(bundle: dict, tol: Tolerance):
-    state = serialize.decode_state(section(bundle, "state"), "state", tol)
-    return state, gns(state.algebra, state, tol)
+def kept(build):
+    """Keep what a context method builds, per context and arguments, so
+    each object is decoded or built once."""
+    @functools.wraps(build)
+    def once(ctx, *args):
+        key = (build.__name__,) + args
+        if key not in ctx.kept:
+            ctx.kept[key] = build(ctx, *args)
+        return ctx.kept[key]
+    return once
 
 
-def load_reps(bundle: dict, tol: Tolerance, names=("rho", "sigma")) -> dict:
-    reps = section(bundle, "reps")
-    out = {}
-    for name in names:
-        if name not in reps:
-            raise FormatError(f"reps section lacks '{name}'")
-        out[name] = serialize.decode_stack(reps[name], f"reps.{name}")
-    return out
+class BundleContext:
+    """One bundle and the objects the check commands build from it.
 
+    Each object is decoded or built on first use and kept, so a command
+    builds only what its certifier reads, and a command composing others
+    builds each object once.
+    """
 
-def load_factorizations(bundle: dict, base, tol: Tolerance, names) -> dict:
-    facts = section(bundle, "factorizations")
-    out = {}
-    for name in names:
-        if name not in facts:
-            raise FormatError(f"factorizations section lacks '{name}'")
-        out[name] = serialize.decode_factorization(
-            facts[name], base, f"factorizations.{name}", tol
+    def __init__(self, path: str, tol: Tolerance):
+        self.doc = load_bundle(path)
+        self.tol = tol
+        self.kept = {}
+
+    def section(self, *path) -> dict:
+        """The object at path; FormatError unless it and every section
+        holding it exist and are objects."""
+        obj = self.entry(*path) if path else self.doc
+        if not isinstance(obj, dict):
+            raise FormatError(
+                f"{'.'.join(path)}: expected an object, "
+                f"got {type(obj).__name__}"
+            )
+        return obj
+
+    def entry(self, *path):
+        """The value at path, which must exist inside a section."""
+        *parent, name = path
+        sec = self.section(*parent)
+        if name not in sec:
+            raise FormatError(
+                f"{'.'.join(parent) or 'bundle'} lacks section '{name}'"
+            )
+        return sec[name]
+
+    @property
+    @kept
+    def state(self):
+        return serialize.decode_state(self.section("state"), "state", self.tol)
+
+    @property
+    @kept
+    def triple(self):
+        return gns(self.state.algebra, self.state, self.tol)
+
+    @property
+    @kept
+    def triple_base(self):
+        """The base carried by the GNS triple; the squares and the pmu
+        factorizations live over it."""
+        return cbase_from_state(self.triple)
+
+    @property
+    @kept
+    def base(self):
+        """The bundle's base section, or the triple's base without one."""
+        if "base" not in self.doc:
+            return self.triple_base
+        return serialize.decode_base(self.section("base"), "base", self.tol)
+
+    @kept
+    def rep(self, name: str) -> np.ndarray:
+        return serialize.decode_stack(self.entry("reps", name), f"reps.{name}")
+
+    @kept
+    def factorization(self, name: str):
+        """The named factorization over the triple's base, certified."""
+        return serialize.decode_factorization(
+            self.entry("factorizations", name), self.triple_base,
+            f"factorizations.{name}", self.tol,
         )
-    return out
+
+    @property
+    @kept
+    def squares(self):
+        return load_squares(self)
+
+    @property
+    @kept
+    def phi(self):
+        return phi_unitary(*self.squares)
+
+    @property
+    @kept
+    def arrow(self):
+        return serialize.decode_algebra(
+            self.section("arrow_algebra"), "arrow_algebra", self.tol
+        )
+
+    @kept
+    def delta(self, flavor: str):
+        """Comultiplication of the hopf section's "state" or "operator"
+        flavor, as a callable on the arrow algebra."""
+        return serialize.decode_morphism(
+            self.entry("hopf", flavor, "Delta"), np.stack(self.arrow.basis()),
+            f"hopf.{flavor}.Delta",
+        )
+
+    @property
+    @kept
+    def candidate(self) -> PmuCandidate:
+        def matrix(*path):
+            return serialize.decode_matrix(
+                self.entry("pmu", *path), ".".join(("pmu",) + path)
+            )
+
+        v_hat = matrix("V")
+        src_classes = matrix("coordinate_maps", "source_classes")
+        tgt_sections = matrix("coordinate_maps", "target_sections")
+        if v_hat.shape != (tgt_sections.shape[1], src_classes.shape[0]):
+            raise FormatError(
+                "pmu.V does not connect the stored coordinate maps"
+            )
+        return PmuCandidate(
+            self.triple, self.rep("sigma_hat"), self.rep("rho"),
+            self.rep("sigma"), tgt_sections @ v_hat @ src_classes, self.tol,
+        )
 
 
-def load_squares(bundle: dict, tol: Tolerance):
+def load_squares(ctx: BundleContext):
     """Both flavors of the relative square described by a bundle."""
-    _, triple = load_triple(bundle, tol)
-    reps = load_reps(bundle, tol)
-    vn = rtp_state(triple, reps["rho"], reps["sigma"], tol=tol)
-    base = cbase_from_state(triple)
-    facts = load_factorizations(bundle, base, tol, ("alpha", "beta"))
-    cs = rtp_cstar(facts["alpha"], facts["beta"], tol=tol)
-    return triple, reps, base, facts, vn, cs
+    vn = rtp_state(ctx.triple, ctx.rep("rho"), ctx.rep("sigma"), tol=ctx.tol)
+    cs = rtp_cstar(ctx.factorization("alpha"), ctx.factorization("beta"),
+                   tol=ctx.tol)
+    return vn, cs
 
 
-# command handlers; each returns (Report, payload) where payload is a
-# document destined for --out instead of the report
+# certifiers: each maps a bundle context to the certificate of one command
 
 
-def cmd_gen_group(args, tol):
-    gpd = FiniteGroupoid.cyclic(args.order)
-    source = {
-        "family": "cyclic", "n": args.order, "variant": args.variant,
-        "angle": args.angle, "hopf_perturb": args.hopf_perturb,
-    }
-    doc = groupoid_bundle_json(
-        gpd, source, args.variant, args.angle, args.hopf_perturb, tol
-    )
-    report = Report("gen-group", [Check("bundle_complete", 0.0, 1.0)], tol.eps)
-    return report, serialize.canonical_dumps(doc)
+def certify_gns(ctx: BundleContext) -> Certificate:
+    return Certificate(ctx.triple.certificates(), ctx.tol)
 
 
-def cmd_gen_groupoid(args, tol):
-    gpd = FiniteGroupoid.pair(args.pair)
-    source = {
-        "family": "pair", "n": args.pair, "variant": args.variant,
-        "angle": args.angle, "hopf_perturb": args.hopf_perturb,
-    }
-    doc = groupoid_bundle_json(
-        gpd, source, args.variant, args.angle, args.hopf_perturb, tol
-    )
-    report = Report(
-        "gen-groupoid", [Check("bundle_complete", 0.0, 1.0)], tol.eps
-    )
-    return report, serialize.canonical_dumps(doc)
-
-
-def cmd_gen_random_base(args, tol):
-    try:
-        blocks = [int(b) for b in args.blocks.split(",") if b.strip()]
-    except ValueError:
-        raise FormatError(f"--blocks must be integers, got {args.blocks!r}")
-    if not blocks or any(b <= 0 for b in blocks):
-        raise FormatError("--blocks needs positive sizes like 2,1")
-    source = {
-        "family": "random", "blocks": blocks, "seed": args.seed,
-        "mult_left": args.mult_left, "mult_right": args.mult_right,
-    }
-    doc = linked_bundle_json(
-        blocks, args.mult_left, args.mult_right, args.seed, source, tol
-    )
-    report = Report(
-        "gen-random-base", [Check("bundle_complete", 0.0, 1.0)], tol.eps
-    )
-    return report, serialize.canonical_dumps(doc)
-
-
-def cmd_gns(args, tol):
-    bundle = load_bundle(args.infile)
-    _, triple = load_triple(bundle, tol)
-    checks = checks_from_residuals(triple.certificates(), tol.check)
-    return Report("gns", checks, tol.eps), None
-
-
-def cmd_base_check(args, tol):
-    bundle = load_bundle(args.infile)
-    if "base" in bundle:
-        base = serialize.decode_base(bundle["base"], "base", tol)
-    else:
-        _, triple = load_triple(bundle, tol)
-        base = cbase_from_state(triple)
-    residuals = dict(base.standard_report())
+def certify_base(ctx: BundleContext) -> Certificate:
+    base = ctx.base
+    parts = {}
     if base.cyclic_vector is not None:
-        conj = modular_conjugation_of_base(base)
-        residuals.update(
-            {"conjugation_" + k: v for k, v in conj.residuals.items()}
-        )
-        equiv = base_equivalence(base)
-        residuals.update(
-            {"rebuild_" + k: v for k, v in equiv.residuals.items()}
-        )
-    checks = checks_from_residuals(residuals, tol.check)
-    return Report("base-check", checks, tol.eps), None
+        parts["conjugation"] = modular_conjugation_of_base(base)[1]
+        parts["rebuild"] = base_equivalence(base)[1]
+    return Certificate(base.standard_report(), ctx.tol, parts)
 
 
-def cmd_factorize(args, tol):
-    bundle = load_bundle(args.infile)
-    if "base" in bundle:
-        base = serialize.decode_base(bundle["base"], "base", tol)
-    else:
-        _, triple = load_triple(bundle, tol)
-        base = cbase_from_state(triple)
-    facts = section(bundle, "factorizations")
-    checks = []
+def certify_factorizations(ctx: BundleContext) -> Certificate:
+    facts = ctx.section("factorizations")
+    parts = {}
     for name in sorted(facts):
         fact = serialize.decode_factorization(
-            facts[name], base, f"factorizations.{name}", tol, certify=False
+            facts[name], ctx.base, f"factorizations.{name}", ctx.tol,
+            certify=False,
         )
-        residuals = dict(fact.axiom_report())
-        residuals.update(
-            {"action_" + k: v for k, v in fact.rho_report().items()}
-        )
-        checks.extend(
-            checks_from_residuals(residuals, tol.check, prefix=name + "_")
-        )
-    return Report("factorize", checks, tol.eps), None
+        action = Certificate(fact.rho_report(), ctx.tol)
+        parts[name] = Certificate(fact.axiom_report(), ctx.tol,
+                                  {"action": action})
+    return Certificate({}, ctx.tol, parts)
 
 
-def cmd_rtp(args, tol):
-    bundle = load_bundle(args.infile)
-    _, _, _, _, vn, cs = load_squares(bundle, tol)
-    residuals = {
+def certify_squares(ctx: BundleContext) -> Certificate:
+    vn, cs = ctx.squares
+    return Certificate({
         "dimension_defect": float(abs(vn.dim - cs.dim)),
         "state_gram_hermitian": mat_norm(vn.gram - dagger(vn.gram)),
         "operator_gram_hermitian": mat_norm(cs.gram - dagger(cs.gram)),
         "state_gram_psd": _psd_defect(vn.gram),
         "operator_gram_psd": _psd_defect(cs.gram),
-    }
-    checks = checks_from_residuals(residuals, tol.check)
-    return Report("rtp", checks, tol.eps), None
+    }, ctx.tol)
 
 
 def _psd_defect(gram: np.ndarray) -> float:
@@ -324,205 +343,128 @@ def _psd_defect(gram: np.ndarray) -> float:
     return max(0.0, -float(evs[0])) / scale
 
 
-def cmd_phi(args, tol):
-    bundle = load_bundle(args.infile)
-    _, _, _, _, vn, cs = load_squares(bundle, tol)
-    phi = phi_unitary(vn, cs)
-    checks = checks_from_residuals(phi.residuals, tol.check)
-    return Report("phi", checks, tol.eps), None
+def certify_phi(ctx: BundleContext) -> Certificate:
+    return ctx.phi[1]
 
 
-def cmd_fiber(args, tol):
-    bundle = load_bundle(args.infile)
-    _, reps, _, _, vn, cs = load_squares(bundle, tol)
-    nh = reps["rho"].shape[1]
-    nk = reps["sigma"].shape[1]
-    a = algebra_from_generators(nh, reps["rho"], tol)
-    b = algebra_from_generators(nk, reps["sigma"], tol)
-    classical = fiber_classical(vn, a, b)
-    spatial = fiber_spatial(cs, a, b)
-    phi = phi_unitary(vn, cs)
+def certify_fiber(ctx: BundleContext) -> Certificate:
+    vn, cs = ctx.squares
+    rho, sigma = ctx.rep("rho"), ctx.rep("sigma")
+    a = algebra_from_generators(rho.shape[1], rho, ctx.tol)
+    b = algebra_from_generators(sigma.shape[1], sigma, ctx.tol)
+    classical, classical_cert = fiber_classical(vn, a, b)
+    spatial, spatial_cert = fiber_spatial(cs, a, b)
     _, transport = transported_match(
-        phi.matrix, classical, spatial, tol.check
+        ctx.phi[0], classical, spatial, ctx.tol.check
     )
-    checks = checks_from_residuals(
-        {
-            "dimension_defect": float(
-                abs(classical.algebra.dim - spatial.algebra.dim)
-            ),
-            "transport": transport,
-        },
-        tol.check,
+    return Certificate(
+        {"dimension_defect": float(abs(classical.dim - spatial.dim)),
+         "transport": transport},
+        ctx.tol, {"classical": classical_cert, "spatial": spatial_cert},
     )
-    checks += checks_from_residuals(
-        classical.residuals, tol.check, prefix="classical_"
-    )
-    checks += checks_from_residuals(
-        spatial.residuals, tol.check, prefix="spatial_"
-    )
-    return Report("fiber", checks, tol.eps), None
 
 
-def _hopf_context(bundle: dict, tol: Tolerance):
-    triple, reps_vnonly, base, facts, vn, cs = load_squares(bundle, tol)
-    arrow = serialize.decode_algebra(
-        section(bundle, "arrow_algebra"), "arrow_algebra", tol
-    )
-    hopf_sec = section(bundle, "hopf")
-    gens = np.stack(arrow.basis())
-    delta_state = serialize.decode_morphism(
-        section(section(hopf_sec, "state", "hopf"), "Delta", "hopf.state"),
-        gens, "hopf.state.Delta",
-    )
-    delta_cstar = serialize.decode_morphism(
-        section(section(hopf_sec, "operator", "hopf"), "Delta",
-                "hopf.operator"),
-        gens, "hopf.operator.Delta",
-    )
-    return arrow, vn, cs, delta_state, delta_cstar, facts
-
-
-def cmd_hopf_check(args, tol):
-    bundle = load_bundle(args.infile)
-    arrow, vn, cs, delta_state, delta_cstar, _ = _hopf_context(bundle, tol)
-    eq = hopf_equivalence(vn, cs, arrow, delta_state, delta_cstar)
-    checks = checks_from_residuals(
-        {
-            "verdicts_agree": 0.0 if eq.verdicts_agree else 1.0,
-            "transport": eq.transport_residual,
-        },
-        tol.check,
-    )
-    checks += checks_from_residuals(
-        eq.state_report.residuals, tol.check, prefix="state_"
-    )
-    checks += checks_from_residuals(
-        eq.cstar_report.residuals, tol.check, prefix="operator_"
-    )
-    return Report("hopf-check", checks, tol.eps), None
-
-
-def cmd_morphism_check(args, tol):
-    bundle = load_bundle(args.infile)
-    arrow, vn, cs, _, delta_cstar, facts = _hopf_context(bundle, tol)
-    fp = fiber_spatial(cs, arrow, arrow)
-    alpha = facts["alpha"]
+def certify_morphism(ctx: BundleContext) -> Certificate:
+    _, cs = ctx.squares
+    arrow = ctx.arrow
+    delta = ctx.delta("operator")
+    alpha = ctx.factorization("alpha")
+    fp, _ = fiber_spatial(cs, arrow, arrow)
     alpha2 = ket_factorization(cs, alpha, alpha, leg=0, flipped=False)
-    residuals = {}
     try:
-        verdict = is_morphism(
-            delta_cstar, arrow, alpha, fp.algebra, alpha2,
-            threshold=tol.check,
-        )
-        residuals.update(verdict.residuals)
-        residuals["is_morphism"] = 0.0 if verdict.is_morphism else 1.0
+        cert = is_morphism(delta, arrow, alpha, fp, alpha2)
     except PreconditionError:
-        residuals["preconditions"] = 1.0
-        residuals["is_morphism"] = 1.0
-    checks = checks_from_residuals(residuals, tol.check)
-    return Report("morphism-check", checks, tol.eps), None
-
-
-def _pmu_candidate(bundle: dict, tol: Tolerance):
-    _, triple = load_triple(bundle, tol)
-    reps = load_reps(bundle, tol, ("rho", "sigma", "sigma_hat"))
-    pmu_sec = section(bundle, "pmu")
-    v_hat = serialize.decode_matrix(section(pmu_sec, "V", "pmu"), "pmu.V")
-    maps = section(pmu_sec, "coordinate_maps", "pmu")
-    src_classes = serialize.decode_matrix(
-        section(maps, "source_classes", "pmu.coordinate_maps"),
-        "pmu.coordinate_maps.source_classes",
-    )
-    tgt_sections = serialize.decode_matrix(
-        section(maps, "target_sections", "pmu.coordinate_maps"),
-        "pmu.coordinate_maps.target_sections",
-    )
-    if v_hat.shape != (tgt_sections.shape[1], src_classes.shape[0]):
-        raise FormatError(
-            "pmu.V does not connect the stored coordinate maps"
-        )
-    v_plain = tgt_sections @ v_hat @ src_classes
-    return PmuCandidate(
-        triple, reps["sigma_hat"], reps["rho"], reps["sigma"], v_plain, tol
+        return Certificate({"preconditions": 1.0, "is_morphism": 1.0},
+                           ctx.tol)
+    return Certificate(
+        {**cert.residuals, "is_morphism": 0.0 if cert.ok else 1.0}, ctx.tol
     )
 
 
-def cmd_pmu_check(args, tol):
-    bundle = load_bundle(args.infile)
-    cand = _pmu_candidate(bundle, tol)
-    base = cbase_from_state(cand.triple)
-    facts = load_factorizations(
-        bundle, base, tol, ("beta_hat", "alpha_flipped", "alpha", "beta")
+def certify_hopf(ctx: BundleContext) -> Certificate:
+    vn, cs = ctx.squares
+    return hopf_equivalence(
+        vn, cs, ctx.arrow, ctx.delta("state"), ctx.delta("operator")
     )
-    eq = pmu_equivalence(
-        cand, facts["beta_hat"], facts["alpha_flipped"],
-        facts["alpha"], facts["beta"],
-    )
-    slack = {"pentagon": tol.pentagon}
-    checks = checks_from_residuals(
-        {"verdicts_agree": 0.0 if eq.verdicts_agree else 1.0}, tol.check
-    )
-    checks += checks_from_residuals(
-        eq.state_report.residuals, tol.check, overrides=slack, prefix="state_"
-    )
-    checks += checks_from_residuals(
-        eq.cstar_report.residuals, tol.check, overrides=slack,
-        prefix="operator_",
-    )
-    return Report("pmu-check", checks, tol.eps), None
 
 
-def cmd_equiv_check(args, tol):
-    bundle = load_bundle(args.infile)
-    _, reps, _, facts, vn, cs = load_squares(bundle, tol)
-    phi = phi_unitary(vn, cs)
-    checks = checks_from_residuals(phi.residuals, tol.check, prefix="phi_")
-    residuals = {}
-    nh = reps["rho"].shape[1]
-    nk = reps["sigma"].shape[1]
-    a = algebra_from_generators(nh, reps["rho"], tol)
-    b = algebra_from_generators(nk, reps["sigma"], tol)
-    classical = fiber_classical(vn, a, b)
-    spatial = fiber_spatial(cs, a, b)
-    _, transport = transported_match(
-        phi.matrix, classical, spatial, tol.check
-    )
-    residuals["fiber_transport"] = transport
-    if "hopf" in bundle:
-        arrow, vn2, cs2, d_state, d_cstar, _ = _hopf_context(bundle, tol)
-        heq = hopf_equivalence(vn2, cs2, arrow, d_state, d_cstar)
-        residuals["hopf_verdicts_agree"] = 0.0 if heq.verdicts_agree else 1.0
-        residuals["hopf_transport"] = heq.transport_residual
-    if "pmu" in bundle:
-        cand = _pmu_candidate(bundle, tol)
-        base = cbase_from_state(cand.triple)
-        pfacts = load_factorizations(
-            bundle, base, tol, ("beta_hat", "alpha_flipped", "alpha", "beta")
-        )
-        peq = pmu_equivalence(
-            cand, pfacts["beta_hat"], pfacts["alpha_flipped"],
-            pfacts["alpha"], pfacts["beta"],
-        )
-        residuals["pmu_verdicts_agree"] = 0.0 if peq.verdicts_agree else 1.0
-    checks += checks_from_residuals(residuals, tol.check)
-    return Report("equiv-check", checks, tol.eps), None
+def certify_pmu(ctx: BundleContext) -> Certificate:
+    facts = [ctx.factorization(name)
+             for name in ("beta_hat", "alpha_flipped", "alpha", "beta")]
+    return pmu_equivalence(ctx.candidate, *facts)
 
 
-HANDLERS = {
-    "gen-group": cmd_gen_group,
-    "gen-groupoid": cmd_gen_groupoid,
-    "gen-random-base": cmd_gen_random_base,
-    "gns": cmd_gns,
-    "base-check": cmd_base_check,
-    "factorize": cmd_factorize,
-    "rtp": cmd_rtp,
-    "phi": cmd_phi,
-    "fiber": cmd_fiber,
-    "morphism-check": cmd_morphism_check,
-    "hopf-check": cmd_hopf_check,
-    "pmu-check": cmd_pmu_check,
-    "equiv-check": cmd_equiv_check,
+def certify_equivalence(ctx: BundleContext) -> Certificate:
+    """The flavor comparisons of phi, fiber, hopf-check and pmu-check;
+    hopf and pmu contribute their own residuals, not their children's."""
+    fiber = certify_fiber(ctx)
+    parts = {
+        "phi": certify_phi(ctx),
+        "fiber": Certificate(
+            {"transport": fiber.residuals["transport"]}, ctx.tol
+        ),
+    }
+    if "hopf" in ctx.doc:
+        parts["hopf"] = Certificate(certify_hopf(ctx).residuals, ctx.tol)
+    if "pmu" in ctx.doc:
+        parts["pmu"] = Certificate(certify_pmu(ctx).residuals, ctx.tol)
+    return Certificate({}, ctx.tol, parts)
+
+
+# check command -> (help, certifier)
+CHECKS = {
+    "gns": ("certify the cyclic representation of the bundled state",
+            certify_gns),
+    "base-check": ("certify base standardness and its conjugation",
+                   certify_base),
+    "factorize": ("certify every bundled factorization",
+                  certify_factorizations),
+    "rtp": ("build both relative squares and check their Grams",
+            certify_squares),
+    "phi": ("compare the two flavors by the canonical unitary", certify_phi),
+    "fiber": ("fiber products on both flavors plus transport",
+              certify_fiber),
+    "morphism-check": ("both morphism criteria for the bundled map",
+                       certify_morphism),
+    "hopf-check": ("comultiplication axioms on both flavors", certify_hopf),
+    "pmu-check": ("candidate operator axioms on both flavors", certify_pmu),
+    "equiv-check": ("flavor-equivalence suite for the bundle",
+                    certify_equivalence),
 }
+
+
+# generators: each returns the bundle document for its arguments
+
+# groupoid generator command -> (FiniteGroupoid family, size option,
+# metavar, help)
+FAMILIES = {
+    "gen-group": ("cyclic", "--order", "ORDER", "bundle for a cyclic group"),
+    "gen-groupoid": ("pair", "--pair", "UNITS", "bundle for a pair groupoid"),
+}
+
+
+def gen_groupoid(args, tol: Tolerance) -> dict:
+    family = FAMILIES[args.command][0]
+    source = {
+        "family": family, "n": args.n, "variant": args.variant,
+        "angle": args.angle, "hopf_perturb": args.hopf_perturb,
+    }
+    gpd = getattr(FiniteGroupoid, family)(args.n)
+    return groupoid_bundle_json(gpd, source, tol)
+
+
+def gen_random_base(args, tol: Tolerance) -> dict:
+    try:
+        blocks = [int(b) for b in args.blocks.split(",") if b.strip()]
+    except ValueError:
+        raise FormatError(f"--blocks must be integers, got {args.blocks!r}")
+    if not blocks or any(b <= 0 for b in blocks):
+        raise FormatError("--blocks needs positive sizes like 2,1")
+    source = {
+        "family": "random", "blocks": blocks, "seed": args.seed,
+        "mult_left": args.mult_left, "mult_right": args.mult_right,
+    }
+    return linked_bundle_json(source, tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -557,30 +499,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="construct and certify the workbench structures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("gen-group", parents=[common, gen],
-                       help="bundle for a cyclic group")
-    p.add_argument("--order", type=int, required=True)
-    p = sub.add_parser("gen-groupoid", parents=[common, gen],
-                       help="bundle for a pair groupoid")
-    p.add_argument("--pair", type=int, required=True, metavar="UNITS")
+    for name, (_, option, metavar, blurb) in FAMILIES.items():
+        p = sub.add_parser(name, parents=[common, gen], help=blurb)
+        p.add_argument(option, dest="n", type=int, required=True,
+                       metavar=metavar)
+        p.set_defaults(generate=gen_groupoid)
     p = sub.add_parser("gen-random-base", parents=[common],
                        help="bundle for a seeded random linked pair")
     p.add_argument("--blocks", required=True, help="block sizes like 2,1")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mult-left", type=int, default=1)
     p.add_argument("--mult-right", type=int, default=1)
-    for name, blurb in (
-        ("gns", "certify the cyclic representation of the bundled state"),
-        ("base-check", "certify base standardness and its conjugation"),
-        ("factorize", "certify every bundled factorization"),
-        ("rtp", "build both relative squares and check their Grams"),
-        ("phi", "compare the two flavors by the canonical unitary"),
-        ("fiber", "fiber products on both flavors plus transport"),
-        ("morphism-check", "both morphism criteria for the bundled map"),
-        ("hopf-check", "comultiplication axioms on both flavors"),
-        ("pmu-check", "candidate operator axioms on both flavors"),
-        ("equiv-check", "flavor-equivalence suite for the bundle"),
-    ):
+    p.set_defaults(generate=gen_random_base)
+    for name, (blurb, _) in CHECKS.items():
         sub.add_parser(name, parents=[common, reader], help=blurb)
     return parser
 
@@ -591,7 +522,15 @@ def main(argv=None) -> int:
     payload = None
     try:
         tol = resolve_tolerance(args.tolerance)
-        report, payload = HANDLERS[args.command](args, tol)
+        if args.command in CHECKS:
+            certify = CHECKS[args.command][1]
+            checks = checks_from_residuals(
+                certify(BundleContext(args.infile, tol))
+            )
+        else:
+            payload = serialize.canonical_dumps(args.generate(args, tol))
+            checks = [Check("bundle_complete", 0.0, 1.0)]
+        report = Report(args.command, checks, tol.eps)
     except FormatError as exc:
         report = Report(args.command, [], 0.0, error=str(exc))
     except QgwError as exc:

@@ -33,22 +33,15 @@ from .linalg import (
     subspace_residual,
     vec,
 )
+from .report import Certificate
 from .rtensor import RelativeTensorSpace, descend, ket_left, ket_right
 from .staralg import StarAlgebra
 
 
-class FiberProductResult:
-    """Algebra on the quotient space, plus construction residuals."""
-
-    def __init__(self, algebra: StarAlgebra, residuals: dict):
-        self.algebra = algebra
-        self.residuals = residuals
-
-
 def fiber_classical(space: RelativeTensorSpace, left_alg: StarAlgebra,
-                    right_alg: StarAlgebra) -> FiberProductResult:
+                    right_alg: StarAlgebra):
     """Commutant-of-descended-commutants construction on the state-flavor
-    quotient."""
+    quotient; returns (algebra, Certificate)."""
     nh, nk = space.plain_dims
     if left_alg.space_dim != nh or right_alg.space_dim != nk:
         raise DimensionError("algebras must act on the two plain factors")
@@ -66,7 +59,7 @@ def fiber_classical(space: RelativeTensorSpace, left_alg: StarAlgebra,
         space.dim, relative_commutant, space.tol, certify=False
     )
     algebra = envelope.commutant()
-    return FiberProductResult(algebra, {"lift_well_defined": worst})
+    return algebra, Certificate({"lift_well_defined": worst}, space.tol)
 
 
 def _complement_rows(flat_basis: np.ndarray, total: int,
@@ -119,8 +112,9 @@ def _adjoint_rows(kets, sub, out_dim, in_dim, tol: Tolerance) -> np.ndarray:
 
 
 def fiber_spatial(space: RelativeTensorSpace, left_alg: StarAlgebra,
-                  right_alg: StarAlgebra) -> FiberProductResult:
-    """Insertion-operator construction on the operator-flavor quotient.
+                  right_alg: StarAlgebra):
+    """Insertion-operator construction on the operator-flavor quotient;
+    returns (algebra, Certificate).
 
     An operator belongs iff it and its adjoint send left insertions into
     left insertions composed with the right algebra, and symmetrically.
@@ -145,7 +139,7 @@ def fiber_spatial(space: RelativeTensorSpace, left_alg: StarAlgebra,
     rows = intersect_null_spaces(blocks, q * q, space.tol)
     stack = rows.reshape(-1, q, q)
     algebra = StarAlgebra(q, span(stack, q, q, space.tol), space.tol)
-    return FiberProductResult(algebra, {})
+    return algebra, Certificate({}, space.tol)
 
 
 def conjugated_algebra(u: np.ndarray, algebra: StarAlgebra,
@@ -156,14 +150,14 @@ def conjugated_algebra(u: np.ndarray, algebra: StarAlgebra,
     return StarAlgebra(n, span(mats, n, n, tol), tol, certify=False)
 
 
-def transported_match(phi: np.ndarray, classical: FiberProductResult,
-                      spatial: FiberProductResult,
+def transported_match(phi: np.ndarray, classical: StarAlgebra,
+                      spatial: StarAlgebra,
                       threshold: float) -> tuple[bool, float]:
     """Does conjugation by the flavor unitary carry the classical fiber
     product onto the spatial one?"""
-    moved = conjugated_algebra(phi, classical.algebra)
-    res = subspace_residual(moved.subspace, spatial.algebra.subspace)
-    same_dim = moved.dim == spatial.algebra.dim
+    moved = conjugated_algebra(phi, classical)
+    res = subspace_residual(moved.subspace, spatial.subspace)
+    same_dim = moved.dim == spatial.dim
     return (same_dim and res <= threshold), res
 
 
@@ -199,26 +193,18 @@ def intertwiner_space(pi, source: StarAlgebra, n_from: int, n_to: int,
     return rows.reshape(-1, n_to, n_from)
 
 
-class MorphismVerdict:
-    def __init__(self, is_morphism: bool, residuals: dict,
-                 intertwiners: np.ndarray):
-        self.is_morphism = is_morphism
-        self.residuals = residuals
-        self.intertwiners = intertwiners
-
-
 def is_morphism(pi, source_alg: StarAlgebra, source_fact: Factorization,
-                target_alg: StarAlgebra, target_fact: Factorization,
-                threshold: float | None = None) -> MorphismVerdict:
+                target_alg: StarAlgebra,
+                target_fact: Factorization) -> Certificate:
     """Does the homomorphism respect the factorizations?
 
     Criterion one transports the induced base action elementwise; criterion
     two asks the full intertwiner space to carry one factorization onto the
-    other.  Both are computed; disagreement raises
-    InternalInconsistencyError.
+    other.  Both are computed, so the certificate is ok exactly when both
+    hold; disagreement raises InternalInconsistencyError.
     """
     tol = source_alg.tol
-    thr = tol.check if threshold is None else threshold
+    thr = tol.check
     hom = hom_report(pi, source_alg, target_alg)
     bad = {k: v for k, v in hom.items() if v > thr}
     if bad:
@@ -272,10 +258,7 @@ def is_morphism(pi, source_alg: StarAlgebra, source_fact: Factorization,
         raise InternalInconsistencyError(
             f"morphism criteria disagree: {res}"
         )
-    stack = np.stack(good) if good else np.zeros(
-        (0, target_alg.space_dim, source_alg.space_dim), dtype=complex
-    )
-    return MorphismVerdict(verdict_one, res, stack)
+    return Certificate(res, tol)
 
 
 class FiberMorphism:

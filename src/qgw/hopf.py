@@ -25,6 +25,7 @@ from .fiber import (
 )
 from .fixtures import FiniteGroupoid, groupoid_algebra, groupoid_bundle
 from .linalg import DEFAULT_TOL, Tolerance, dagger, mat_norm, rng
+from .report import Certificate
 from .rtensor import (
     RelativeTensorSpace,
     ket_factorization,
@@ -36,26 +37,15 @@ from .rtensor import (
 from .staralg import StarAlgebra
 
 
-class HopfReport:
-    """Residual table with a single verdict at a fixed threshold."""
-
-    def __init__(self, residuals: dict, threshold: float):
-        self.residuals = residuals
-        self.threshold = threshold
-        self.verdict = all(v <= threshold for v in residuals.values())
-
-
 def check_hopf_state(space: RelativeTensorSpace, algebra: StarAlgebra,
-                     delta, threshold: float | None = None) -> HopfReport:
+                     delta) -> Certificate:
     """Certify a comultiplication candidate on the state-flavor square."""
-    tol = space.tol
-    thr = tol.check if threshold is None else threshold
     triple = space.meta["triple"]
     rho_stack = space.meta["rho_stack"]
     sigma_stack = space.meta["sigma_stack"]
     res: dict = {}
-    fp = fiber_classical(space, algebra, algebra)
-    for k, v in hom_report(delta, algebra, fp.algebra).items():
+    fp, _ = fiber_classical(space, algebra, algebra)
+    for k, v in hom_report(delta, algebra, fp).items():
         res["hom_" + k] = v
     # the canonical actions must land inside the algebra and transport to
     # single-leg lifts
@@ -75,7 +65,7 @@ def check_hopf_state(space: RelativeTensorSpace, algebra: StarAlgebra,
     res["coassociative"] = _coassociativity_residual(
         space, algebra, delta, triple, rho_stack, sigma_stack
     )
-    return HopfReport(res, thr)
+    return Certificate(res, space.tol)
 
 
 def _coassociativity_residual(space, algebra, delta, triple, rho_stack,
@@ -112,55 +102,48 @@ def _coassociativity_residual(space, algebra, delta, triple, rho_stack,
 
 
 def check_hopf_cstar(space: RelativeTensorSpace, algebra: StarAlgebra,
-                     delta, threshold: float | None = None) -> HopfReport:
+                     delta) -> Certificate:
     """Certify a comultiplication candidate on the operator-flavor square."""
-    tol = space.tol
-    thr = tol.check if threshold is None else threshold
     alpha = space.meta["left_fact"]
     beta = space.meta["right_fact"]
     res: dict = {}
-    fp = fiber_spatial(space, algebra, algebra)
-    for k, v in hom_report(delta, algebra, fp.algebra).items():
+    fp, _ = fiber_spatial(space, algebra, algebra)
+    for k, v in hom_report(delta, algebra, fp).items():
         res["hom_" + k] = v
     alpha2 = ket_factorization(space, alpha, alpha, leg=0, flipped=False)
     beta2 = ket_factorization(space, beta, beta, leg=1, flipped=True)
     for name, src in (("left_insertions", alpha), ("right_insertions", beta)):
         tgt = alpha2 if name == "left_insertions" else beta2
         try:
-            verdict = is_morphism(delta, algebra, src, fp.algebra, tgt,
-                                  threshold=thr)
-            res[name + "_morphism"] = 0.0 if verdict.is_morphism else 1.0
+            verdict = is_morphism(delta, algebra, src, fp, tgt)
+            res[name + "_morphism"] = 0.0 if verdict.ok else 1.0
         except PreconditionError:
             res[name + "_morphism"] = 1.0
-    return HopfReport(res, thr)
-
-
-class HopfEquivalence:
-    def __init__(self, state_report: HopfReport, cstar_report: HopfReport,
-                 transport_residual: float, threshold: float):
-        self.state_report = state_report
-        self.cstar_report = cstar_report
-        self.transport_residual = transport_residual
-        self.threshold = threshold
-        self.verdicts_agree = state_report.verdict == cstar_report.verdict
-        self.ok = self.verdicts_agree and transport_residual <= threshold
+    return Certificate(res, space.tol)
 
 
 def hopf_equivalence(state_space: RelativeTensorSpace,
                      cstar_space: RelativeTensorSpace,
-                     algebra: StarAlgebra, delta_state, delta_cstar,
-                     threshold: float | None = None) -> HopfEquivalence:
-    """Run both checks and certify they describe the same candidate."""
-    tol = state_space.tol
-    thr = tol.check if threshold is None else threshold
-    state_report = check_hopf_state(state_space, algebra, delta_state, thr)
-    cstar_report = check_hopf_cstar(cstar_space, algebra, delta_cstar, thr)
-    phi = phi_unitary(state_space, cstar_space)
+                     algebra: StarAlgebra, delta_state,
+                     delta_cstar) -> Certificate:
+    """Run both checks and certify they describe the same candidate.
+
+    The two checks are the children "state" and "operator"; the parent's own
+    residuals are the transport under the flavor unitary and the agreement
+    of the two verdicts, which holds also when both flavors fail.
+    """
+    state = check_hopf_state(state_space, algebra, delta_state)
+    operator = check_hopf_cstar(cstar_space, algebra, delta_cstar)
+    phi, _ = phi_unitary(state_space, cstar_space)
     worst = 0.0
     for a in algebra.basis():
-        moved = phi.matrix @ delta_state(a) @ dagger(phi.matrix)
+        moved = phi @ delta_state(a) @ dagger(phi)
         worst = max(worst, mat_norm(delta_cstar(a) - moved))
-    return HopfEquivalence(state_report, cstar_report, worst, thr)
+    return Certificate(
+        {"verdicts_agree": 0.0 if state.ok == operator.ok else 1.0,
+         "transport": worst},
+        state_space.tol, {"state": state, "operator": operator},
+    )
 
 
 def groupoid_hopf(gpd: FiniteGroupoid, weights=None,
@@ -209,8 +192,8 @@ def perturbed_hopf(hopf: dict, seed: int, scale: float = 1e-3) -> dict:
         + 1j * gen.standard_normal((algebra.space_dim, algebra.space_dim))
     bump_vn = gen.standard_normal((vn.dim, vn.dim)) \
         + 1j * gen.standard_normal((vn.dim, vn.dim))
-    phi = phi_unitary(vn, cs)
-    bump_cs = phi.matrix @ bump_vn @ dagger(phi.matrix)
+    phi, _ = phi_unitary(vn, cs)
+    bump_cs = phi @ bump_vn @ dagger(phi)
     eye = np.eye(algebra.space_dim)
 
     def weight(a):

@@ -329,18 +329,6 @@ class QuotientRealization:
         """Class coordinates of a plain vector (or of stacked columns)."""
         return self.class_map @ w
 
-    def induced(self, plain_op: np.ndarray):
-        """Descend a plain-space operator; returns (matrix, residual).
-
-        residual measures failure to annihilate ker(gram): the operator is
-        well defined on classes iff residual vanishes.
-        """
-        plain_op = as_complex(plain_op)
-        top = self.class_map @ plain_op
-        res = mat_norm(top @ (np.eye(self.plain_dim) - self.support))
-        scale = max(1.0, mat_norm(top))
-        return top @ self.section, res / scale
-
 
 def induced_between(
     src: QuotientRealization, dst: QuotientRealization, plain_map: np.ndarray
@@ -348,7 +336,8 @@ def induced_between(
     """Descend plain_map: plain(src) -> plain(dst) to class coordinates.
 
     Returns (matrix, residual); residual is the well-definedness defect,
-    normalized by the map's scale.
+    failure to annihilate ker(src.gram), normalized by the map's scale.
+    With src = dst this descends an operator on one quotient.
     """
     plain_map = as_complex(plain_map)
     top = dst.class_map @ plain_map

@@ -14,13 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from .cbase import CStarBase
-from .cfact import Factorization, factorization_from_rep
-from .errors import DimensionError, PreconditionError
+from .cfact import Factorization
+from .errors import DimensionError
 from .fixtures import (
     FiniteGroupoid,
     groupoid_bundle,
     groupoid_pentagon_unitary,
-    span_solver,
+    linked_factorizations,
 )
 from .gns import GnsTriple
 from .linalg import (
@@ -33,12 +33,11 @@ from .linalg import (
     subspace_residual,
     unitary_residual,
 )
+from .report import Certificate
 from .rtensor import (
-    RelativeTensorSpace,
     descend,
+    insertion_span,
     ket_factorization,
-    ket_left,
-    ket_right,
     nest_left,
     nest_right,
     phi_unitary,
@@ -85,21 +84,6 @@ class PmuCandidate:
         self.v_matrix, self.v_residual = induced_between(
             self.source_space.quotient, self.target_space.quotient,
             self.v_plain,
-        )
-
-
-class PmuReport:
-    """Residual table with one verdict; the pentagon entry gets its own,
-    looser threshold because it accumulates seven descents."""
-
-    def __init__(self, residuals: dict, threshold: float,
-                 pentagon_threshold: float):
-        self.residuals = residuals
-        self.threshold = threshold
-        self.pentagon_threshold = pentagon_threshold
-        self.verdict = all(
-            v <= (pentagon_threshold if k == "pentagon" else threshold)
-            for k, v in residuals.items()
         )
 
 
@@ -219,12 +203,12 @@ def _pentagon_residuals(vertices: dict, v_plain: np.ndarray, n: int) -> dict:
     }
 
 
-def check_pmu_state(cand: PmuCandidate, threshold: float | None = None,
-                    pentagon_threshold: float | None = None) -> PmuReport:
-    """Certify the candidate on the state-flavor squares."""
-    tol = cand.tol
-    thr = tol.check if threshold is None else threshold
-    pent = tol.pentagon if pentagon_threshold is None else pentagon_threshold
+def check_pmu_state(cand: PmuCandidate) -> Certificate:
+    """Certify the candidate on the state-flavor squares.
+
+    The pentagon residual is held to the looser Tolerance.pentagon because
+    it accumulates seven descents.
+    """
     res: dict = {}
     res["actions_commute"] = max(
         commute_residual(cand.sigma_hat, cand.rho),
@@ -244,41 +228,26 @@ def check_pmu_state(cand: PmuCandidate, threshold: float | None = None,
     vertices, lift_worst = _pentagon_vertices(cand)
     res["vertex_actions_descend"] = lift_worst
     res.update(_pentagon_residuals(vertices, cand.v_plain, cand.space_dim))
-    return PmuReport(res, thr, pent)
-
-
-def _insertion_span(space: RelativeTensorSpace, ket_fact: Factorization,
-                    tail_fact: Factorization, leg: int):
-    base = space.meta["base"]
-    insert = ket_left if leg == 0 else ket_right
-    mats = [
-        insert(space, x) @ t
-        for x in ket_fact.basis()
-        for t in tail_fact.basis()
-    ]
-    return span(mats, space.dim, base.space_dim, space.tol)
+    return Certificate(res, cand.tol)
 
 
 def check_pmu_cstar(cand: PmuCandidate, beta_hat: Factorization,
                     alpha_flipped: Factorization, alpha: Factorization,
-                    beta: Factorization, threshold: float | None = None,
-                    pentagon_threshold: float | None = None) -> PmuReport:
+                    beta: Factorization) -> Certificate:
     """Certify the candidate on the operator-flavor squares.
 
     beta_hat and alpha_flipped build the source-type square, alpha and beta
     the target-type one; all four factorize the same space over one base.
     """
     tol = cand.tol
-    thr = tol.check if threshold is None else threshold
-    pent = tol.pentagon if pentagon_threshold is None else pentagon_threshold
     res: dict = {}
     ds = rtp_cstar(beta_hat, alpha_flipped, tol=tol)
     dt = rtp_cstar(alpha, beta, tol=tol)
-    xi_s = phi_unitary(cand.source_space, ds)
-    xi_t = phi_unitary(cand.target_space, dt)
-    res["source_flavor_match"] = max(xi_s.residuals.values())
-    res["target_flavor_match"] = max(xi_t.residuals.values())
-    v_c = xi_t.matrix @ cand.v_matrix @ dagger(xi_s.matrix)
+    xi_s, cert_s = phi_unitary(cand.source_space, ds)
+    xi_t, cert_t = phi_unitary(cand.target_space, dt)
+    res["source_flavor_match"] = max(cert_s.residuals.values())
+    res["target_flavor_match"] = max(cert_t.residuals.values())
+    v_c = xi_t @ cand.v_matrix @ dagger(xi_s)
     direct, direct_res = descend(ds, dt, cand.v_plain)
     res["operator_transport_consistent"] = max(
         direct_res, mat_norm(v_c - direct)
@@ -286,17 +255,17 @@ def check_pmu_cstar(cand: PmuCandidate, beta_hat: Factorization,
     res["unitary"] = unitary_residual(v_c) if ds.dim == dt.dim else 1.0
     relations = [
         ("swaps_left_insertions",
-         _insertion_span(ds, alpha_flipped, alpha, 1),
-         _insertion_span(dt, alpha, alpha, 0)),
+         insertion_span(ds, alpha_flipped, alpha, 1),
+         insertion_span(dt, alpha, alpha, 0)),
         ("moves_hat_insertions_across",
-         _insertion_span(ds, beta_hat, beta, 0),
-         _insertion_span(dt, beta, beta_hat, 1)),
+         insertion_span(ds, beta_hat, beta, 0),
+         insertion_span(dt, beta, beta_hat, 1)),
         ("turns_hat_pairs_into_left",
-         _insertion_span(ds, beta_hat, beta_hat, 0),
-         _insertion_span(dt, alpha, beta_hat, 0)),
+         insertion_span(ds, beta_hat, beta_hat, 0),
+         insertion_span(dt, alpha, beta_hat, 0)),
         ("fixes_right_insertions",
-         _insertion_span(ds, alpha_flipped, beta, 1),
-         _insertion_span(dt, beta, beta, 1)),
+         insertion_span(ds, alpha_flipped, beta, 1),
+         insertion_span(dt, beta, beta, 1)),
     ]
     for name, lhs, rhs in relations:
         moved = span(
@@ -307,23 +276,20 @@ def check_pmu_cstar(cand: PmuCandidate, beta_hat: Factorization,
     res.update(
         _cstar_pentagon(cand, ds, dt, beta_hat, alpha_flipped, alpha, beta)
     )
-    return PmuReport(res, thr, pent)
+    return Certificate(res, tol)
 
 
 def _cstar_pentagon(cand, ds, dt, beta_hat, alpha_flipped, alpha, beta):
     """Pentagon on operator-flavor three-factor spaces."""
     tol = cand.tol
 
-    def derived(space, ket_fact, tail_fact, leg, flipped):
-        return ket_factorization(space, ket_fact, tail_fact, leg, flipped, tol)
-
-    hat_hat_s = derived(ds, beta_hat, beta_hat, 0, False)
-    hat_beta_s = derived(ds, beta_hat, beta, 0, False)
-    alpha_alpha_s = derived(ds, alpha_flipped, alpha, 1, False)
-    alpha_hat_t = derived(dt, alpha, beta_hat, 0, False)
-    alpha_alpha_t = derived(dt, alpha, alpha, 0, False)
-    alpha_alpha_t_flip = derived(dt, alpha, alpha, 0, True)
-    beta_hat_t = derived(dt, beta, beta_hat, 1, False)
+    hat_hat_s = ket_factorization(ds, beta_hat, beta_hat, 0, False)
+    hat_beta_s = ket_factorization(ds, beta_hat, beta, 0, False)
+    alpha_alpha_s = ket_factorization(ds, alpha_flipped, alpha, 1, False)
+    alpha_hat_t = ket_factorization(dt, alpha, beta_hat, 0, False)
+    alpha_alpha_t = ket_factorization(dt, alpha, alpha, 0, False)
+    alpha_alpha_t_flip = ket_factorization(dt, alpha, alpha, 0, True)
+    beta_hat_t = ket_factorization(dt, beta, beta_hat, 1, False)
     vertices = {
         "first_then_source": nest_left(
             ds, rtp_cstar(hat_hat_s, alpha_flipped, tol=tol)
@@ -354,24 +320,18 @@ def _cstar_pentagon(cand, ds, dt, beta_hat, alpha_flipped, alpha, beta):
     }
 
 
-class PmuEquivalence:
-    def __init__(self, state_report: PmuReport, cstar_report: PmuReport):
-        self.state_report = state_report
-        self.cstar_report = cstar_report
-        self.verdicts_agree = state_report.verdict == cstar_report.verdict
-        self.ok = self.verdicts_agree
-
-
 def pmu_equivalence(cand: PmuCandidate, beta_hat: Factorization,
                     alpha_flipped: Factorization, alpha: Factorization,
-                    beta: Factorization, threshold: float | None = None,
-                    pentagon_threshold: float | None = None) -> PmuEquivalence:
-    state_report = check_pmu_state(cand, threshold, pentagon_threshold)
-    cstar_report = check_pmu_cstar(
-        cand, beta_hat, alpha_flipped, alpha, beta, threshold,
-        pentagon_threshold,
+                    beta: Factorization) -> Certificate:
+    """Both flavor checks as the children "state" and "operator"; the
+    parent's one residual is the agreement of their verdicts, which holds
+    also when both flavors fail."""
+    state = check_pmu_state(cand)
+    operator = check_pmu_cstar(cand, beta_hat, alpha_flipped, alpha, beta)
+    return Certificate(
+        {"verdicts_agree": 0.0 if state.ok == operator.ok else 1.0},
+        cand.tol, {"state": state, "operator": operator},
     )
-    return PmuEquivalence(state_report, cstar_report)
 
 
 def groupoid_pmu(gpd: FiniteGroupoid, tol: Tolerance = DEFAULT_TOL) -> dict:
@@ -382,20 +342,9 @@ def groupoid_pmu(gpd: FiniteGroupoid, tol: Tolerance = DEFAULT_TOL) -> dict:
     base: CStarBase = bundle["base"]
     range_stack = bundle["rho"]
     source_stack = bundle["source_stack"]
-    n = range_stack.shape[1]
-    solve_op = span_solver(triple.rep_op_stack())
-    solve_rep = span_solver(triple.rep_stack())
-
-    def source_action_op(x):
-        return np.tensordot(solve_op(x), source_stack, axes=1)
-
-    def range_action_rep(x):
-        return np.tensordot(solve_rep(x), range_stack, axes=1)
-
-    beta_hat = factorization_from_rep(base, source_action_op, n,
-                                      flipped=False, tol=tol)
-    alpha_flipped = factorization_from_rep(base, range_action_rep, n,
-                                           flipped=True, tol=tol)
+    beta_hat, alpha_flipped = linked_factorizations(
+        triple, base, source_stack, range_stack, tol
+    )
     v_plain = groupoid_pentagon_unitary(gpd).astype(complex)
     cand = PmuCandidate(
         triple, source_stack, range_stack, range_stack, v_plain, tol

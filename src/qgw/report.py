@@ -1,10 +1,13 @@
-"""Check tables for command-line certification runs.
+"""Certificates and the check tables they flatten into.
 
-A report is a named list of checks, each an axiom name with an anchor slug,
-a measured residual, and the threshold it was held to.  The verdict is pass
-exactly when every residual meets its threshold.  Infinite or undefined
-residuals (a lift that does not exist, a dimension mismatch) serialize as
-null and always count as failures, keeping the JSON strictly standard.
+Every construction certifies itself with a Certificate: named residuals,
+each held to a threshold from the Tolerance, plus the certificates of its
+parts under their own names.  A report is the flattened form, a named list
+of checks, each an axiom name with an anchor slug, a measured residual, and
+the threshold it was held to.  The verdict is pass exactly when every
+residual meets its threshold.  Infinite or undefined residuals (a lift that
+does not exist, a dimension mismatch) serialize as null and always count as
+failures, keeping the JSON strictly standard.
 """
 from __future__ import annotations
 
@@ -31,6 +34,31 @@ ANCHORS = {
     "dimension_defect": "dimension-match",
     "cyclic_defect": "cyclicity",
 }
+
+
+class Certificate:
+    """Residuals of one construction, with the certificates of its parts.
+
+    The residual named "pentagon" is held to the Tolerance's `pentagon`
+    threshold, every other one to `check`.  ok covers the certificate's own
+    residuals only: a child answers for itself, so a parent can certify that
+    two failing children agree.
+    """
+
+    def __init__(self, residuals: dict, tol, children: dict | None = None):
+        self.residuals = dict(residuals)
+        self.thresholds = {
+            name: tol.pentagon if name == "pentagon" else tol.check
+            for name in self.residuals
+        }
+        self.children = dict(children or {})
+
+    @property
+    def ok(self) -> bool:
+        return all(
+            value <= self.thresholds[name]
+            for name, value in self.residuals.items()
+        )
 
 
 class Check:
@@ -139,11 +167,23 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def checks_from_residuals(residuals: dict, threshold: float,
+def checks_from_residuals(residuals, threshold: float | None = None,
                           overrides: dict | None = None,
                           prefix: str = "") -> list:
     """One Check per residual entry; overrides maps names to their own
-    thresholds."""
+    thresholds.
+
+    A Certificate brings its own thresholds and flattens its children after
+    its own entries, each child's name joining the prefix.  Anchors follow
+    the leaf name.
+    """
+    if isinstance(residuals, Certificate):
+        out = checks_from_residuals(
+            residuals.residuals, None, residuals.thresholds, prefix
+        )
+        for name, child in residuals.children.items():
+            out += checks_from_residuals(child, prefix=f"{prefix}{name}_")
+        return out
     overrides = overrides or {}
     out = []
     for name in sorted(residuals):

@@ -20,6 +20,7 @@ from .cfact import Factorization
 from .gns import GnsTriple
 from .linalg import (
     DEFAULT_TOL,
+    OperatorSubspace,
     QuotientRealization,
     Tolerance,
     dagger,
@@ -28,6 +29,7 @@ from .linalg import (
     span,
     unitary_residual,
 )
+from .report import Certificate
 from .staralg import rep_report
 
 
@@ -107,7 +109,7 @@ class RelativeTensorSpace:
             if op.shape != (d, d):
                 raise DimensionError(f"leg operator has shape {op.shape}, wants {(d, d)}")
             plain = np.kron(plain, op)
-        mat, res = self.quotient.induced(plain)
+        mat, res = induced_between(self.quotient, self.quotient, plain)
         if require and res > self.tol.check:
             raise NotWellDefinedError(
                 f"operator does not descend to the quotient: residual {res:.3e}"
@@ -228,28 +230,35 @@ def ket_right(space: RelativeTensorSpace, eta: np.ndarray) -> np.ndarray:
     return space.class_map @ np.kron(np.eye(nh), col)
 
 
-def ket_factorization(space: RelativeTensorSpace, ket_fact: Factorization,
-                      tail_fact: Factorization, leg: int, flipped: bool,
-                      tol: Tolerance | None = None) -> Factorization:
-    """Factorization of the operator-flavor quotient spanned by insertions
-    of one factorization composed with elements of another.
+def insertion_span(space: RelativeTensorSpace, ket_fact: Factorization,
+                   tail_fact: Factorization, leg: int) -> OperatorSubspace:
+    """Span of the insertions of one factorization composed with elements of
+    another: maps from the base space into the operator-flavor quotient.
 
     leg selects which plain factor the insertions fill; the tail supplies the
-    maps from the base space into the remaining factor.  The result is
-    certified like any factorization.
+    maps from the base space into the remaining factor.
     """
     if space.flavor != "cstar":
-        raise PreconditionError("insertion factorizations need the operator flavor")
-    tol = tol or space.tol
-    base = space.meta["base"]
+        raise PreconditionError("insertions need the operator flavor")
     insert = ket_left if leg == 0 else ket_right
     mats = [
         insert(space, x) @ t
         for x in ket_fact.basis()
         for t in tail_fact.basis()
     ]
-    sub = span(mats, space.dim, base.space_dim, tol)
-    return Factorization(base, space.dim, sub, flipped=flipped, tol=tol)
+    return span(mats, space.dim, space.meta["base"].space_dim, space.tol)
+
+
+def ket_factorization(space: RelativeTensorSpace, ket_fact: Factorization,
+                      tail_fact: Factorization, leg: int,
+                      flipped: bool) -> Factorization:
+    """Factorization of the operator-flavor quotient spanned by insertions
+    of one factorization composed with elements of another (see
+    insertion_span), certified like any factorization.
+    """
+    sub = insertion_span(space, ket_fact, tail_fact, leg)
+    return Factorization(space.meta["base"], space.dim, sub, flipped=flipped,
+                         tol=space.tol)
 
 
 def nest_left(inner: RelativeTensorSpace,
@@ -293,21 +302,10 @@ def descend(src: RelativeTensorSpace, dst: RelativeTensorSpace,
     return induced_between(src.quotient, dst.quotient, plain_map)
 
 
-class PhiResult:
-    """Unitary comparison between the two flavors on the same plain space."""
-
-    def __init__(self, matrix: np.ndarray, residuals: dict):
-        self.matrix = matrix
-        self.residuals = residuals
-
-    def ok(self, threshold: float) -> bool:
-        return all(v <= threshold for v in self.residuals.values())
-
-
 def phi_unitary(state_space: RelativeTensorSpace,
-                cstar_space: RelativeTensorSpace) -> PhiResult:
+                cstar_space: RelativeTensorSpace):
     """Canonical map from the state-flavor space to the operator-flavor
-    space over the same plain tensor product.
+    space over the same plain tensor product; returns (matrix, Certificate).
 
     Sends the class of a plain tensor to the class of the same plain tensor.
     When the actions are linked through the base, the two Gram matrices
@@ -327,4 +325,4 @@ def phi_unitary(state_space: RelativeTensorSpace,
         ),
         "gram_match": mat_norm(state_space.gram - cstar_space.gram),
     }
-    return PhiResult(xi, res)
+    return xi, Certificate(res, state_space.tol)

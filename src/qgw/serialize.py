@@ -237,6 +237,7 @@ def decode_morphism(obj, generator_stack, where: str = "morphism"):
     shape = obj["image_shape"]
     if (
         not isinstance(shape, list) or len(shape) != 2
+        or not all(isinstance(d, int) and d >= 0 for d in shape)
         or mat.shape[0] != shape[0] * shape[1]
     ):
         raise FormatError(f"{where}: image_shape disagrees with the matrix")

@@ -147,8 +147,8 @@ def test_04_compatibility_matches_commutation():
         direct = commute_residual(
             list(first.rho_stack()), list(second.rho_stack())
         ) <= 1e-8
-        assert result.compatible == direct, result.residuals
-        seen.add(result.compatible)
+        assert result.ok == direct, result.residuals
+        seen.add(result.ok)
     assert seen == {True, False}
 
 
@@ -167,7 +167,7 @@ def test_05_flavor_unitary_on_fixtures_and_random_pairs():
             cases.append(linked_squares(linked_bundle(blocks, ml, mr, seed)))
     assert len(cases) >= 13
     for vn, cs in cases:
-        phi = phi_unitary(vn, cs)
+        _, phi = phi_unitary(vn, cs)
         assert vn.dim == cs.dim
         assert phi.residuals["unitary"] <= 1e-8
         assert phi.residuals["transports_classes"] <= 1e-8
@@ -188,10 +188,10 @@ def test_06_conjugation_carries_classical_to_spatial():
     for data in cases:
         vn, cs = linked_squares(data)
         a, b = legs(data)
-        classical = fiber_classical(vn, a, b)
-        spatial = fiber_spatial(cs, a, b)
-        phi = phi_unitary(vn, cs)
-        ok, res = transported_match(phi.matrix, classical, spatial, 1e-8)
+        classical, _ = fiber_classical(vn, a, b)
+        spatial, _ = fiber_spatial(cs, a, b)
+        phi, _ = phi_unitary(vn, cs)
+        ok, res = transported_match(phi, classical, spatial, 1e-8)
         assert ok, res
         assert res <= 1e-8
 
@@ -202,7 +202,7 @@ def test_07_morphism_criteria_agree():
     def record(pi, source_alg, source_fact, target_alg, target_fact,
                expect):
         v = is_morphism(pi, source_alg, source_fact, target_alg, target_fact)
-        assert v.is_morphism == expect, v.residuals
+        assert v.ok == expect, v.residuals
         verdicts.append(expect)
 
     # positives: the identity on a commutative base, and diagonal
@@ -215,10 +215,10 @@ def test_07_morphism_criteria_agree():
     for gpd in (FiniteGroupoid.pair(2), FiniteGroupoid.cyclic(3)):
         h = groupoid_hopf(gpd)
         cs = h["cstar_space"]
-        fp = fiber_spatial(cs, h["algebra"], h["algebra"])
+        fp, _ = fiber_spatial(cs, h["algebra"], h["algebra"])
         alpha2 = ket_factorization(cs, h["alpha"], h["alpha"], leg=0,
                                    flipped=False)
-        record(h["delta_cstar"], h["algebra"], h["alpha"], fp.algebra,
+        record(h["delta_cstar"], h["algebra"], h["alpha"], fp,
                alpha2, True)
 
     # negatives: permutation automorphisms that scramble the induced base
@@ -233,7 +233,7 @@ def test_07_morphism_criteria_agree():
     record(lambda x: shift @ x @ shift.T, alg3, ident3, alg3, ident3, False)
     h = groupoid_hopf(FiniteGroupoid.pair(2))
     cs = h["cstar_space"]
-    fp = fiber_spatial(cs, h["algebra"], h["algebra"])
+    fp, _ = fiber_spatial(cs, h["algebra"], h["algebra"])
     alpha2 = ket_factorization(cs, h["alpha"], h["alpha"], leg=0,
                                flipped=False)
     w = random_unitary(cs.dim, rng(9))
@@ -242,7 +242,7 @@ def test_07_morphism_criteria_agree():
         span([w @ m for m in alpha2.basis()], cs.dim,
              alpha2.base.space_dim),
     )
-    record(h["delta_cstar"], h["algebra"], h["alpha"], fp.algebra, rotated,
+    record(h["delta_cstar"], h["algebra"], h["alpha"], fp, rotated,
            False)
 
     assert verdicts.count(True) >= 3
@@ -263,10 +263,10 @@ def test_08_hopf_verdicts_agree_with_negatives():
         eq = hopf_equivalence(h["state_space"], h["cstar_space"],
                               h["algebra"], h["delta_state"],
                               h["delta_cstar"])
-        assert eq.state_report.verdict
-        assert eq.cstar_report.verdict
-        assert eq.verdicts_agree
-        assert eq.transport_residual <= 1e-8
+        assert eq.children["state"].ok
+        assert eq.children["operator"].ok
+        assert eq.residuals["verdicts_agree"] == 0.0
+        assert eq.residuals["transport"] <= 1e-8
     h = groupoid_hopf(FiniteGroupoid.cyclic(2))
     for seed in (1, 2, 3):
         bad = perturbed_hopf(h, seed=seed)
@@ -274,9 +274,9 @@ def test_08_hopf_verdicts_agree_with_negatives():
                               bad["algebra"], bad["delta_state"],
                               bad["delta_cstar"])
         # the injected leg violation must be caught by BOTH flavors
-        assert not eq.state_report.verdict, seed
-        assert not eq.cstar_report.verdict, seed
-        assert eq.verdicts_agree
+        assert not eq.children["state"].ok, seed
+        assert not eq.children["operator"].ok, seed
+        assert eq.residuals["verdicts_agree"] == 0.0
 
 
 def test_09_pentagon_verdicts_agree_with_negatives():
@@ -284,20 +284,20 @@ def test_09_pentagon_verdicts_agree_with_negatives():
         pmu = groupoid_pmu(make())
         eq = pmu_equivalence(pmu["candidate"], pmu["beta_hat"],
                              pmu["alpha_flipped"], pmu["alpha"], pmu["beta"])
-        assert eq.state_report.verdict
-        assert eq.cstar_report.verdict
-        assert eq.verdicts_agree
-        assert eq.state_report.residuals["pentagon"] <= 1e-7
-        assert eq.cstar_report.residuals["pentagon"] <= 1e-7
+        assert eq.children["state"].ok
+        assert eq.children["operator"].ok
+        assert eq.residuals["verdicts_agree"] == 0.0
+        assert eq.children["state"].residuals["pentagon"] <= 1e-7
+        assert eq.children["operator"].residuals["pentagon"] <= 1e-7
     pmu = groupoid_pmu(FiniteGroupoid.cyclic(2))
     for cand in (swapped_candidate(pmu), phase_perturbed_candidate(pmu)):
         eq = pmu_equivalence(cand, pmu["beta_hat"], pmu["alpha_flipped"],
                              pmu["alpha"], pmu["beta"])
-        assert not eq.state_report.verdict
-        assert not eq.cstar_report.verdict
-        assert eq.verdicts_agree
-        assert eq.state_report.residuals["pentagon"] >= 1e-4
-        assert eq.cstar_report.residuals["pentagon"] >= 1e-4
+        assert not eq.children["state"].ok
+        assert not eq.children["operator"].ok
+        assert eq.residuals["verdicts_agree"] == 0.0
+        assert eq.children["state"].residuals["pentagon"] >= 1e-4
+        assert eq.children["operator"].residuals["pentagon"] >= 1e-4
 
 
 def test_10_deterministic_json_reports(tmp_path):

@@ -77,35 +77,41 @@ def test_find_bicyclic():
 
 def test_base_equivalence_on_gns_base():
     _, base = gns_base()
-    eq = base_equivalence(base)
-    assert eq.ok(1e-8), eq.residuals
-    u = eq.unitary
+    u, eq = base_equivalence(base)
+    assert eq.ok, eq.residuals
     assert u.shape == (4, 4)
     # the unitary carries the base data onto the rebuilt representation
-    assert np.linalg.norm(u @ base.cyclic_vector - eq.triple.cyclic_vector) < 1e-8
+    rebuilt = gns(base.algebra,
+                  State.from_vector(base.algebra, base.cyclic_vector))
+    assert np.linalg.norm(u @ base.cyclic_vector - rebuilt.cyclic_vector) < 1e-8
 
 
 def test_base_equivalence_diagonal():
     alg = diag_algebra(3)
     v = np.array([0.2, 0.5, np.sqrt(1 - 0.04 - 0.25)])
     base = CStarBase(alg, alg, v)
-    eq = base_equivalence(base)
-    assert eq.ok(1e-8), eq.residuals
-    # state values match the vector state
+    u, eq = base_equivalence(base)
+    assert eq.ok, eq.residuals
+    assert eq.residuals["maps_cyclic_vector"] < 1e-8
+    assert eq.residuals["conjugates_algebra"] < 1e-8
+    # the unitary carries the vector state onto the rebuilt representation
+    zeta = u @ v
     for b in alg.basis():
-        assert abs(eq.state.value(b) - np.vdot(v, b @ v)) < 1e-12
+        assert abs(np.vdot(zeta, u @ b @ v) - np.vdot(v, b @ v)) < 1e-12
+    rebuilt = gns(alg, State.from_vector(alg, v))
+    assert np.linalg.norm(zeta - rebuilt.cyclic_vector) < 1e-8
 
 
 def test_base_conjugation_matches_gns_conjugation():
     triple, base = gns_base(diag=(0.25, 0.75))
-    conj = modular_conjugation_of_base(base)
+    j, conj = modular_conjugation_of_base(base)
     assert all(v < 1e-8 for v in conj.residuals.values()), conj.residuals
-    assert mat_norm(conj.j.matrix - triple.j.matrix) < 1e-8
+    assert mat_norm(j.matrix - triple.j.matrix) < 1e-8
 
 
 def test_base_conjugation_exchanges_algebras():
     _, base = gns_base(diag=(0.4, 0.6))
-    conj = modular_conjugation_of_base(base)
+    _, conj = modular_conjugation_of_base(base)
     # image of the algebra under b -> J b* J spans the partner exactly
     assert conj.residuals["onto_partner"] < 1e-8
     assert conj.residuals["reverses_products"] < 1e-8

@@ -124,7 +124,7 @@ def test_compatible_pair_on_same_space():
     first = identity_factorization(base)
     second = identity_factorization(base, flipped=True)
     result = compatible(first, second)
-    assert result.compatible, result.residuals
+    assert result.ok, result.residuals
     assert result.residuals["actions_commute"] < 1e-8
 
 
@@ -133,7 +133,7 @@ def test_compatible_pair_amplified():
     first = amplified_factorization(base, copies=2)
     second = amplified_factorization(base, copies=2, flipped=True)
     result = compatible(first, second)
-    assert result.compatible, result.residuals
+    assert result.ok, result.residuals
 
 
 def test_incompatible_after_generic_rotation():
@@ -148,7 +148,7 @@ def test_incompatible_after_generic_rotation():
         flipped=True,
     )
     result = compatible(first, moved)
-    assert not result.compatible
+    assert not result.ok
     assert result.residuals["actions_commute"] > 1e-3
 
 

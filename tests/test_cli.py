@@ -4,11 +4,19 @@ Generation commands feed check commands; exit codes separate pass, fail,
 and input error; reports and bundles round-trip byte-identically.
 """
 import json
+from pathlib import Path
 
 import pytest
 
 from qgw.cli import main
 from qgw.report import Report
+
+CHECK_COMMANDS = [
+    "gns", "base-check", "factorize", "rtp", "phi", "fiber",
+    "morphism-check", "hopf-check", "pmu-check", "equiv-check",
+]
+# verdicts the benchmark gates every command run on
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def run(capsys, *argv):
@@ -57,10 +65,7 @@ def test_gen_is_deterministic(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("command", [
-    "gns", "base-check", "factorize", "rtp", "phi", "fiber",
-    "morphism-check", "hopf-check", "pmu-check", "equiv-check",
-])
+@pytest.mark.parametrize("command", CHECK_COMMANDS)
 def test_groupoid_bundle_passes_every_check(capsys, pair2, command):
     code, out = run(capsys, command, "--in", pair2)
     assert code == 0, out
@@ -148,6 +153,77 @@ def test_missing_section_exits_2(capsys, tmp_path, pair2):
     code, out = run(capsys, "rtp", "--in", str(path))
     assert code == 2
     assert "reps" in out
+
+
+@pytest.mark.parametrize("command,path,value", [
+    ("hopf-check", ("hopf", "state", "Delta", "image_shape"), ["a", "b"]),
+    ("rtp", ("reps",), None),
+    ("rtp", ("factorizations",), None),
+    ("factorize", ("factorizations",), "x"),
+    ("factorize", ("factorizations",), None),
+    ("factorize", ("factorizations",), -1),
+])
+def test_retyped_entry_exits_2_naming_it(capsys, tmp_path, pair2, command,
+                                         path, value):
+    doc = json.loads(open(pair2).read())
+    *parents, key = path
+    holder = doc
+    for name in parents:
+        holder = holder[name]
+    holder[key] = value
+    bundle = tmp_path / "retyped.json"
+    bundle.write_text(json.dumps(doc))
+    # an escaping exception would surface here as a test error
+    code, out = run(capsys, command, "--in", str(bundle))
+    assert code == 2
+    assert f"{command}: ERROR" in out
+    assert key in out
+
+
+def load_report(path) -> Report:
+    return Report.from_dict(json.loads(path.read_text()))
+
+
+def test_check_commands_match_benchmark_record(tmp_path):
+    expected = json.loads(EXPECTED.read_text())["cyclic"]
+    runs = [
+        ("z3", ["--order", "3"], CHECK_COMMANDS),
+        ("z3-swap", ["--order", "3", "--variant", "swap"],
+         ["pmu-check", "equiv-check"]),
+    ]
+    for label, gen_args, commands in runs:
+        bundle = tmp_path / f"{label}.json"
+        assert main(["gen-group", *gen_args, "--out", str(bundle)]) == 0
+        for command in commands:
+            out = tmp_path / f"{label}.{command}.json"
+            code = main([command, "--in", str(bundle), "--out", str(out)])
+            rep = load_report(out)
+            got = {
+                "exit": code,
+                "verdict": rep.verdict,
+                "checks": {c.name: c.passed for c in rep.checks},
+            }
+            assert got == expected[label][command], (label, command)
+
+
+def test_equiv_check_composes_the_other_commands(pair2, tmp_path):
+    reports = {}
+    for command in ("phi", "fiber", "hopf-check", "pmu-check", "equiv-check"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--in", pair2, "--out", str(out)]) == 0
+        reports[command] = {c.name: c.residual
+                            for c in load_report(out).checks}
+    equiv = reports["equiv-check"]
+    pairs = {f"phi_{name}": ("phi", name) for name in reports["phi"]}
+    pairs.update({
+        "fiber_transport": ("fiber", "transport"),
+        "hopf_transport": ("hopf-check", "transport"),
+        "hopf_verdicts_agree": ("hopf-check", "verdicts_agree"),
+        "pmu_verdicts_agree": ("pmu-check", "verdicts_agree"),
+    })
+    assert set(equiv) == set(pairs)
+    for name, (command, source) in pairs.items():
+        assert equiv[name] == reports[command][source], name
 
 
 def test_check_report_round_trips_byte_identically(capsys, pair2, tmp_path):

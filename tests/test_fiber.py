@@ -48,16 +48,16 @@ def test_classical_two_point_is_diagonal():
     bundle = two_point_bundle()
     vn, _ = spaces(bundle)
     a, b = leg_algebras(bundle)
-    fp = fiber_classical(vn, a, b)
-    assert fp.residuals["lift_well_defined"] < 1e-10
+    fp, cert = fiber_classical(vn, a, b)
+    assert cert.residuals["lift_well_defined"] < 1e-10
     # quotient is two dimensional and the product is the full diagonal there
     assert vn.dim == 2
-    assert fp.algebra.dim == 2
-    assert fp.algebra.is_commutative()
+    assert fp.dim == 2
+    assert fp.is_commutative()
     lifted = [vn.lift([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])[0],
               vn.lift([np.diag([0.0, 1.0]), np.diag([0.0, 1.0])])[0]]
     for m in lifted:
-        assert fp.algebra.contains(m)
+        assert fp.contains(m)
 
 
 def test_classical_full_legs_full_product():
@@ -65,17 +65,18 @@ def test_classical_full_legs_full_product():
     vn, _ = spaces(bundle)
     nh = bundle["rho"].shape[1]
     nk = bundle["sigma"].shape[1]
-    fp = fiber_classical(vn, full_matrix_algebra(nh), full_matrix_algebra(nk))
-    assert fp.algebra.dim == vn.dim ** 2
+    fp, _ = fiber_classical(vn, full_matrix_algebra(nh),
+                            full_matrix_algebra(nk))
+    assert fp.dim == vn.dim ** 2
 
 
 def test_spatial_product_is_unital_algebra():
     bundle = two_point_bundle()
     _, cs = spaces(bundle)
     a, b = leg_algebras(bundle)
-    fp = fiber_spatial(cs, a, b)
+    fp, _ = fiber_spatial(cs, a, b)
     # construction self-certifies closure; identity sits inside
-    assert fp.algebra.contains(np.eye(cs.dim))
+    assert fp.contains(np.eye(cs.dim))
 
 
 @pytest.mark.parametrize("case", ["trivial", "two_point", "groupoid", "random"])
@@ -89,26 +90,26 @@ def test_transport_carries_classical_to_spatial(case):
     else:
         bundle = linked_bundle([2, 1], 1, 1, seed=11)
     vn, cs = spaces(bundle)
-    phi = phi_unitary(vn, cs)
-    assert phi.ok(1e-8)
+    phi, cert = phi_unitary(vn, cs)
+    assert cert.ok
     a, b = leg_algebras(bundle)
-    classical = fiber_classical(vn, a, b)
-    spatial = fiber_spatial(cs, a, b)
-    ok, res = transported_match(phi.matrix, classical, spatial, 1e-8)
+    classical, _ = fiber_classical(vn, a, b)
+    spatial, _ = fiber_spatial(cs, a, b)
+    ok, res = transported_match(phi, classical, spatial, 1e-8)
     assert ok, f"transport residual {res:.3e}"
 
 
 def test_transport_with_full_legs():
     bundle = linked_bundle([2], 1, 1, seed=7)
     vn, cs = spaces(bundle)
-    phi = phi_unitary(vn, cs)
+    phi, _ = phi_unitary(vn, cs)
     nh = bundle["rho"].shape[1]
     nk = bundle["sigma"].shape[1]
-    classical = fiber_classical(vn, full_matrix_algebra(nh),
-                                full_matrix_algebra(nk))
-    spatial = fiber_spatial(cs, full_matrix_algebra(nh),
-                            full_matrix_algebra(nk))
-    ok, res = transported_match(phi.matrix, classical, spatial, 1e-8)
+    classical, _ = fiber_classical(vn, full_matrix_algebra(nh),
+                                   full_matrix_algebra(nk))
+    spatial, _ = fiber_spatial(cs, full_matrix_algebra(nh),
+                               full_matrix_algebra(nk))
+    ok, res = transported_match(phi, classical, spatial, 1e-8)
     assert ok, f"transport residual {res:.3e}"
 
 
@@ -120,11 +121,11 @@ def test_transport_over_full_block_base(blocks, ml, mr):
     bundle = linked_bundle(blocks, ml, mr, seed=1)
     vn, cs = spaces(bundle)
     a, b = leg_algebras(bundle)
-    classical = fiber_classical(vn, a, b)
-    spatial = fiber_spatial(cs, a, b)
-    assert spatial.algebra.dim >= 1
-    phi = phi_unitary(vn, cs)
-    ok, res = transported_match(phi.matrix, classical, spatial, 1e-8)
+    classical, _ = fiber_classical(vn, a, b)
+    spatial, _ = fiber_spatial(cs, a, b)
+    assert spatial.dim >= 1
+    phi, _ = phi_unitary(vn, cs)
+    ok, res = transported_match(phi, classical, spatial, 1e-8)
     assert ok, f"transport residual {res:.3e}"
 
 
@@ -158,7 +159,7 @@ def test_identity_is_morphism():
     nh = bundle["rho"].shape[1]
     a = algebra_from_generators(nh, bundle["rho"])
     verdict = is_morphism(lambda x: x, a, bundle["alpha"], a, bundle["alpha"])
-    assert verdict.is_morphism
+    assert verdict.ok
     assert verdict.residuals["transports_base_action"] < 1e-9
 
 
@@ -174,7 +175,7 @@ def test_conjugation_onto_moved_factorization_is_morphism():
     moved = Factorization(alpha.base, nh, moved_sub, flipped=False)
     verdict = is_morphism(lambda x: u @ x @ dagger(u), a, alpha,
                           moved_alg, moved)
-    assert verdict.is_morphism
+    assert verdict.ok
 
 
 def test_conjugation_onto_unmoved_factorization_is_not_morphism():
@@ -185,7 +186,7 @@ def test_conjugation_onto_unmoved_factorization_is_not_morphism():
     moved_alg = conjugated_algebra(u, a)
     verdict = is_morphism(lambda x: u @ x @ dagger(u), a, bundle["alpha"],
                           moved_alg, bundle["alpha"])
-    assert not verdict.is_morphism
+    assert not verdict.ok
 
 
 def test_fiber_morphism_identity_connectors():
@@ -204,17 +205,17 @@ def test_fiber_morphism_identity_connectors():
 def test_fiber_morphism_reproduces_flavor_transport():
     bundle = linked_bundle([2], 1, 1, seed=23)
     vn, cs = spaces(bundle)
-    phi = phi_unitary(vn, cs)
+    phi, _ = phi_unitary(vn, cs)
     nh = bundle["rho"].shape[1]
     nk = bundle["sigma"].shape[1]
     fm = fiber_morphism(vn, cs, np.stack([np.eye(nh)]), np.stack([np.eye(nk)]))
-    assert mat_norm(fm.connectors[0] - phi.matrix) < 1e-9
+    assert mat_norm(fm.connectors[0] - phi) < 1e-9
     gen = rng(1)
     s = gen.standard_normal((vn.dim, vn.dim)) \
         + 1j * gen.standard_normal((vn.dim, vn.dim))
     z, res = fm.apply(s)
     assert res < 1e-9
-    assert mat_norm(z - phi.matrix @ s @ dagger(phi.matrix)) < 1e-8
+    assert mat_norm(z - phi @ s @ dagger(phi)) < 1e-8
 
 
 def test_fiber_morphism_degenerate_connectors_raise():

@@ -16,7 +16,7 @@ from qgw.rtensor import ket_factorization
 def test_group_z2_state_axioms_tight():
     h = groupoid_hopf(FiniteGroupoid.cyclic(2))
     rep = check_hopf_state(h["state_space"], h["algebra"], h["delta_state"])
-    assert rep.verdict
+    assert rep.ok
     for name, value in rep.residuals.items():
         assert value < 1e-10, f"{name}: {value:.3e}"
 
@@ -24,7 +24,7 @@ def test_group_z2_state_axioms_tight():
 def test_group_z2_cstar_axioms_tight():
     h = groupoid_hopf(FiniteGroupoid.cyclic(2))
     rep = check_hopf_cstar(h["cstar_space"], h["algebra"], h["delta_cstar"])
-    assert rep.verdict
+    assert rep.ok
     for name, value in rep.residuals.items():
         assert value < 1e-8, f"{name}: {value:.3e}"
 
@@ -39,9 +39,9 @@ def test_diagonal_comultiplication_passes_both_flavors(make):
     h = groupoid_hopf(make())
     eq = hopf_equivalence(h["state_space"], h["cstar_space"], h["algebra"],
                           h["delta_state"], h["delta_cstar"])
-    assert eq.state_report.verdict
-    assert eq.cstar_report.verdict
-    assert eq.transport_residual < 1e-8
+    assert eq.children["state"].ok
+    assert eq.children["operator"].ok
+    assert eq.residuals["transport"] < 1e-8
     assert eq.ok
 
 
@@ -52,11 +52,11 @@ def test_perturbed_candidate_fails_both_flavors(seed):
     eq = hopf_equivalence(bad["state_space"], bad["cstar_space"],
                           bad["algebra"], bad["delta_state"],
                           bad["delta_cstar"])
-    assert not eq.state_report.verdict
-    assert not eq.cstar_report.verdict
-    assert eq.verdicts_agree
+    assert not eq.children["state"].ok
+    assert not eq.children["operator"].ok
+    assert eq.residuals["verdicts_agree"] == 0.0
     # the defect is transported coherently, so the flavors still match
-    assert eq.transport_residual < 1e-8
+    assert eq.residuals["transport"] < 1e-8
 
 
 def test_rotated_candidate_fails_both_flavors():
@@ -75,8 +75,8 @@ def test_rotated_candidate_fails_both_flavors():
     delta_cstar = lambda a: u_cs @ base_cstar(a) @ dagger(u_cs)
     rs = check_hopf_state(vn, h["algebra"], delta_state)
     rc = check_hopf_cstar(cs, h["algebra"], delta_cstar)
-    assert not rs.verdict
-    assert not rc.verdict
+    assert not rs.ok
+    assert not rc.ok
 
 
 def test_insertion_factorizations_have_full_dimension():

@@ -166,7 +166,7 @@ def test_induced_operator_well_definedness():
     q = QuotientRealization(gram)
     # block-diagonal operator preserves ker(gram): descends
     ok = np.diag([2.0, 3.0, 7.0])
-    mat, res = q.induced(ok)
+    mat, res = induced_between(q, q, ok)
     assert res < 1e-12
     # action on classes agrees with the plain action, basis-independently
     w = np.array([1.0, 2.0, 0.0])
@@ -175,7 +175,7 @@ def test_induced_operator_well_definedness():
     # operator mixing the null direction into the support: ill defined
     bad = np.zeros((3, 3))
     bad[0, 2] = 1.0
-    _, res_bad = q.induced(bad)
+    _, res_bad = induced_between(q, q, bad)
     assert res_bad > 0.5
 
 

@@ -57,7 +57,7 @@ def test_groupoid_candidate_descends_to_unitary():
 def test_state_flavor_passes(make):
     pmu = groupoid_pmu(make())
     report = check_pmu_state(pmu["candidate"])
-    assert report.verdict
+    assert report.ok
     assert report.residuals["pentagon"] < 1e-7
     others = {k: v for k, v in report.residuals.items() if k != "pentagon"}
     assert max(others.values()) < 1e-8
@@ -85,10 +85,10 @@ def test_operator_flavor_passes_and_agrees(make):
         pmu["candidate"], pmu["beta_hat"], pmu["alpha_flipped"],
         pmu["alpha"], pmu["beta"],
     )
-    assert eq.state_report.verdict
-    assert eq.cstar_report.verdict
-    assert eq.verdicts_agree and eq.ok
-    assert eq.cstar_report.residuals["pentagon"] < 1e-7
+    assert eq.children["state"].ok
+    assert eq.children["operator"].ok
+    assert eq.residuals["verdicts_agree"] == 0.0 and eq.ok
+    assert eq.children["operator"].residuals["pentagon"] < 1e-7
 
 
 def test_operator_flavor_transport_relations():
@@ -115,13 +115,13 @@ def test_swapped_operator_fails_pentagon_on_group():
     assert report.residuals["descends_to_quotients"] < 1e-10
     assert report.residuals["unitary"] < 1e-10
     assert report.residuals["pentagon"] >= 1e-4
-    assert not report.verdict
+    assert not report.ok
 
 
 def test_swapped_operator_fails_on_groupoid():
     pmu = groupoid_pmu(FiniteGroupoid.pair(2))
     report = check_pmu_state(swapped_candidate(pmu))
-    assert not report.verdict
+    assert not report.ok
 
 
 def test_phase_perturbation_detected_by_both_flavors():
@@ -131,11 +131,11 @@ def test_phase_perturbation_detected_by_both_flavors():
         cand, pmu["beta_hat"], pmu["alpha_flipped"],
         pmu["alpha"], pmu["beta"],
     )
-    assert not eq.state_report.verdict
-    assert not eq.cstar_report.verdict
-    assert eq.verdicts_agree and eq.ok
-    assert eq.state_report.residuals["pentagon"] >= 1e-4
-    assert eq.cstar_report.residuals["pentagon"] >= 1e-4
+    assert not eq.children["state"].ok
+    assert not eq.children["operator"].ok
+    assert eq.residuals["verdicts_agree"] == 0.0 and eq.ok
+    assert eq.children["state"].residuals["pentagon"] >= 1e-4
+    assert eq.children["operator"].residuals["pentagon"] >= 1e-4
 
 
 def test_phase_perturbation_keeps_exchange_relations():

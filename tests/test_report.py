@@ -4,7 +4,8 @@ import json
 import pytest
 
 from qgw.errors import FormatError
-from qgw.report import Check, Report, checks_from_residuals
+from qgw.linalg import Tolerance
+from qgw.report import Certificate, Check, Report, checks_from_residuals
 
 
 def test_verdict_follows_thresholds():
@@ -71,6 +72,19 @@ def test_checks_from_residuals_prefix_and_overrides():
     # anchors resolve from the raw name, not the prefixed one
     assert named["state_pentagon"].anchor == "pentagon-identity"
     assert named["state_unitary"].anchor == "unitarity"
+    # a certificate brings its thresholds from the Tolerance, and its
+    # children's names join the prefix at every depth
+    tol = Tolerance()
+    cert = Certificate({"verdicts_agree": 0.0}, tol,
+                       {"state": Certificate(residuals, tol)})
+    named = {c.name: c for c in checks_from_residuals(cert, prefix="pmu_")}
+    assert set(named) == {"pmu_verdicts_agree", "pmu_state_pentagon",
+                          "pmu_state_unitary"}
+    assert named["pmu_state_pentagon"].threshold == tol.pentagon
+    assert named["pmu_state_pentagon"].passed
+    assert named["pmu_state_unitary"].threshold == tol.check
+    assert named["pmu_state_pentagon"].anchor == "pentagon-identity"
+    assert named["pmu_verdicts_agree"].anchor == "flavor-agreement"
 
 
 def test_render_text_marks_failures():
