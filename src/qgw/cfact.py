@@ -23,9 +23,8 @@ from .linalg import (
     OperatorSubspace,
     Tolerance,
     dagger,
-    intersect_null_spaces,
+    intertwiner_rows,
     mat_norm,
-    mul_operator,
     rank,
     span,
     subspace_residual,
@@ -180,12 +179,8 @@ def factorization_from_rep(base: CStarBase, rho, target_dim: int,
     """
     acting = base.algebra if flipped else base.partner
     n = base.space_dim
-    eye_t = np.eye(target_dim)
-    eye_s = np.eye(n)
-    blocks = []
-    for b in acting.basis():
-        blocks.append(mul_operator(eye_t, b) - mul_operator(rho(b), eye_s))
-    rows = intersect_null_spaces(blocks, target_dim * n, tol)
+    images = np.stack([rho(b) for b in acting.basis()])
+    rows = intertwiner_rows(images, acting.subspace.stack, tol)
     stack = rows.reshape(-1, target_dim, n)
     sub = span(stack, target_dim, n, tol)
     return Factorization(base, target_dim, sub, flipped=flipped, tol=tol)

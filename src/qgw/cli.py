@@ -384,7 +384,8 @@ def certify_morphism(ctx: BundleContext) -> Certificate:
 def certify_hopf(ctx: BundleContext) -> Certificate:
     vn, cs = ctx.squares
     return hopf_equivalence(
-        vn, cs, ctx.arrow, ctx.delta("state"), ctx.delta("operator")
+        vn, cs, ctx.arrow, ctx.delta("state"), ctx.delta("operator"),
+        ctx.phi[0],
     )
 
 

@@ -25,6 +25,7 @@ from .linalg import (
     Tolerance,
     dagger,
     intersect_null_spaces,
+    intertwiner_rows,
     mat_norm,
     mul_operator,
     orthonormal_rows,
@@ -184,12 +185,8 @@ def hom_report(pi, source: StarAlgebra, target: StarAlgebra) -> dict:
 def intertwiner_space(pi, source: StarAlgebra, n_from: int, n_to: int,
                       tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Stack of maps V with V a = pi(a) V for every a in the source."""
-    blocks = []
-    for a in source.basis():
-        blocks.append(
-            mul_operator(np.eye(n_to), a) - mul_operator(pi(a), np.eye(n_from))
-        )
-    rows = intersect_null_spaces(blocks, n_to * n_from, tol)
+    images = np.stack([pi(a) for a in source.basis()])
+    rows = intertwiner_rows(images, source.subspace.stack, tol)
     return rows.reshape(-1, n_to, n_from)
 
 

@@ -55,10 +55,11 @@ class State:
         n = algebra.space_dim
         if density.shape != (n, n):
             raise DimensionError("density must act on the algebra's space")
-        if mat_norm(density - dagger(density)) > 1e-8 * max(1.0, mat_norm(density)):
+        tol = algebra.tol
+        if mat_norm(density - dagger(density)) > tol.check * max(1.0, mat_norm(density)):
             raise NumericError("density not Hermitian")
         evs = np.linalg.eigvalsh(0.5 * (density + dagger(density)))
-        if evs.min() < -1e-10 * max(1.0, evs.max()):
+        if evs.min() < -tol.eps / 10 * max(1.0, evs.max()):
             raise NumericError(f"density not PSD: min eigenvalue {evs.min():.3e}")
         values = np.array([np.trace(density @ b) for b in algebra.basis()])
         return cls(algebra, values)
@@ -198,7 +199,7 @@ def gns(algebra: StarAlgebra, state: State,
     g = state.gram()
     evs = np.linalg.eigvalsh(g)
     lam_max = float(evs[-1]) if evs.size else 0.0
-    if evs.size and float(evs[0]) < -1e-10 * max(1.0, lam_max):
+    if evs.size and float(evs[0]) < -tol.eps / 10 * max(1.0, lam_max):
         raise NumericError(f"state not positive: min Gram eigenvalue {evs[0]:.3e}")
     cut = tol.rank_cut(max(lam_max, 0.0), g.shape[0], g.shape[1])
     if evs.size and float(evs[0]) <= cut:

@@ -124,17 +124,16 @@ def check_hopf_cstar(space: RelativeTensorSpace, algebra: StarAlgebra,
 
 def hopf_equivalence(state_space: RelativeTensorSpace,
                      cstar_space: RelativeTensorSpace,
-                     algebra: StarAlgebra, delta_state,
-                     delta_cstar) -> Certificate:
+                     algebra: StarAlgebra, delta_state, delta_cstar,
+                     phi: np.ndarray) -> Certificate:
     """Run both checks and certify they describe the same candidate.
 
     The two checks are the children "state" and "operator"; the parent's own
-    residuals are the transport under the flavor unitary and the agreement
-    of the two verdicts, which holds also when both flavors fail.
+    residuals are the transport under phi (the squares' flavor unitary) and
+    the agreement of the two verdicts, which holds also when both fail.
     """
     state = check_hopf_state(state_space, algebra, delta_state)
     operator = check_hopf_cstar(cstar_space, algebra, delta_cstar)
-    phi, _ = phi_unitary(state_space, cstar_space)
     worst = 0.0
     for a in algebra.basis():
         moved = phi @ delta_state(a) @ dagger(phi)

@@ -23,7 +23,8 @@ class Tolerance:
 
     eps drives rank cuts; invariant checks gate at 10*eps and the pentagon
     comparison at 100*eps, reflecting how many products each residual passes
-    through.
+    through.  Input guards follow it: Hermitian defects of Grams at 1000*eps
+    (densities 10*eps), eigenvalues of Grams down to -10*eps (others -eps/10).
     """
 
     eps: float = 1e-9
@@ -256,10 +257,8 @@ def subspace_equal(
 def intersect_null_spaces(blocks, n_unknowns: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Common null space of a family of (m_i x n) constraint matrices.
 
-    Accumulates M = sum |block|^2 and reads the null space from eigh(M).
-    Squaring costs half the precision, so the rank rule is applied to M's
-    eigenvalues themselves, not their square roots.  Returns an orthonormal
-    basis as rows (k, n).
+    Accumulates M = sum |block|^2 and reads the null space with null_rows.
+    Returns an orthonormal basis as rows (k, n).
     """
     m = np.zeros((n_unknowns, n_unknowns), dtype=complex)
     for b in blocks:
@@ -267,8 +266,15 @@ def intersect_null_spaces(blocks, n_unknowns: int, tol: Tolerance = DEFAULT_TOL)
         if b.shape[1] != n_unknowns:
             raise DimensionError("constraint block has wrong number of columns")
         m += dagger(b) @ b
-    m = 0.5 * (m + dagger(m))
-    w, v = np.linalg.eigh(m)
+    return null_rows(m, tol)
+
+
+def null_rows(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Null space of a constraint Gram M = sum C_i* C_i, as orthonormal rows.
+    Squaring costs half the precision, so the rank rule is applied to M's
+    eigenvalues themselves, not their square roots."""
+    n_unknowns = gram.shape[0]
+    w, v = np.linalg.eigh(0.5 * (gram + dagger(gram)))
     lam_max = float(w[-1]) if w.size else 0.0
     # constraint data is normalized to O(1) scale throughout the package, so
     # a system whose largest eigenvalue is machine noise carries no
@@ -277,6 +283,26 @@ def intersect_null_spaces(blocks, n_unknowns: int, tol: Tolerance = DEFAULT_TOL)
         return np.eye(n_unknowns, dtype=complex)
     keep = w <= tol.rank_cut(lam_max, n_unknowns, n_unknowns)
     return v[:, keep].T
+
+
+def exchange_gram(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Gram sum C_i* C_i of the constraints C_i vec(T) = vec(t_i T - T s_i),
+    for stacks t (k, m, m) and s (k, n, n) and row-major vec, in closed form:
+    kron(I_m, sum conj(s_i) s_i^T) + kron(sum t_i* t_i, I_n) - X - X*, where
+    X = sum kron(t_i, conj(s_i)) is one product over the basis axis."""
+    t, s = as_complex(t), as_complex(s)
+    m, n = t.shape[1], s.shape[1]
+    x = np.tensordot(t, s.conj(), axes=(0, 0)).transpose(0, 2, 1, 3)
+    x = x.reshape(m * n, m * n)
+    return (np.kron(np.eye(m), np.einsum("iab,icb->ac", s.conj(), s))
+            + np.kron(np.einsum("iba,ibc->ac", t.conj(), t), np.eye(n))
+            - x - dagger(x))
+
+
+def intertwiner_rows(t: np.ndarray, s: np.ndarray,
+                     tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal rows spanning {T : t_i T = T s_i}; see exchange_gram."""
+    return null_rows(exchange_gram(t, s), tol)
 
 
 class QuotientRealization:
@@ -298,12 +324,12 @@ class QuotientRealization:
             raise DimensionError("gram must be square")
         herm_defect = mat_norm(gram - dagger(gram))
         scale = max(1.0, mat_norm(gram))
-        if herm_defect > 1e-6 * scale:
+        if herm_defect > tol.eps / 1e-3 * scale:
             raise NumericError(f"gram not Hermitian: defect {herm_defect:.3e}")
         gram = 0.5 * (gram + dagger(gram))
         w, v = np.linalg.eigh(gram)
         lam_max = float(w[-1]) if w.size else 0.0
-        if w.size and float(w[0]) < -1e-8 * max(1.0, lam_max):
+        if w.size and float(w[0]) < -tol.check * max(1.0, lam_max):
             raise NumericError(f"gram not PSD: min eigenvalue {w[0]:.3e}")
         if lam_max <= 0.0:
             keep = np.zeros(w.shape, dtype=bool)

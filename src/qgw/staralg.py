@@ -2,8 +2,8 @@
 
 A StarAlgebra is a unital *-subalgebra of M_n carrying an HS-orthonormal
 basis.  Construction certifies closure under products and adjoints and the
-presence of the identity; commutants and centers come from exact linear
-algebra on vectorized operators.
+presence of the identity; commutants and centers are null spaces of one
+closed-form Gram on vectorized operators (linalg.exchange_gram).
 """
 from __future__ import annotations
 
@@ -14,10 +14,11 @@ from .linalg import (
     DEFAULT_TOL,
     OperatorSubspace,
     Tolerance,
-    commutator_operator,
     dagger,
-    intersect_null_spaces,
+    exchange_gram,
+    intertwiner_rows,
     mat_norm,
+    null_rows,
     span,
     subspace_equal,
 )
@@ -93,18 +94,16 @@ class StarAlgebra:
 
     def commutant(self) -> "StarAlgebra":
         n = self.space_dim
-        blocks = [commutator_operator(a) for a in self.basis()]
-        null_rows = intersect_null_spaces(blocks, n * n, self.tol)
-        stack = null_rows.reshape(-1, n, n)
-        return StarAlgebra(n, span(stack, n, n, self.tol), self.tol, certify=False)
+        stack = self.subspace.stack
+        rows = intertwiner_rows(stack, stack, self.tol).reshape(-1, n, n)
+        return StarAlgebra(n, span(rows, n, n, self.tol), self.tol, certify=False)
 
     def center(self) -> "StarAlgebra":
         n = self.space_dim
-        # constrain inside the algebra's own coefficient space
-        flat = self.subspace.flat().T  # (n*n, k): columns are basis vecs
-        blocks = [commutator_operator(a) @ flat for a in self.basis()]
-        coeff_rows = intersect_null_spaces(blocks, self.dim, self.tol)
-        mats = [self.element(c) for c in coeff_rows]
+        stack, flat = self.subspace.stack, self.subspace.flat()
+        # the commutant's Gram restricted to the algebra's coefficient space
+        gram = flat.conj() @ exchange_gram(stack, stack) @ flat.T
+        mats = (null_rows(gram, self.tol) @ flat).reshape(-1, n, n)
         return StarAlgebra(n, span(mats, n, n, self.tol), self.tol, certify=False)
 
     def equal(self, other: "StarAlgebra", threshold: float | None = None) -> bool:

@@ -262,7 +262,8 @@ def test_08_hopf_verdicts_agree_with_negatives():
         h = groupoid_hopf(make())
         eq = hopf_equivalence(h["state_space"], h["cstar_space"],
                               h["algebra"], h["delta_state"],
-                              h["delta_cstar"])
+                              h["delta_cstar"],
+                              phi_unitary(h["state_space"], h["cstar_space"])[0])
         assert eq.children["state"].ok
         assert eq.children["operator"].ok
         assert eq.residuals["verdicts_agree"] == 0.0
@@ -272,7 +273,8 @@ def test_08_hopf_verdicts_agree_with_negatives():
         bad = perturbed_hopf(h, seed=seed)
         eq = hopf_equivalence(bad["state_space"], bad["cstar_space"],
                               bad["algebra"], bad["delta_state"],
-                              bad["delta_cstar"])
+                              bad["delta_cstar"],
+                              phi_unitary(bad["state_space"], bad["cstar_space"])[0])
         # the injected leg violation must be caught by BOTH flavors
         assert not eq.children["state"].ok, seed
         assert not eq.children["operator"].ok, seed

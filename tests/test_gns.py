@@ -4,7 +4,13 @@ import pytest
 
 from qgw.errors import FaithfulnessError, NumericError
 from qgw.gns import GnsTriple, State, gns
-from qgw.linalg import dagger, mat_norm, rng
+from qgw.linalg import (
+    QuotientRealization,
+    Tolerance,
+    dagger,
+    mat_norm,
+    rng,
+)
 from qgw.staralg import StarAlgebra, full_matrix_algebra
 from qgw.linalg import span
 
@@ -39,6 +45,32 @@ def test_gns_requires_faithfulness():
     alg = diag_algebra(2)
     with pytest.raises(FaithfulnessError):
         gns(alg, density_state(alg, [1.0, 0.0]))
+
+
+def test_input_guards_follow_the_tolerance():
+    """The Hermitian and PSD guards on densities, state Grams and quotient
+    Grams reject round-off at the default eps and move with it."""
+    loose = Tolerance(eps=1e-6)
+    skew = np.array([[0.5, 1e-7], [0.0, 0.5]])  # Hermitian defect 1e-7
+    negative = np.diag([1.0 + 1e-9, -1e-9])     # min eigenvalue -1e-9
+    strict_alg = full_matrix_algebra(2)
+    loose_alg = full_matrix_algebra(2, loose)
+    values = np.array([np.trace(negative @ b) for b in strict_alg.basis()])
+    for density in (skew, negative):
+        with pytest.raises(NumericError):
+            State.from_density(strict_alg, density)
+        State.from_density(loose_alg, density)
+    with pytest.raises(NumericError):
+        gns(strict_alg, State(strict_alg, values))
+    # positivity now passes, so the state fails as degenerate instead
+    with pytest.raises(FaithfulnessError):
+        gns(loose_alg, State.from_density(loose_alg, negative), loose)
+    gram_skew = np.array([[1.0, 1e-5], [0.0, 1.0]])  # defect 1e-5
+    gram_negative = np.diag([1.0, -1e-7])
+    for gram in (gram_skew, gram_negative):
+        with pytest.raises(NumericError):
+            QuotientRealization(gram)
+        assert QuotientRealization(gram, loose).dim >= 1
 
 
 def test_gns_dimension_and_certificates_full_m2():

@@ -10,7 +10,7 @@ from qgw.hopf import (
     perturbed_hopf,
 )
 from qgw.linalg import dagger, mat_norm, rng
-from qgw.rtensor import ket_factorization
+from qgw.rtensor import ket_factorization, phi_unitary
 
 
 def test_group_z2_state_axioms_tight():
@@ -38,7 +38,8 @@ def test_group_z2_cstar_axioms_tight():
 def test_diagonal_comultiplication_passes_both_flavors(make):
     h = groupoid_hopf(make())
     eq = hopf_equivalence(h["state_space"], h["cstar_space"], h["algebra"],
-                          h["delta_state"], h["delta_cstar"])
+                          h["delta_state"], h["delta_cstar"],
+                          phi_unitary(h["state_space"], h["cstar_space"])[0])
     assert eq.children["state"].ok
     assert eq.children["operator"].ok
     assert eq.residuals["transport"] < 1e-8
@@ -51,7 +52,8 @@ def test_perturbed_candidate_fails_both_flavors(seed):
     bad = perturbed_hopf(h, seed)
     eq = hopf_equivalence(bad["state_space"], bad["cstar_space"],
                           bad["algebra"], bad["delta_state"],
-                          bad["delta_cstar"])
+                          bad["delta_cstar"],
+                          phi_unitary(bad["state_space"], bad["cstar_space"])[0])
     assert not eq.children["state"].ok
     assert not eq.children["operator"].ok
     assert eq.residuals["verdicts_agree"] == 0.0

@@ -11,9 +11,11 @@ from qgw.linalg import (
     Tolerance,
     commutator_operator,
     dagger,
+    exchange_gram,
     hs_inner,
     induced_between,
     intersect_null_spaces,
+    intertwiner_rows,
     mat_norm,
     mul_operator,
     orthonormal_rows,
@@ -118,6 +120,35 @@ def test_intersect_null_spaces_matches_stacked_svd():
     )
     for b in blocks:
         assert mat_norm(b @ base.T) < 1e-10
+
+
+def test_exchange_gram_matches_kron_blocks():
+    gen = rng(11)
+    k, m, n = 4, 3, 5
+    t = np.stack([random_mat(gen, m, m) for _ in range(k)])
+    s = np.stack([random_mat(gen, n, n) for _ in range(k)])
+    ref = np.zeros((m * n, m * n), dtype=complex)
+    for ti, si in zip(t, s):
+        b = mul_operator(ti, np.eye(n)) - mul_operator(np.eye(m), si)
+        ref += dagger(b) @ b
+    assert mat_norm(exchange_gram(t, s) - ref) < 1e-12 * mat_norm(ref)
+    ref = sum(dagger(c) @ c for c in map(commutator_operator, t))
+    assert mat_norm(exchange_gram(t, t) - ref) < 1e-12 * mat_norm(ref)
+
+
+def test_intertwiner_rows_of_an_amplification():
+    # generic s_i generate M_3, so T with (I_2 (x) s_i) T = T s_i are the
+    # two-dimensional space of stacked multiples of the identity
+    gen = rng(12)
+    s = np.stack([random_mat(gen, 3, 3) for _ in range(2)])
+    t = np.stack([np.kron(np.eye(2), si) for si in s])
+    rows = intertwiner_rows(t, s)
+    assert rows.shape == (2, 18)
+    for r in rows.reshape(-1, 6, 3):
+        assert max(mat_norm(ti @ r - r @ si) for ti, si in zip(t, s)) < 1e-10
+    expect = span([np.vstack([np.eye(3), 0 * np.eye(3)]),
+                   np.vstack([0 * np.eye(3), np.eye(3)])])
+    assert subspace_equal(span(list(rows.reshape(-1, 6, 3))), expect, 1e-8)
 
 
 def test_intersect_null_spaces_no_constraints_is_everything():

@@ -2,8 +2,21 @@
 import numpy as np
 import pytest
 
+from qgw.cfact import factorization_from_rep
 from qgw.errors import MembershipError
-from qgw.linalg import dagger, mat_norm, rng, span
+from qgw.fiber import intertwiner_space
+from qgw.fixtures import random_standard_base
+from qgw.linalg import (
+    commutator_operator,
+    dagger,
+    intersect_null_spaces,
+    mat_norm,
+    mul_operator,
+    random_unitary,
+    rng,
+    span,
+    subspace_equal,
+)
 from qgw.staralg import (
     StarAlgebra,
     algebra_from_generators,
@@ -87,6 +100,44 @@ def test_center_of_block_algebra():
     assert z.is_commutative()
     # center elements commute with the whole algebra
     assert commute_residual(z.basis(), alg.basis()) < 1e-10
+
+
+def kron_block_reference(blocks, rows: int, cols: int):
+    """Span of the common null space of per-element constraint blocks."""
+    null = intersect_null_spaces(blocks, rows * cols)
+    return span(null.reshape(-1, rows, cols), rows, cols)
+
+
+@pytest.mark.parametrize("sizes, seed", [([2, 1], 0), ([2, 2, 1], 1),
+                                         ([3, 1], 2)])
+def test_closed_form_solves_match_kron_blocks(sizes, seed):
+    """commutant, intertwiner_space and factorization_from_rep span what the
+    per-element kron blocks span, for a Haar-conjugated amplification."""
+    _, base = random_standard_base(sizes, seed)
+    acting = base.partner
+    n, copies = acting.space_dim, 2
+    big = n * copies
+    w = random_unitary(big, rng(seed + 10))
+
+    def rho(b):
+        return w @ np.kron(np.eye(copies), b) @ dagger(w)
+
+    image = StarAlgebra(big, span([rho(b) for b in acting.basis()], big, big))
+    ref = kron_block_reference(
+        [commutator_operator(x) for x in image.basis()], big, big
+    )
+    # the GNS space carries each block M_d with multiplicity d
+    assert ref.dim == sum((copies * d) ** 2 for d in sizes)
+    assert subspace_equal(image.commutant().subspace, ref, 1e-8)
+    ref = kron_block_reference(
+        [mul_operator(np.eye(big), b) - mul_operator(rho(b), np.eye(n))
+         for b in acting.basis()], big, n,
+    )
+    assert ref.dim > 0
+    inter = intertwiner_space(rho, acting, n, big)
+    assert subspace_equal(span(list(inter), big, n), ref, 1e-8)
+    fact = factorization_from_rep(base, rho, big)
+    assert subspace_equal(fact.subspace, ref, 1e-8)
 
 
 def test_left_mult_matrix_is_multiplicative():
