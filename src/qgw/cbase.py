@@ -16,16 +16,15 @@ from .linalg import (
     AntilinearMap,
     Tolerance,
     dagger,
-    mat_norm,
     rank,
     span,
-    subspace_equal,
     subspace_residual,
     unitary_residual,
+    worst_norm,
 )
 from .gns import GnsTriple, State, gns
 from .report import Certificate
-from .staralg import StarAlgebra, commute_residual
+from .staralg import StarAlgebra, commute_residual, rep_report
 
 
 class CStarBase:
@@ -37,7 +36,7 @@ class CStarBase:
                  tol: Tolerance = DEFAULT_TOL):
         if algebra.space_dim != partner.space_dim:
             raise DimensionError("the two algebras must act on the same space")
-        res = commute_residual(algebra.basis(), partner.basis())
+        res = commute_residual(algebra.subspace.stack, partner.subspace.stack)
         if res > tol.check:
             raise PreconditionError(
                 f"algebras do not commute: residual {res:.3e}"
@@ -53,8 +52,7 @@ class CStarBase:
         self.cyclic_vector = cyclic_vector
 
     def orbit_rank(self, alg: StarAlgebra, v: np.ndarray) -> int:
-        orbit = np.stack([b @ v for b in alg.basis()])
-        return rank(orbit, self.tol)
+        return rank(alg.subspace.stack @ v, self.tol)
 
     def is_bicyclic(self, v: np.ndarray) -> bool:
         return (
@@ -104,10 +102,10 @@ def cbase_from_state(triple: GnsTriple) -> CStarBase:
     algebra, cyclic vector."""
     n = triple.dim
     left = StarAlgebra(
-        n, span(triple.rep_stack(), n, n, triple.tol), triple.tol, certify=False
+        n, span(triple.rep_stack, n, n, triple.tol), triple.tol, certify=False
     )
     right = StarAlgebra(
-        n, span(triple.rep_op_stack(), n, n, triple.tol), triple.tol,
+        n, span(triple.rep_op_stack, n, n, triple.tol), triple.tol,
         certify=False,
     )
     return CStarBase(left, right, triple.cyclic_vector, triple.tol)
@@ -126,27 +124,24 @@ def base_equivalence(base: CStarBase):
     zeta = base.cyclic_vector
     state = State.from_vector(base.algebra, zeta)
     triple = gns(base.algebra, state, base.tol)
-    cols_base = np.stack([b @ zeta for b in base.algebra.basis()], axis=1)
-    cols_rep = np.stack(
-        [triple.rep(b) @ triple.cyclic_vector for b in base.algebra.basis()],
-        axis=1,
-    )
+    stack = base.algebra.subspace.stack
+    cols_base = (stack @ zeta).T
+    cols_rep = (triple.rep_stack @ triple.cyclic_vector).T
     u = cols_rep @ np.linalg.pinv(cols_base)
     res = {
         "unitary": unitary_residual(u),
         "maps_cyclic_vector": float(
             np.linalg.norm(u @ zeta - triple.cyclic_vector)
         ),
+        "conjugates_algebra": worst_norm(
+            u @ stack @ dagger(u) - triple.rep_stack
+        ),
     }
-    worst = 0.0
-    for b in base.algebra.basis():
-        worst = max(worst, mat_norm(u @ b @ dagger(u) - triple.rep(b)))
-    res["conjugates_algebra"] = worst
     moved_partner = span(
-        [u @ b @ dagger(u) for b in base.partner.basis()],
+        u @ base.partner.subspace.stack @ dagger(u),
         triple.dim, triple.dim, base.tol,
     )
-    op_span = span(triple.rep_op_stack(), triple.dim, triple.dim, base.tol)
+    op_span = span(triple.rep_op_stack, triple.dim, triple.dim, base.tol)
     res["partner_matches_opposite"] = subspace_residual(moved_partner, op_span)
     return u, Certificate(res, base.tol)
 
@@ -158,10 +153,8 @@ def modular_conjugation_of_base(base: CStarBase):
     if base.cyclic_vector is None:
         raise PreconditionError("base has no cyclic vector")
     zeta = base.cyclic_vector
-    cols = np.stack([b @ zeta for b in base.algebra.basis()], axis=1)
-    cols_star = np.stack(
-        [dagger(b) @ zeta for b in base.algebra.basis()], axis=1
-    )
+    stack = base.algebra.subspace.stack
+    cols, cols_star = (stack @ zeta).T, (dagger(stack) @ zeta).T
     k = cols_star @ np.conj(np.linalg.pinv(cols))
     j = AntilinearMap(k).polar_part()
     res = {
@@ -169,18 +162,12 @@ def modular_conjugation_of_base(base: CStarBase):
         "antiunitary": j.antiunitary_residual(),
         "fixes_cyclic_vector": float(np.linalg.norm(j.apply(zeta) - zeta)),
     }
-    mapped = [j.sandwich(dagger(b)) for b in base.algebra.basis()]
-    worst = max(base.partner.residual(m) for m in mapped)
-    res["lands_in_partner"] = worst
+    # b -> j b* j is linear; it should be an antihomomorphism into the partner
+    mapped = j.sandwich(dagger(stack))
+    res["lands_in_partner"] = base.partner.residual(mapped)
     mapped_span = span(mapped, base.space_dim, base.space_dim, base.tol)
     res["onto_partner"] = subspace_residual(mapped_span, base.partner.subspace)
-    worst_anti = 0.0
-    for a in base.algebra.basis():
-        fa = j.sandwich(dagger(a))
-        for b in base.algebra.basis():
-            fab = j.sandwich(dagger(a @ b))
-            worst_anti = max(
-                worst_anti, mat_norm(fab - j.sandwich(dagger(b)) @ fa)
-            )
-    res["reverses_products"] = worst_anti
+    res["reverses_products"] = rep_report(
+        base.algebra, mapped, anti=True
+    )["multiplicative"]
     return j, Certificate(res, base.tol)

@@ -24,13 +24,13 @@ from .linalg import (
     Tolerance,
     dagger,
     intertwiner_rows,
-    mat_norm,
     rank,
     span,
     subspace_residual,
+    worst_norm,
 )
 from .report import Certificate
-from .staralg import StarAlgebra, commute_residual
+from .staralg import StarAlgebra, commute_residual, rep_report
 
 
 class Factorization:
@@ -81,25 +81,20 @@ class Factorization:
     def axiom_report(self) -> dict:
         out = {}
         prod = self.product_algebra()
-        xs = self.basis()
+        xs = self.subspace.stack
+        n = self.base.space_dim
         # inner products land in and span the product algebra
-        prods = [dagger(x) @ y for x in xs for y in xs]
-        worst = max((prod.residual(p) for p in prods), default=0.0)
-        out["products_in_algebra"] = worst
+        prods = (dagger(xs)[:, None] @ xs[None]).reshape(-1, n, n)
+        out["products_in_algebra"] = prod.residual(prods)
         out["products_span_algebra"] = subspace_residual(
-            span(prods, self.base.space_dim, self.base.space_dim, self.tol),
-            prod.subspace,
-        ) if prods else float(prod.dim)
+            span(prods, n, n, self.tol), prod.subspace,
+        ) if len(prods) else float(prod.dim)
         # right module over the product algebra
-        worst = 0.0
-        for x in xs:
-            for b in prod.basis():
-                worst = max(worst, self.subspace.residual(x @ b))
-        out["module_closed"] = worst
-        # ranges fill the target
-        cols = np.concatenate([x for x in xs], axis=1) if xs else np.zeros(
-            (self.target_dim, 0)
+        out["module_closed"] = self.subspace.residual(
+            xs[:, None] @ prod.subspace.stack[None]
         )
+        # ranges fill the target
+        cols = xs.transpose(1, 0, 2).reshape(self.target_dim, -1)
         out["spans_target_defect"] = float(
             self.target_dim - rank(cols, self.tol)
         )
@@ -111,9 +106,7 @@ class Factorization:
         if self._eval is None:
             if self.base.cyclic_vector is None:
                 raise PreconditionError("base has no cyclic vector")
-            self._eval = np.stack(
-                [x @ self.base.cyclic_vector for x in self.basis()], axis=1
-            )
+            self._eval = (self.subspace.stack @ self.base.cyclic_vector).T
         return self._eval
 
     def _eval_inverse(self) -> np.ndarray:
@@ -127,37 +120,31 @@ class Factorization:
         return self._eval_inv
 
     def rho(self, x: np.ndarray) -> np.ndarray:
-        """Action of an acting-algebra element on the target space."""
-        cols = np.stack(
-            [f @ x @ self.base.cyclic_vector for f in self.basis()], axis=1
-        )
-        return cols @ self._eval_inverse()
+        """Action of an acting-algebra element on the target space; of each
+        element for a stack."""
+        inverse = self._eval_inverse()
+        moved = np.asarray(x, dtype=complex) @ self.base.cyclic_vector
+        cols = np.einsum("fdn,...n->...df", self.subspace.stack, moved)
+        return cols @ inverse
 
     def rho_stack(self) -> np.ndarray:
-        return np.stack([self.rho(b) for b in self.acting_algebra().basis()])
+        return self.rho(self.acting_algebra().subspace.stack)
 
     def rho_report(self) -> dict:
         """Residuals for the induced action being a unital *-homomorphism
-        satisfying the defining exchange identity."""
+        satisfying the defining exchange identity rho(a) f = f a."""
         acting = self.acting_algebra()
-        out = {}
-        out["unital"] = mat_norm(
-            self.rho(np.eye(self.base.space_dim)) - np.eye(self.target_dim)
-        )
-        worst_m = worst_s = worst_x = 0.0
-        for a in acting.basis():
-            ra = self.rho(a)
-            worst_s = max(worst_s, mat_norm(dagger(ra) - self.rho(dagger(a))))
-            for b in acting.basis():
-                worst_m = max(
-                    worst_m, mat_norm(ra @ self.rho(b) - self.rho(a @ b))
-                )
-            for f in self.basis():
-                worst_x = max(worst_x, mat_norm(ra @ f - f @ a))
-        out["multiplicative"] = worst_m
-        out["star"] = worst_s
-        out["exchange_identity"] = worst_x
-        return out
+        rhos, fs = self.rho_stack(), self.subspace.stack
+        rep = rep_report(acting, rhos)
+        return {
+            "unital": rep["unital"],
+            "multiplicative": rep["multiplicative"],
+            "star": rep["star"],
+            "exchange_identity": worst_norm(
+                rhos[:, None] @ fs[None]
+                - fs[None] @ acting.subspace.stack[:, None]
+            ),
+        }
 
     def r_operator(self, h: np.ndarray) -> np.ndarray:
         """The unique element sending the cyclic vector to h."""
@@ -197,22 +184,16 @@ def compatible(first: Factorization, second: Factorization) -> Certificate:
     if first.target_dim != second.target_dim:
         raise DimensionError("factorizations of different targets")
     thr = first.tol.check
-    res = {}
-    worst = 0.0
-    for x in first.acting_algebra().basis():
-        rx = first.rho(x)
-        for eta in second.basis():
-            worst = max(worst, second.subspace.residual(rx @ eta))
-    res["first_action_preserves_second"] = worst
-    worst = 0.0
-    for y in second.acting_algebra().basis():
-        ry = second.rho(y)
-        for xi in first.basis():
-            worst = max(worst, first.subspace.residual(ry @ xi))
-    res["second_action_preserves_first"] = worst
-    res["actions_commute"] = commute_residual(
-        list(first.rho_stack()), list(second.rho_stack())
-    )
+    r1, r2 = first.rho_stack(), second.rho_stack()
+    res = {
+        "first_action_preserves_second": second.subspace.residual(
+            r1[:, None] @ second.subspace.stack[None]
+        ),
+        "second_action_preserves_first": first.subspace.residual(
+            r2[:, None] @ first.subspace.stack[None]
+        ),
+        "actions_commute": commute_residual(r1, r2),
+    }
     by_modules = (
         res["first_action_preserves_second"] <= thr
         and res["second_action_preserves_first"] <= thr

@@ -229,7 +229,13 @@ class BundleContext:
 
     @kept
     def rep(self, name: str) -> np.ndarray:
-        return serialize.decode_stack(self.entry("reps", name), f"reps.{name}")
+        where = f"reps.{name}"
+        stack = serialize.decode_stack(self.entry("reps", name), where)
+        if stack.shape[1] != stack.shape[2]:
+            raise FormatError(
+                f"{where}: matrices must be square, got {stack.shape[1:]}"
+            )
+        return stack
 
     @kept
     def factorization(self, name: str):

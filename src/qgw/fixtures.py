@@ -227,8 +227,8 @@ def linked_factorizations(triple: GnsTriple, base: CStarBase, rho_stack,
     alg = triple.algebra
     rho_stack = np.asarray(rho_stack, dtype=complex)
     sigma_stack = np.asarray(sigma_stack, dtype=complex)
-    solve_op = span_solver(triple.rep_op_stack())
-    solve_rep = span_solver(triple.rep_stack())
+    solve_op = span_solver(triple.rep_op_stack)
+    solve_rep = span_solver(triple.rep_stack)
     def alpha_action(x):
         return np.tensordot(solve_op(x), rho_stack, axes=1)
     def beta_action(x):

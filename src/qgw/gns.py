@@ -20,7 +20,7 @@ from .linalg import (
     mat_norm,
     rank,
 )
-from .staralg import StarAlgebra
+from .staralg import StarAlgebra, commute_residual, rep_report, rep_value
 
 
 class State:
@@ -41,11 +41,10 @@ class State:
         unit_defect = abs(self.value(np.eye(algebra.space_dim)) - 1.0)
         if unit_defect > tol.check:
             raise NumericError(f"state not unital: defect {unit_defect:.3e}")
-        worst = 0.0
-        for b in algebra.basis():
-            worst = max(
-                worst, abs(self.value(dagger(b)) - np.conj(self.value(b)))
-            )
+        # value(b_i*) = values . S[:, i]
+        worst = float(np.max(np.abs(
+            values @ algebra.star_matrix() - np.conj(values)
+        )))
         if worst > tol.check:
             raise NumericError(f"state not hermitian: defect {worst:.3e}")
 
@@ -74,14 +73,10 @@ class State:
         return complex(self.values @ self.algebra.coefficients(x))
 
     def gram(self) -> np.ndarray:
-        """Matrix of mu(b_i* b_j) over the orthonormal algebra basis."""
-        bs = self.algebra.basis()
-        k = len(bs)
-        g = np.empty((k, k), dtype=complex)
-        for i, bi in enumerate(bs):
-            bi_dag = dagger(bi)
-            for j, bj in enumerate(bs):
-                g[i, j] = self.value(bi_dag @ bj)
+        """Matrix of mu(b_i* b_j) over the orthonormal algebra basis; b_i* is
+        sum_l S[l, i] b_l, so the products come from the structure tensor."""
+        g = np.einsum("li,ljm,m->ij", self.algebra.star_matrix(),
+                      self.algebra.structure(), self.values)
         return 0.5 * (g + dagger(g))
 
     def opposite_values(self) -> np.ndarray:
@@ -98,7 +93,8 @@ class GnsTriple:
 
     Also carries the modular data: the antiunitary conjugation j, the positive
     modular operator delta, and the right action rep_op of the opposite
-    algebra, rep_op(b) = j rep(b)* j.
+    algebra, rep_op(b) = j rep(b)* j.  Both actions are kept as stacks over
+    the algebra basis and are linear in b.
     """
 
     def __init__(self, algebra: StarAlgebra, state: State, w: np.ndarray,
@@ -116,46 +112,43 @@ class GnsTriple:
         self.s_map = AntilinearMap(k_s)
         self.j = self.s_map.polar_part()
         self.delta = self.s_map.positive_part()
+        # left multiplication by b_i has coordinate matrix c[i].T
+        left_mult = algebra.structure().transpose(0, 2, 1)
+        self.rep_stack = w @ left_mult @ self.w_inv
+        self.rep_op_stack = self.j.sandwich(dagger(self.rep_stack))
+        self.rep_stack.flags.writeable = False
+        self.rep_op_stack.flags.writeable = False
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Image of the algebra element x as a vector of the space."""
         return self.w @ self.algebra.coefficients(x)
 
     def rep(self, x: np.ndarray) -> np.ndarray:
-        return self.w @ self.algebra.left_mult_matrix(x) @ self.w_inv
+        return rep_value(self.algebra, self.rep_stack, x)
 
     def rep_op(self, x: np.ndarray) -> np.ndarray:
         """Right action: the opposite algebra element with underlying x."""
-        return self.j.sandwich(dagger(self.rep(x)))
-
-    def rep_stack(self) -> np.ndarray:
-        return np.stack([self.rep(b) for b in self.algebra.basis()])
-
-    def rep_op_stack(self) -> np.ndarray:
-        return np.stack([self.rep_op(b) for b in self.algebra.basis()])
+        return rep_value(self.algebra, self.rep_op_stack, x)
 
     def certificates(self) -> dict:
         """Residuals of everything this construction promises."""
-        out = {}
-        bs = self.algebra.basis()
         zeta = self.cyclic_vector
-        worst_mult = worst_star = worst_vec = 0.0
-        for a in bs:
-            pa = self.rep(a)
-            worst_star = max(worst_star, mat_norm(dagger(pa) - self.rep(dagger(a))))
-            worst_vec = max(
-                worst_vec,
-                abs(np.vdot(zeta, pa @ zeta) - self.state.value(a)),
-            )
-            for b in bs:
-                worst_mult = max(
-                    worst_mult, mat_norm(pa @ self.rep(b) - self.rep(a @ b))
-                )
-        out["rep_multiplicative"] = worst_mult
-        out["rep_star"] = worst_star
-        out["vector_state"] = worst_vec
-        orbit = np.stack([self.rep(b) @ zeta for b in bs])
-        out["cyclic_defect"] = float(self.dim - rank(orbit, self.tol))
+
+        def state_defect(stack):
+            """Largest |<zeta, x_i zeta> - mu(b_i)| over the stack."""
+            return float(np.max(np.abs(
+                stack @ zeta @ np.conj(zeta) - self.state.values
+            )))
+
+        rep = rep_report(self.algebra, self.rep_stack)
+        out = {
+            "rep_multiplicative": rep["multiplicative"],
+            "rep_star": rep["star"],
+            "vector_state": state_defect(self.rep_stack),
+            "cyclic_defect": float(
+                self.dim - rank(self.rep_stack @ zeta, self.tol)
+            ),
+        }
         out["conjugation_involution"] = self.j.involution_residual()
         out["conjugation_antiunitary"] = self.j.antiunitary_residual()
         out["closure_involution"] = self.s_map.involution_residual()
@@ -169,23 +162,13 @@ class GnsTriple:
             0.5 * (self.delta + dagger(self.delta))).min()))
         delta_inv = np.linalg.inv(self.delta)
         out["modular_flip"] = mat_norm(self.j.sandwich(self.delta) - delta_inv)
-        worst_comm = worst_anti = worst_opvec = 0.0
-        for a in bs:
-            pa = self.rep(a)
-            for b in bs:
-                ob = self.rep_op(b)
-                worst_comm = max(worst_comm, mat_norm(pa @ ob - ob @ pa))
-                worst_anti = max(
-                    worst_anti,
-                    mat_norm(self.rep_op(a @ b) - self.rep_op(b) @ self.rep_op(a)),
-                )
-            worst_opvec = max(
-                worst_opvec,
-                abs(np.vdot(zeta, self.rep_op(a) @ zeta) - self.state.value(a)),
-            )
-        out["op_commutes"] = worst_comm
-        out["op_antimultiplicative"] = worst_anti
-        out["op_vector_state"] = worst_opvec
+        out["op_commutes"] = commute_residual(
+            self.rep_stack, self.rep_op_stack
+        )
+        out["op_antimultiplicative"] = rep_report(
+            self.algebra, self.rep_op_stack, anti=True
+        )["multiplicative"]
+        out["op_vector_state"] = state_defect(self.rep_op_stack)
         return out
 
 

@@ -52,12 +52,18 @@ def as_complex(a) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose, of each matrix for a stack."""
+    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def mat_norm(a: np.ndarray) -> float:
     """Frobenius norm; the reported residual norm throughout."""
     return float(np.linalg.norm(a))
+
+
+def worst_norm(stack: np.ndarray) -> float:
+    """Largest Frobenius norm over the trailing matrix axes; 0 when empty."""
+    return float(np.max(np.linalg.norm(stack, axis=(-2, -1)), initial=0.0))
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -196,14 +202,17 @@ class OperatorSubspace:
         return self.flat().conj() @ vec(as_complex(x))
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
-        return (np.asarray(coeffs, dtype=complex) @ self.flat()).reshape(
-            self.codomain_dim, self.domain_dim
+        """Element with the given coordinates; a stack for stacked rows."""
+        coeffs = np.asarray(coeffs, dtype=complex)
+        return (coeffs @ self.flat()).reshape(
+            coeffs.shape[:-1] + (self.codomain_dim, self.domain_dim)
         )
 
     def residual(self, x: np.ndarray) -> float:
-        """Distance from x to the subspace."""
-        x = as_complex(x)
-        return mat_norm(x - self.reconstruct(self.coefficients(x)))
+        """Distance from x to the subspace; for a stack, the largest one."""
+        flat = as_complex(x).reshape(-1, self.codomain_dim * self.domain_dim)
+        gap = flat - flat @ self.flat().conj().T @ self.flat()
+        return worst_norm(gap[:, None])
 
     def contains(self, x: np.ndarray, threshold: float) -> bool:
         return self.residual(x) <= threshold * max(1.0, mat_norm(x))

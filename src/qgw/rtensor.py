@@ -152,8 +152,8 @@ def rtp_state(triple: GnsTriple, rho_stack, sigma_stack, *,
         if bad:
             raise PreconditionError(f"{name} action is not a *-representation: {bad}")
     zeta = triple.cyclic_vector
-    cols_rep = np.stack([triple.rep(b) @ zeta for b in alg.basis()], axis=1)
-    cols_op = np.stack([triple.rep_op(b) @ zeta for b in alg.basis()], axis=1)
+    cols_rep = (triple.rep_stack @ zeta).T
+    cols_op = (triple.rep_op_stack @ zeta).T
     z_left = cols_rep if over_opposite else cols_op
     z_right = cols_op if over_opposite else cols_rep
     z_left_inv = np.linalg.inv(z_left)

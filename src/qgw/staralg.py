@@ -1,11 +1,16 @@
 """Concrete *-algebras of matrices.
 
 A StarAlgebra is a unital *-subalgebra of M_n carrying an HS-orthonormal
-basis.  Construction certifies closure under products and adjoints and the
-presence of the identity; commutants and centers are null spaces of one
-closed-form Gram on vectorized operators (linalg.exchange_gram).
+basis.  Products are read in one place: the structure tensor
+c[i, j] = coefficients(b_i b_j), built lazily in one batched pass together
+with the star matrix.  Construction certifies closure from that pass, and
+left multiplication and the one *-representation check (rep_report)
+contract it.  Commutants and centers are null spaces of one closed-form Gram
+on vectorized operators (linalg.exchange_gram).
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +26,7 @@ from .linalg import (
     null_rows,
     span,
     subspace_equal,
+    worst_norm,
 )
 
 
@@ -38,21 +44,34 @@ class StarAlgebra:
             self._certify()
 
     def _certify(self):
-        thr = self.tol.check
-        eye = np.eye(self.space_dim)
-        res = self.subspace.residual(eye)
-        if res > thr:
-            raise MembershipError(f"identity not in algebra: residual {res:.3e}")
-        for a in self.subspace.matrices():
-            res = self.subspace.residual(dagger(a))
-            if res > thr:
-                raise MembershipError(f"not star-closed: residual {res:.3e}")
-            for b in self.subspace.matrices():
-                res = self.subspace.residual(a @ b)
-                if res > thr:
-                    raise MembershipError(
-                        f"not closed under products: residual {res:.3e}"
-                    )
+        _, _, star_gap, product_gap = self._products
+        for what, res in (
+            ("identity not in algebra", self.residual(np.eye(self.space_dim))),
+            ("not star-closed", star_gap),
+            ("not closed under products", product_gap),
+        ):
+            if res > self.tol.check:
+                raise MembershipError(f"{what}: residual {res:.3e}")
+
+    @cached_property
+    def _products(self):
+        """One batched pass over the basis: the structure tensor, the star
+        matrix, and how far adjoints and products leave the span."""
+        stack, to_coeffs = self.subspace.stack, self.subspace.flat().conj().T
+        k = self.dim
+        c = np.empty((k, k, k), dtype=complex)
+        gaps = [0.0]
+        for i in range(k):
+            # one basis row at a time keeps the peak at k n^2 entries
+            prods = stack[i] @ stack
+            c[i] = prods.reshape(k, -1) @ to_coeffs
+            gaps.append(worst_norm(prods - self.element(c[i])))
+        adjoints = dagger(stack)
+        star = (adjoints.reshape(k, -1) @ to_coeffs).T
+        # every caller shares the kept tables
+        c.flags.writeable = star.flags.writeable = False
+        star_gap = worst_norm(adjoints - self.element(star.T))
+        return c, star, star_gap, max(gaps)
 
     @property
     def dim(self) -> int:
@@ -74,23 +93,24 @@ class StarAlgebra:
     def element(self, coeffs: np.ndarray) -> np.ndarray:
         return self.subspace.reconstruct(coeffs)
 
+    def structure(self) -> np.ndarray:
+        """Structure tensor: c[i, j] = coefficients(b_i b_j)."""
+        return self._products[0]
+
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
         """Coordinates of x -> a x on the orthonormal algebra basis."""
-        cols = [self.coefficients(a @ b) for b in self.basis()]
-        return np.stack(cols, axis=1)
+        return np.tensordot(self.coefficients(a), self.structure(), axes=1).T
 
     def star_matrix(self) -> np.ndarray:
         """Coordinate matrix of the antilinear star map: coords(x*) = S conj(coords(x))."""
-        cols = [self.coefficients(dagger(b)) for b in self.basis()]
-        return np.stack(cols, axis=1)
+        return self._products[1]
 
     def identity_coefficients(self) -> np.ndarray:
         return self.coefficients(np.eye(self.space_dim))
 
     def is_commutative(self) -> bool:
-        thr = self.tol.check
-        bs = self.basis()
-        return all(mat_norm(a @ b - b @ a) <= thr for a in bs for b in bs)
+        stack = self.subspace.stack
+        return commute_residual(stack, stack) <= self.tol.check
 
     def commutant(self) -> "StarAlgebra":
         n = self.space_dim
@@ -123,10 +143,9 @@ def algebra_from_generators(space_dim: int, generators,
         mats.append(dagger(g))
     current = span(mats, space_dim, space_dim, tol)
     while True:
-        grown = list(current.matrices())
-        for a in current.matrices():
-            for b in current.matrices():
-                grown.append(a @ b)
+        stack = current.stack
+        products = (stack[:, None] @ stack[None]).reshape(-1, *stack.shape[1:])
+        grown = np.concatenate([stack, products])
         nxt = span(grown, space_dim, space_dim, tol)
         if nxt.dim == current.dim:
             return StarAlgebra(space_dim, nxt, tol)
@@ -155,38 +174,30 @@ def rep_report(algebra: StarAlgebra, mats, anti: bool = False) -> dict:
 
     anti = False checks a representation of the algebra itself; anti = True a
     representation of the opposite algebra read on underlying elements, so
-    products reverse.
+    products reverse.  Images of products and adjoints are read from the
+    structure tensor and the star matrix, pi(b_i b_j) = sum_l c[i, j, l]
+    pi(b_l), so the check is a handful of batched products.
     """
     mats = np.asarray(mats, dtype=complex)
-    k = algebra.dim
-    if mats.shape[0] != k:
-        raise DimensionError("one matrix per basis element required")
-    d = mats.shape[1]
-    out = {}
-    out["unital"] = mat_norm(
-        rep_value(algebra, mats, np.eye(algebra.space_dim)) - np.eye(d)
-    )
-    worst_s = worst_m = 0.0
-    bs = algebra.basis()
-    for i, a in enumerate(bs):
-        worst_s = max(
-            worst_s, mat_norm(dagger(mats[i]) - rep_value(algebra, mats, dagger(a)))
-        )
-        for j, b in enumerate(bs):
-            prod = b @ a if anti else a @ b
-            worst_m = max(
-                worst_m,
-                mat_norm(mats[i] @ mats[j] - rep_value(algebra, mats, prod)),
-            )
-    out["star"] = worst_s
-    out["multiplicative"] = worst_m
-    return out
+    if mats.ndim != 3 or mats.shape[0] != algebra.dim \
+            or mats.shape[1] != mats.shape[2]:
+        raise DimensionError("one square matrix per basis element required")
+    c = algebra.structure()
+    if anti:
+        c = c.transpose(1, 0, 2)
+    unit = rep_value(algebra, mats, np.eye(algebra.space_dim))
+    adjoints = np.tensordot(algebra.star_matrix().T, mats, axes=1)
+    return {
+        "unital": mat_norm(unit - np.eye(mats.shape[1])),
+        "star": worst_norm(dagger(mats) - adjoints),
+        "multiplicative": worst_norm(
+            mats[:, None] @ mats[None] - np.tensordot(c, mats, axes=1)
+        ),
+    }
 
 
 def commute_residual(a_mats, b_mats) -> float:
     """Largest commutator norm between the two families."""
-    worst = 0.0
-    for x in a_mats:
-        for y in b_mats:
-            worst = max(worst, mat_norm(x @ y - y @ x))
-    return worst
+    a = np.asarray(a_mats, dtype=complex)[:, None]
+    b = np.asarray(b_mats, dtype=complex)[None]
+    return worst_norm(a @ b - b @ a)

@@ -125,9 +125,9 @@ def test_04_compatibility_matches_commutation():
         triple, base = random_standard_base(blocks, seed)
         w = random_unitary(triple.dim * mult, rng(seed + 50))
         rho = np.stack([w @ np.kron(x, np.eye(mult)) @ dagger(w)
-                        for x in triple.rep_op_stack()])
+                        for x in triple.rep_op_stack])
         sigma = np.stack([w @ np.kron(x, np.eye(mult)) @ dagger(w)
-                          for x in triple.rep_stack()])
+                          for x in triple.rep_stack])
         suite.append(linked_factorizations(triple, base, rho, sigma))
     # negatives: knock the flipped side off its linked position with a
     # generic rotation of the whole ket family

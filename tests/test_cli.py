@@ -180,6 +180,34 @@ def test_retyped_entry_exits_2_naming_it(capsys, tmp_path, pair2, command,
     assert key in out
 
 
+@pytest.mark.parametrize("command", ["rtp", "fiber"])
+@pytest.mark.parametrize("name", ["rho", "sigma"])
+def test_non_square_rep_exits_2_naming_it(capsys, tmp_path, linked, command,
+                                          name):
+    doc = json.loads(open(linked).read())
+    # drop the last row of every matrix of the stack
+    for m in doc["reps"][name]:
+        m["rows"] -= 1
+        m["data"] = m["data"][:m["rows"] * m["cols"]]
+    bundle = tmp_path / "non_square.json"
+    bundle.write_text(json.dumps(doc))
+    code, out = run(capsys, command, "--in", str(bundle))
+    assert code == 2
+    assert f"{command}: ERROR" in out
+    assert f"reps.{name}" in out
+
+
+def test_factorize_without_base_cyclic_vector_exits_2(capsys, tmp_path,
+                                                      linked):
+    doc = json.loads(open(linked).read())
+    del doc["base"]["zeta"]
+    bundle = tmp_path / "no_zeta.json"
+    bundle.write_text(json.dumps(doc))
+    code, out = run(capsys, "factorize", "--in", str(bundle))
+    assert code == 2
+    assert "no cyclic vector" in out
+
+
 def load_report(path) -> Report:
     return Report.from_dict(json.loads(path.read_text()))
 

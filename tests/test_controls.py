@@ -1,0 +1,185 @@
+"""Negative controls for the *-representation and homomorphism residuals.
+
+Every residual that rep_report (both orientations), hom_report and
+Factorization.rho_report emit has a seeded perturbation here that drives it
+over threshold.  The coverage test collects the names the reports emit on
+valid input and fails if one of them has no control.
+"""
+import numpy as np
+import pytest
+
+from qgw.cbase import CStarBase
+from qgw.cfact import Factorization
+from qgw.fiber import conjugated_algebra, hom_report
+from qgw.fixtures import random_standard_base
+from qgw.linalg import DEFAULT_TOL, random_unitary, rng, span
+from qgw.staralg import (
+    StarAlgebra,
+    full_matrix_algebra,
+    rep_report,
+    rep_value,
+)
+
+THRESHOLD = DEFAULT_TOL.check
+SEED = 4
+
+
+def seeded_base():
+    """GNS triple and base of a seeded M2 + M1 block algebra."""
+    return random_standard_base([2, 1], SEED)
+
+
+# perturbations of a *-representation stack over the algebra's basis
+
+
+def non_unital(alg, mats):
+    """pi + 0 on one extra dimension: multiplicative and star-preserving,
+    but sends 1 to a proper projection."""
+    d = mats.shape[1]
+    out = np.zeros((len(mats), d + 1, d + 1), dtype=complex)
+    out[:, :d, :d] = mats
+    return out
+
+
+def non_star(alg, mats):
+    """Conjugation by a seeded invertible, non-unitary g."""
+    gen = rng(SEED + 1)
+    d = mats.shape[1]
+    g = np.eye(d) + 0.5 * gen.standard_normal((d, d))
+    return g @ mats @ np.linalg.inv(g)
+
+
+def non_multiplicative(alg, mats):
+    """A seeded mix of pi with the normalized trace: unital and
+    star-preserving, not multiplicative."""
+    t = rng(SEED + 2).uniform(0.2, 0.8)
+    n, d = alg.space_dim, mats.shape[1]
+    traces = np.trace(alg.subspace.stack, axis1=1, axis2=2) / n
+    return (1 - t) * mats + t * traces[:, None, None] * np.eye(d)
+
+
+PERTURBATIONS = {
+    "unital": non_unital,
+    "star": non_star,
+    "multiplicative": non_multiplicative,
+}
+
+
+def stack_for(triple, anti):
+    """A valid family: the left action, or the right one read anti."""
+    return triple.rep_op_stack if anti else triple.rep_stack
+
+
+def rep_control(name, anti):
+    def control():
+        triple, _ = seeded_base()
+        alg = triple.algebra
+        mats = PERTURBATIONS[name](alg, stack_for(triple, anti))
+        return rep_report(alg, mats, anti)
+    return control
+
+
+def hom_control(name):
+    def control():
+        triple, _ = seeded_base()
+        alg = triple.algebra
+        mats = PERTURBATIONS[name](alg, triple.rep_stack)
+        target = full_matrix_algebra(mats.shape[1])
+        return hom_report(lambda x: rep_value(alg, mats, x), alg, target)
+    return control
+
+
+def hom_outside_target():
+    """The left action into a Haar-rotated copy of its own image."""
+    triple, base = seeded_base()
+    target = conjugated_algebra(
+        random_unitary(triple.dim, rng(SEED + 3)), base.algebra
+    )
+    return hom_report(triple.rep, triple.algebra, target)
+
+
+def factorization(base, stack):
+    return Factorization(base, stack.shape[1],
+                         span(stack, stack.shape[1], base.space_dim),
+                         certify=False)
+
+
+def rho_non_star():
+    """Maps f g with g an invertible, non-unitary element of the acting
+    algebra: the induced action becomes rho(g) rho(.) rho(g)^-1."""
+    _, base = seeded_base()
+    partner = base.partner.subspace.stack
+    coeffs = rng(SEED + 4).standard_normal(len(partner))
+    g = np.eye(base.space_dim) + 0.5 * np.tensordot(coeffs, partner, axes=1)
+    return factorization(base, base.algebra.subspace.stack @ g).rho_report()
+
+
+def rho_wrong_side():
+    """Maps taken from the acting algebra itself: the induced action is
+    right multiplication, which reverses products."""
+    _, base = seeded_base()
+    return factorization(base, base.partner.subspace.stack).rho_report()
+
+
+def rho_rotated():
+    """Maps f h with h a seeded Haar unitary: no longer intertwiners."""
+    _, base = seeded_base()
+    h = random_unitary(base.space_dim, rng(SEED + 5))
+    return factorization(base, base.algebra.subspace.stack @ h).rho_report()
+
+
+def rho_corner():
+    """Acting algebra cut down to the corner p B' of a central projection
+    p; the induced action sends its unit p to a proper projection."""
+    triple, base = seeded_base()
+    p = triple.rep_op(np.diag([0.0, 0.0, 1.0]))
+    n = base.space_dim
+    corner = StarAlgebra(n, span(p @ base.partner.subspace.stack, n, n),
+                         certify=False)
+    cut = CStarBase(base.algebra, corner, base.cyclic_vector)
+    return factorization(cut, base.algebra.subspace.stack).rho_report()
+
+
+# (report, residual name) -> a perturbed run of that report
+CONTROLS = {
+    **{("rep_report", name): rep_control(name, False)
+       for name in PERTURBATIONS},
+    **{("rep_report_anti", name): rep_control(name, True)
+       for name in PERTURBATIONS},
+    **{("hom_report", name): hom_control(name) for name in PERTURBATIONS},
+    ("hom_report", "lands_in_target"): hom_outside_target,
+    ("rho_report", "unital"): rho_corner,
+    ("rho_report", "star"): rho_non_star,
+    ("rho_report", "multiplicative"): rho_wrong_side,
+    ("rho_report", "exchange_identity"): rho_rotated,
+}
+
+
+def valid_reports():
+    """Each report on unperturbed input."""
+    triple, base = seeded_base()
+    alg = triple.algebra
+    return {
+        "rep_report": rep_report(alg, triple.rep_stack),
+        "rep_report_anti": rep_report(alg, triple.rep_op_stack, anti=True),
+        "hom_report": hom_report(triple.rep, alg, base.algebra),
+        "rho_report": factorization(
+            base, base.algebra.subspace.stack
+        ).rho_report(),
+    }
+
+
+def test_every_emitted_residual_has_a_control():
+    emitted = set()
+    for report, residuals in valid_reports().items():
+        assert all(v <= THRESHOLD for v in residuals.values()), report
+        emitted |= {(report, name) for name in residuals}
+    assert emitted - set(CONTROLS) == set()
+    assert set(CONTROLS) - emitted == set()
+
+
+@pytest.mark.parametrize("key", sorted(CONTROLS), ids="-".join)
+def test_control_drives_its_residual_over_threshold(key):
+    _, name = key
+    residuals = CONTROLS[key]()
+    assert residuals[name] > 1e3 * THRESHOLD, residuals

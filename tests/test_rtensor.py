@@ -78,8 +78,8 @@ def test_state_gram_matches_direct_route():
     # left reconstruction operators, then pair through the right action
     triple = m2_triple()
     alg = triple.algebra
-    rho = triple.rep_op_stack()
-    sigma = triple.rep_stack()
+    rho = triple.rep_op_stack
+    sigma = triple.rep_stack
     space = rtp_state(triple, rho, sigma)
     zeta = triple.cyclic_vector
     k = alg.dim
@@ -105,7 +105,7 @@ def test_state_gram_matches_direct_route():
 
 def test_standard_bimodule_squares_to_itself():
     triple = m2_triple()
-    space = rtp_state(triple, triple.rep_op_stack(), triple.rep_stack())
+    space = rtp_state(triple, triple.rep_op_stack, triple.rep_stack)
     assert space.plain_dims == (4, 4)
     assert space.dim == 4
     # tensoring against the cyclic vector reproduces plain inner products
@@ -126,19 +126,19 @@ def test_rejects_wrong_rep_parity():
     # the left slot wants the opposite-algebra action; the plain action is
     # not antimultiplicative, so it must be refused
     with pytest.raises(PreconditionError):
-        rtp_state(triple, triple.rep_stack(), triple.rep_stack())
+        rtp_state(triple, triple.rep_stack, triple.rep_stack)
 
 
 def test_over_opposite_swaps_roles():
     triple = m2_triple()
     # over the opposite algebra the left slot takes the plain action
     space = rtp_state(
-        triple, triple.rep_stack(), triple.rep_op_stack(), over_opposite=True
+        triple, triple.rep_stack, triple.rep_op_stack, over_opposite=True
     )
     assert space.dim == 4
     with pytest.raises(PreconditionError):
         rtp_state(
-            triple, triple.rep_op_stack(), triple.rep_stack(), over_opposite=True
+            triple, triple.rep_op_stack, triple.rep_stack, over_opposite=True
         )
 
 
@@ -233,7 +233,7 @@ def test_ket_isometry_against_action():
 
 def test_phi_unitary_links_the_flavors():
     triple, base, alpha, beta = cstar_pair()
-    vn = rtp_state(triple, triple.rep_op_stack(), triple.rep_stack())
+    vn = rtp_state(triple, triple.rep_op_stack, triple.rep_stack)
     cs = rtp_cstar(alpha, beta)
     _, result = phi_unitary(vn, cs)
     assert result.ok, result.residuals
@@ -242,7 +242,7 @@ def test_phi_unitary_links_the_flavors():
 
 def test_phi_rejects_flavor_confusion():
     triple, base, alpha, beta = cstar_pair()
-    vn = rtp_state(triple, triple.rep_op_stack(), triple.rep_stack())
+    vn = rtp_state(triple, triple.rep_op_stack, triple.rep_stack)
     cs = rtp_cstar(alpha, beta)
     with pytest.raises(PreconditionError):
         phi_unitary(cs, vn)

@@ -6,6 +6,7 @@ from qgw.cfact import factorization_from_rep
 from qgw.errors import MembershipError
 from qgw.fiber import intertwiner_space
 from qgw.fixtures import random_standard_base
+from qgw.gns import State, gns
 from qgw.linalg import (
     commutator_operator,
     dagger,
@@ -22,6 +23,8 @@ from qgw.staralg import (
     algebra_from_generators,
     commute_residual,
     full_matrix_algebra,
+    rep_report,
+    rep_value,
     scalars,
 )
 
@@ -166,3 +169,69 @@ def test_star_matrix_is_antilinear_involution():
 def test_is_commutative():
     assert diag_algebra(3).is_commutative()
     assert not full_matrix_algebra(2).is_commutative()
+
+
+def seeded_algebra(sizes, seed, copies):
+    """Partner of a seeded random block base; for copies > 1 its image under
+    a Haar-conjugated amplification."""
+    _, base = random_standard_base(sizes, seed)
+    acting = base.partner
+    if copies == 1:
+        return acting
+    big = acting.space_dim * copies
+    w = random_unitary(big, rng(seed + 20))
+    image = [w @ np.kron(np.eye(copies), b) @ dagger(w) for b in acting.basis()]
+    return StarAlgebra(big, span(image, big, big))
+
+
+def rep_report_reference(alg, mats, anti):
+    """rep_report computed one product at a time."""
+    bs = alg.basis()
+
+    def value(x):
+        return rep_value(alg, mats, x)
+
+    return {
+        "unital": mat_norm(
+            value(np.eye(alg.space_dim)) - np.eye(mats.shape[1])
+        ),
+        "star": max(mat_norm(dagger(m) - value(dagger(b)))
+                    for m, b in zip(mats, bs)),
+        "multiplicative": max(
+            mat_norm(mats[i] @ mats[j] - value(b @ a if anti else a @ b))
+            for i, a in enumerate(bs) for j, b in enumerate(bs)
+        ),
+    }
+
+
+@pytest.mark.parametrize("sizes, seed, copies", [
+    ([2, 1], 0, 1), ([2, 2, 1], 1, 1), ([3, 1], 2, 1), ([2, 1], 3, 2),
+])
+def test_structure_tensor_matches_per_product_reference(sizes, seed, copies):
+    """The structure tensor, left multiplication, the GNS stacks and
+    rep_report agree with their one-product-at-a-time definitions."""
+    alg = seeded_algebra(sizes, seed, copies)
+    bs, n = alg.basis(), alg.space_dim
+    ref = np.array([[alg.coefficients(a @ b) for b in bs] for a in bs])
+    assert np.abs(alg.structure() - ref).max() < 1e-12
+    gen = rng(seed + 30)
+    a = alg.element(gen.standard_normal(alg.dim)
+                    + 1j * gen.standard_normal(alg.dim))
+
+    def left_mult(x):
+        return np.stack([alg.coefficients(x @ b) for b in bs], axis=1)
+
+    assert np.abs(alg.left_mult_matrix(a) - left_mult(a)).max() < 1e-12
+    g = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    density = g @ dagger(g) + 0.1 * np.eye(n)
+    triple = gns(alg, State.from_density(alg, density / np.trace(density)))
+    stack = np.stack([triple.w @ left_mult(b) @ triple.w_inv for b in bs])
+    assert np.abs(triple.rep_stack - stack).max() < 1e-12
+    noise = 1e-3 * gen.standard_normal(stack.shape)
+    for anti, mats in ((False, triple.rep_stack), (True, triple.rep_op_stack)):
+        for family in (mats, mats + noise):
+            got = rep_report(alg, family, anti)
+            want = rep_report_reference(alg, family, anti)
+            assert list(got) == list(want)
+            for name in want:
+                assert abs(got[name] - want[name]) < 1e-12, (anti, name)
