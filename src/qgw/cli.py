@@ -21,8 +21,7 @@ from . import serialize
 from .cbase import base_equivalence, cbase_from_state, \
     modular_conjugation_of_base
 from .errors import FormatError, PreconditionError, QgwError
-from .fiber import fiber_classical, fiber_spatial, is_morphism, \
-    transported_match
+from .fiber import fiber_equivalence, fiber_spatial, is_morphism
 from .fixtures import FiniteGroupoid, linked_bundle
 from .gns import gns
 from .hopf import groupoid_hopf, hopf_equivalence, perturbed_hopf
@@ -214,17 +213,11 @@ class BundleContext:
 
     @property
     @kept
-    def triple_base(self):
-        """The base carried by the GNS triple; the squares and the pmu
-        factorizations live over it."""
-        return cbase_from_state(self.triple)
-
-    @property
-    @kept
     def base(self):
-        """The bundle's base section, or the triple's base without one."""
+        """The bundle's base section, or the triple's base without one;
+        every factorization, and so every square, lives over it."""
         if "base" not in self.doc:
-            return self.triple_base
+            return cbase_from_state(self.triple)
         return serialize.decode_base(self.section("base"), "base", self.tol)
 
     @kept
@@ -239,9 +232,9 @@ class BundleContext:
 
     @kept
     def factorization(self, name: str):
-        """The named factorization over the triple's base, certified."""
+        """The named factorization over the context's base, certified."""
         return serialize.decode_factorization(
-            self.entry("factorizations", name), self.triple_base,
+            self.entry("factorizations", name), self.base,
             f"factorizations.{name}", self.tol,
         )
 
@@ -354,19 +347,10 @@ def certify_phi(ctx: BundleContext) -> Certificate:
 
 
 def certify_fiber(ctx: BundleContext) -> Certificate:
-    vn, cs = ctx.squares
     rho, sigma = ctx.rep("rho"), ctx.rep("sigma")
-    a = algebra_from_generators(rho.shape[1], rho, ctx.tol)
-    b = algebra_from_generators(sigma.shape[1], sigma, ctx.tol)
-    classical, classical_cert = fiber_classical(vn, a, b)
-    spatial, spatial_cert = fiber_spatial(cs, a, b)
-    _, transport = transported_match(
-        ctx.phi[0], classical, spatial, ctx.tol.check
-    )
-    return Certificate(
-        {"dimension_defect": float(abs(classical.dim - spatial.dim)),
-         "transport": transport},
-        ctx.tol, {"classical": classical_cert, "spatial": spatial_cert},
+    return fiber_equivalence(
+        *ctx.squares, algebra_from_generators(rho.shape[1], rho, ctx.tol),
+        algebra_from_generators(sigma.shape[1], sigma, ctx.tol), ctx.phi[0],
     )
 
 

@@ -1,12 +1,16 @@
 """Fiber products of represented algebras over a base, and their morphisms.
 
 The classical construction relativizes the commutation-theorem description of
-a tensor product: descend everything that commutes with either factor, then
-take the commutant on the quotient.  The spatial construction never mentions
-the commutants: it carves the same algebra out of the operator space of the
-operator-flavor quotient by insertion-operator conditions alone.  Morphisms
-are certified two independent ways and the package refuses to return an
-answer when the two disagree.
+a tensor product: descend everything that commutes with either factor (all
+pairs of commutant elements, lifted in one stacked call), then take the
+commutant on the quotient.  The spatial construction never mentions the
+commutants: it carves the same algebra out of the operator space of the
+operator-flavor quotient by insertion-operator conditions alone.  Per leg, S
+is the span of the insertions composed with the other leg's algebra, c runs
+over its orthogonal complement and k over the insertions; the rows
+<c, T k> = 0 (T keeps S) and <k, T c> = 0 (T* does) of both legs go to one
+null-space solve.  Morphisms are certified two independent ways and the
+package refuses to return an answer when the two disagree.
 """
 from __future__ import annotations
 
@@ -26,12 +30,9 @@ from .linalg import (
     intersect_null_spaces,
     intertwiner_rows,
     mat_norm,
-    mul_operator,
-    orthonormal_rows,
     rank,
     span,
     subspace_residual,
-    vec,
     worst_norm,
 )
 from .report import Certificate
@@ -46,15 +47,11 @@ def fiber_classical(space: RelativeTensorSpace, left_alg: StarAlgebra,
     nh, nk = space.plain_dims
     if left_alg.space_dim != nh or right_alg.space_dim != nk:
         raise DimensionError("algebras must act on the two plain factors")
-    left_comm = left_alg.commutant()
-    right_comm = right_alg.commutant()
-    lifted = []
-    worst = 0.0
-    for s in left_comm.basis():
-        for t in right_comm.basis():
-            m, res = space.lift([s, t])
-            worst = max(worst, res)
-            lifted.append(m)
+    left = left_alg.commutant().subspace.stack
+    right = right_alg.commutant().subspace.stack
+    # every product s (x) t of the two commutant bases, lifted in one call
+    lifted, worst = space.lift([np.repeat(left, len(right), axis=0),
+                                np.tile(right, (len(left), 1, 1))], require=False)
     relative_commutant = span(lifted, space.dim, space.dim, space.tol)
     envelope = StarAlgebra(
         space.dim, relative_commutant, space.tol, certify=False
@@ -63,53 +60,27 @@ def fiber_classical(space: RelativeTensorSpace, left_alg: StarAlgebra,
     return algebra, Certificate({"lift_well_defined": worst}, space.tol)
 
 
-def _complement_rows(flat_basis: np.ndarray, total: int,
-                     tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis (rows) of the orthogonal complement of a row span."""
-    if flat_basis.shape[0] == 0:
-        return np.eye(total, dtype=complex)
-    if flat_basis.shape[0] >= total:
-        # the rows are orthonormal, so a full set leaves no complement;
-        # eye - proj is then numerically zero and a rank cut relative to
-        # its largest singular value would keep pure noise directions
-        return np.zeros((0, total), dtype=complex)
-    # projector onto the row span of an orthonormal flat basis; the
-    # conjugate sits on the right because rows pair sesquilinearly
-    proj = flat_basis.T @ np.conj(flat_basis)
-    return orthonormal_rows(np.eye(total, dtype=complex) - proj, tol)
+def _insertion_rows(kets: np.ndarray, partners: np.ndarray,
+                    tol: Tolerance):
+    """Rows in vec(T) saying that T and T* keep every insertion inside
+    S = span{k p : k in kets, p in partners}.
 
-
-def _membership_blocks(kets, partners, out_dim, in_dim, tol: Tolerance):
-    """Constraint blocks forcing T . ket to stay inside span{ket' . partner}.
-
-    kets are (out_dim x in_dim) insertions, partners square matrices on the
-    in_dim space.  Returns the forward blocks and the row space data needed
-    for the adjoint conditions.
+    kets is a stack of (q x n) insertions, partners one of (n x n) algebra
+    elements.  With c running over an orthonormal basis of the complement of
+    S, "T keeps k in S" is <c, T k> = 0 and "T* does" is <k, T c> = 0; both
+    are linear in the row-major vec(T).  Returns (forward, adjoint) rows.
     """
-    family = [k @ p for k in kets for p in partners]
-    sub = span(family, out_dim, in_dim, tol)
-    flat = sub.flat()
-    d = out_dim * in_dim
-    perp = np.eye(d, dtype=complex) - flat.T @ np.conj(flat)
-    forward = [perp @ mul_operator(np.eye(out_dim), k) for k in kets]
-    return forward, sub
-
-
-def _adjoint_rows(kets, sub, out_dim, in_dim, tol: Tolerance) -> np.ndarray:
-    """Rows in vec(T) expressing that T* applied to each ket lands in the
-    given span; linear thanks to taking inner products against the
-    complement."""
-    comp = _complement_rows(sub.flat(), out_dim * in_dim, tol)
-    rows = []
-    for k in kets:
-        for c_flat in comp:
-            # orthonormal_rows spans the row space, which is the conjugate
-            # of the range; undo that to land in the actual complement
-            c = np.conj(c_flat).reshape(out_dim, in_dim)
-            rows.append(vec((c @ dagger(k)).T))
-    if not rows:
-        return np.zeros((0, out_dim * out_dim), dtype=complex)
-    return np.stack(rows)
+    q, n = kets.shape[1:]
+    family = (kets[:, None] @ partners[None]).reshape(-1, q, n)
+    sub = span(family, q, n, tol)
+    # the trailing right singular vectors of the orthonormal basis of S
+    # span its orthogonal complement (all of C^(q n) when S is empty)
+    comp = np.linalg.svd(sub.flat())[2][sub.dim:].reshape(-1, q, n)
+    # with g[c, k, i, l] = sum_j conj(c[i, j]) k[l, j], <c, T k> is
+    # sum T * g[c, k]; <k, T c> takes conj(g) with both index pairs swapped
+    g = np.tensordot(comp.conj(), kets, axes=(2, 2)).transpose(0, 2, 1, 3)
+    return (g.reshape(-1, q * q),
+            g.conj().transpose(1, 0, 3, 2).reshape(-1, q * q))
 
 
 def fiber_spatial(space: RelativeTensorSpace, left_alg: StarAlgebra,
@@ -128,17 +99,13 @@ def fiber_spatial(space: RelativeTensorSpace, left_alg: StarAlgebra,
     if left_alg.space_dim != nh or right_alg.space_dim != nk:
         raise DimensionError("algebras must act on the two plain factors")
     q = space.dim
-    kets1 = [ket_left(space, xi) for xi in left_fact.basis()]
-    kets2 = [ket_right(space, eta) for eta in right_fact.basis()]
-    blocks = []
-    fwd1, sub1 = _membership_blocks(kets1, right_alg.basis(), q, nk, space.tol)
-    blocks.extend(fwd1)
-    blocks.append(_adjoint_rows(kets1, sub1, q, nk, space.tol))
-    fwd2, sub2 = _membership_blocks(kets2, left_alg.basis(), q, nh, space.tol)
-    blocks.extend(fwd2)
-    blocks.append(_adjoint_rows(kets2, sub2, q, nh, space.tol))
-    rows = intersect_null_spaces(blocks, q * q, space.tol)
-    stack = rows.reshape(-1, q, q)
+    rows = [
+        *_insertion_rows(ket_left(space, left_fact.subspace.stack),
+                         right_alg.subspace.stack, space.tol),
+        *_insertion_rows(ket_right(space, right_fact.subspace.stack),
+                         left_alg.subspace.stack, space.tol),
+    ]
+    stack = intersect_null_spaces(rows, q * q, space.tol).reshape(-1, q, q)
     algebra = StarAlgebra(q, span(stack, q, q, space.tol), space.tol)
     return algebra, Certificate({}, space.tol)
 
@@ -160,6 +127,26 @@ def transported_match(phi: np.ndarray, classical: StarAlgebra,
     res = subspace_residual(moved.subspace, spatial.subspace)
     same_dim = moved.dim == spatial.dim
     return (same_dim and res <= threshold), res
+
+
+def fiber_equivalence(state_space: RelativeTensorSpace,
+                      cstar_space: RelativeTensorSpace,
+                      left_alg: StarAlgebra, right_alg: StarAlgebra,
+                      phi: np.ndarray) -> Certificate:
+    """Both fiber products of the leg algebras, as the children "classical"
+    and "spatial"; the parent's residuals are their dimension defect and
+    the transport of one onto the other under phi (the squares' flavor
+    unitary)."""
+    tol = state_space.tol
+    classical, classical_cert = fiber_classical(state_space, left_alg,
+                                                right_alg)
+    spatial, spatial_cert = fiber_spatial(cstar_space, left_alg, right_alg)
+    _, transport = transported_match(phi, classical, spatial, tol.check)
+    return Certificate(
+        {"dimension_defect": float(abs(classical.dim - spatial.dim)),
+         "transport": transport},
+        tol, {"classical": classical_cert, "spatial": spatial_cert},
+    )
 
 
 def hom_report(pi, source: StarAlgebra, target: StarAlgebra) -> dict:

@@ -79,14 +79,6 @@ class State:
                       self.algebra.structure(), self.values)
         return 0.5 * (g + dagger(g))
 
-    def opposite_values(self) -> np.ndarray:
-        """Values of the same functional read on the opposite algebra.
-
-        The opposite algebra shares the underlying vector space, so the value
-        vector is unchanged; this exists to make call sites explicit.
-        """
-        return self.values.copy()
-
 
 class GnsTriple:
     """Cyclic representation of a faithful state: space, left action, vector.

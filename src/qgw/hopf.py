@@ -24,7 +24,7 @@ from .fiber import (
     is_morphism,
 )
 from .fixtures import FiniteGroupoid, groupoid_algebra, groupoid_bundle
-from .linalg import DEFAULT_TOL, Tolerance, dagger, mat_norm, rng
+from .linalg import DEFAULT_TOL, Tolerance, dagger, mat_norm, rng, worst_norm
 from .report import Certificate
 from .rtensor import (
     RelativeTensorSpace,
@@ -49,19 +49,17 @@ def check_hopf_state(space: RelativeTensorSpace, algebra: StarAlgebra,
         res["hom_" + k] = v
     # the canonical actions must land inside the algebra and transport to
     # single-leg lifts
-    worst_in = worst_rho = worst_sigma = 0.0
-    for i in range(rho_stack.shape[0]):
-        worst_in = max(worst_in, algebra.residual(rho_stack[i]),
-                       algebra.residual(sigma_stack[i]))
-        lifted_rho, _ = space.lift([None, rho_stack[i]])
-        lifted_sigma, _ = space.lift([sigma_stack[i], None])
-        worst_rho = max(worst_rho, mat_norm(delta(rho_stack[i]) - lifted_rho))
-        worst_sigma = max(
-            worst_sigma, mat_norm(delta(sigma_stack[i]) - lifted_sigma)
-        )
-    res["actions_inside_algebra"] = worst_in
-    res["right_action_leg"] = worst_rho
-    res["left_action_leg"] = worst_sigma
+    lifted_rho, _ = space.lift([None, rho_stack])
+    lifted_sigma, _ = space.lift([sigma_stack, None])
+    res["actions_inside_algebra"] = max(
+        algebra.residual(rho_stack), algebra.residual(sigma_stack)
+    )
+    res["right_action_leg"] = worst_norm(
+        np.stack([delta(x) for x in rho_stack]) - lifted_rho
+    )
+    res["left_action_leg"] = worst_norm(
+        np.stack([delta(x) for x in sigma_stack]) - lifted_sigma
+    )
     res["coassociative"] = _coassociativity_residual(
         space, algebra, delta, triple, rho_stack, sigma_stack
     )
@@ -73,7 +71,7 @@ def _coassociativity_residual(space, algebra, delta, triple, rho_stack,
     """Compare the two extensions of the candidate to the three-factor
     space; infinity when no extension exists."""
     n = space.plain_dims[0]
-    inner_rho, _ = space.lifted_rep(rho_stack, leg=1, require=False)
+    inner_rho, _ = space.lift([None, rho_stack], require=False)
     try:
         pair = rtp_state(triple, inner_rho, sigma_stack)
     except PreconditionError:
@@ -152,14 +150,9 @@ def groupoid_hopf(gpd: FiniteGroupoid, weights=None,
     arrow_alg, norms = groupoid_algebra(gpd, tol)
     vn = rtp_state(bundle["triple"], bundle["rho"], bundle["sigma"])
     cs = rtp_cstar(bundle["alpha"], bundle["beta"])
-    images_vn = []
-    images_cs = []
-    for g in range(gpd.n_arrows):
-        lam = arrow_alg.basis()[g]
-        images_vn.append(norms[g] * vn.lift([lam, lam])[0])
-        images_cs.append(norms[g] * cs.lift([lam, lam])[0])
-    stack_vn = np.stack(images_vn)
-    stack_cs = np.stack(images_cs)
+    lams = arrow_alg.subspace.stack
+    stack_vn = norms[:, None, None] * vn.lift([lams, lams])[0]
+    stack_cs = norms[:, None, None] * cs.lift([lams, lams])[0]
 
     def delta_state(a):
         return np.tensordot(arrow_alg.coefficients(a), stack_vn, axes=1)

@@ -168,11 +168,6 @@ def orthonormal_rows(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return vh[:r]
 
 
-def column_space(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the column space, as columns."""
-    return orthonormal_rows(a.T, tol).T  # rows of a.T = cols of a
-
-
 class OperatorSubspace:
     """Subspace of complex (m x n) matrices with an HS-orthonormal basis.
 
@@ -379,12 +374,6 @@ def induced_between(
     res = mat_norm(top @ (np.eye(src.plain_dim) - src.support))
     scale = max(1.0, mat_norm(top))
     return top @ src.section, res / scale
-
-
-def solve_columns(basis_cols: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Least-squares solve basis_cols @ X = targets (columns stacked)."""
-    sol, *_ = np.linalg.lstsq(basis_cols, targets, rcond=None)
-    return sol
 
 
 def rng(seed: int) -> np.random.Generator:

@@ -32,6 +32,7 @@ from .linalg import (
     span,
     subspace_residual,
     unitary_residual,
+    worst_norm,
 )
 from .report import Certificate
 from .rtensor import (
@@ -89,32 +90,21 @@ class PmuCandidate:
 
 def _exchange_residuals(cand: PmuCandidate) -> dict:
     """The four leg-exchange relations, evaluated on the quotients."""
-    src = cand.source_space
-    tgt = cand.target_space
     v = cand.v_matrix
-    worst_lift = 0.0
-    out = {
-        "moves_right_range_action": 0.0,
-        "fixes_first_leg_range_action": 0.0,
-        "turns_second_range_into_source": 0.0,
-        "fixes_second_leg_source_action": 0.0,
+    rho, sigma, hat = cand.rho, cand.sigma, cand.sigma_hat
+    relations = {
+        "moves_right_range_action": ([rho, None], [None, rho]),
+        "fixes_first_leg_range_action": ([sigma, None], [sigma, None]),
+        "turns_second_range_into_source": ([None, sigma], [hat, None]),
+        "fixes_second_leg_source_action": ([None, hat], [None, hat]),
     }
-    k = cand.rho.shape[0]
-    for i in range(k):
-        rho_i = cand.rho[i]
-        sigma_i = cand.sigma[i]
-        hat_i = cand.sigma_hat[i]
-        pairs = [
-            ("moves_right_range_action", [rho_i, None], [None, rho_i]),
-            ("fixes_first_leg_range_action", [sigma_i, None], [sigma_i, None]),
-            ("turns_second_range_into_source", [None, sigma_i], [hat_i, None]),
-            ("fixes_second_leg_source_action", [None, hat_i], [None, hat_i]),
-        ]
-        for name, src_ops, tgt_ops in pairs:
-            a, r1 = src.lift(src_ops, require=False)
-            b, r2 = tgt.lift(tgt_ops, require=False)
-            worst_lift = max(worst_lift, r1, r2)
-            out[name] = max(out[name], mat_norm(v @ a - b @ v))
+    out = {}
+    worst_lift = 0.0
+    for name, (src_ops, tgt_ops) in relations.items():
+        a, r1 = cand.source_space.lift(src_ops, require=False)
+        b, r2 = cand.target_space.lift(tgt_ops, require=False)
+        worst_lift = max(worst_lift, r1, r2)
+        out[name] = worst_norm(v @ a - b @ v)
     out["leg_operators_descend"] = worst_lift
     return out
 
@@ -127,18 +117,18 @@ def _pentagon_vertices(cand: PmuCandidate):
     hat, rho, sigma = cand.sigma_hat, cand.rho, cand.sigma
     worst = 0.0
 
-    def lifted(space, stack, leg):
+    def lifted(space, ops):
         nonlocal worst
-        mats, res = space.lifted_rep(stack, leg, require=False)
+        mats, res = space.lift(ops, require=False)
         worst = max(worst, res)
         return mats
 
-    hat2_s = lifted(s_space, hat, 1)
-    sig2_s = lifted(s_space, sigma, 1)
-    rho1_s = lifted(s_space, rho, 0)
-    hat2_t = lifted(t_space, hat, 1)
-    hat1_t = lifted(t_space, hat, 0)
-    rho2_t = lifted(t_space, rho, 1)
+    hat2_s = lifted(s_space, [None, hat])
+    sig2_s = lifted(s_space, [None, sigma])
+    rho1_s = lifted(s_space, [rho, None])
+    hat2_t = lifted(t_space, [None, hat])
+    hat1_t = lifted(t_space, [hat, None])
+    rho2_t = lifted(t_space, [None, rho])
     vertices = {
         "first_then_source": nest_left(
             s_space, rtp_state(triple, hat2_s, rho, over_opposite=True)

@@ -6,6 +6,11 @@ state flavor contracts the two actions through a cyclic representation; the
 operator flavor contracts two factorizations through the base cyclic vector.
 Keeping every space realized over the same plain tensor product is what makes
 maps between differently bracketed iterates directly comparable.
+
+Leg-wise operators reach a quotient through one stacked lift: per-leg stacks
+are zipped and contracted with the class map one leg at a time, so neither
+the plain tensor product of the legs nor a per-element loop is formed.
+Insertion maps are the class map contracted with one vector on one leg.
 """
 from __future__ import annotations
 
@@ -92,42 +97,45 @@ class RelativeTensorSpace:
         return complex(np.conj(v) @ self.gram @ w)
 
     def lift(self, ops, require: bool = True):
-        """Descend a leg-wise operator tuple to the quotient.
+        """Descend leg-wise operator stacks to the quotient.
 
-        ops has one square matrix per plain factor (identity legs may be
-        given as None).  Returns (matrix, residual); residual measures
-        failure to preserve the null space.
+        ops has one stack (k, d, d) per plain factor, or None for the
+        identity leg; the stacks are zipped, so element i lifts the tensor
+        product of the i-th operators.  class_map is contracted with each
+        leg in turn, never with the plain tensor product.  Returns (stack on
+        the quotient, worst residual); a residual measures failure to
+        preserve the null space, normalized per element by the scale of the
+        lifted map as in induced_between.
         """
         ops = list(ops)
         if len(ops) != len(self.plain_dims):
-            raise DimensionError("one operator per tensor leg required")
-        plain = np.eye(1, dtype=complex)
-        for op, d in zip(ops, self.plain_dims):
+            raise DimensionError("one operator stack per tensor leg required")
+        sizes = {np.shape(op)[0] for op in ops if op is not None} or {1}
+        if len(sizes) != 1:
+            raise DimensionError(f"leg stacks of different lengths {sizes}")
+        # top[i, q, j_1, ..., j_L] = sum class_map[q, l_1..l_L] prod x_i[l, j]
+        top = self.class_map.reshape((1, self.dim) + self.plain_dims)
+        for leg, (op, d) in enumerate(zip(ops, self.plain_dims)):
             if op is None:
-                op = np.eye(d)
+                continue
             op = np.asarray(op, dtype=complex)
-            if op.shape != (d, d):
-                raise DimensionError(f"leg operator has shape {op.shape}, wants {(d, d)}")
-            plain = np.kron(plain, op)
-        mat, res = induced_between(self.quotient, self.quotient, plain)
+            if op.shape[1:] != (d, d):
+                raise DimensionError(f"leg stack {op.shape} is not (k, {d}, {d})")
+            moved = np.moveaxis(top, 2 + leg, -1)
+            shape = moved.shape[1:]
+            moved = moved.reshape(moved.shape[0], -1, d) @ op
+            top = np.moveaxis(moved.reshape((-1,) + shape), -1, 2 + leg)
+        top = top.reshape(-1, self.dim, self.plain_dim)
+        mats = top @ self.section
+        # top (1 - support) with support = section class_map
+        gap = np.linalg.norm(top - mats @ self.class_map, axis=(1, 2))
+        scale = np.maximum(1.0, np.linalg.norm(top, axis=(1, 2)))
+        res = float(np.max(gap / scale, initial=0.0))
         if require and res > self.tol.check:
             raise NotWellDefinedError(
                 f"operator does not descend to the quotient: residual {res:.3e}"
             )
-        return mat, res
-
-    def lifted_rep(self, stack, leg: int, require: bool = True):
-        """Lift a one-leg family; returns (stack on the quotient, worst
-        residual)."""
-        mats = []
-        worst = 0.0
-        for x in np.asarray(stack, dtype=complex):
-            ops = [None] * len(self.plain_dims)
-            ops[leg] = x
-            m, r = self.lift(ops, require=require)
-            mats.append(m)
-            worst = max(worst, r)
-        return np.stack(mats), worst
+        return mats, res
 
 
 def rtp_state(triple: GnsTriple, rho_stack, sigma_stack, *,
@@ -210,24 +218,30 @@ def rtp_cstar(left_fact: Factorization, right_fact: Factorization,
     return RelativeTensorSpace("cstar", (nh, nk), gram, tol, meta)
 
 
-def ket_left(space: RelativeTensorSpace, xi: np.ndarray) -> np.ndarray:
-    """Insertion of a left-factorization element: right factor -> quotient."""
+def _insertions(space: RelativeTensorSpace, elements, leg: int) -> np.ndarray:
+    """Insertion maps of base-space elements (one (d, n_base) matrix or a
+    stack of them) into the given plain leg: the other factor -> quotient.
+
+    The column element . zeta fills the leg, so the insertion is class_map
+    contracted with it over that leg, with no plain tensor product formed.
+    """
     if space.flavor != "cstar":
         raise PreconditionError("kets need the operator flavor")
-    base = space.meta["base"]
-    col = (np.asarray(xi, dtype=complex) @ base.cyclic_vector).reshape(-1, 1)
-    nk = space.plain_dims[1]
-    return space.class_map @ np.kron(col, np.eye(nk))
+    col = np.asarray(elements, dtype=complex) @ space.meta["base"].cyclic_vector
+    cm = space.class_map.reshape((space.dim,) + space.plain_dims)
+    return np.tensordot(col, cm, axes=(-1, 1 + leg))
+
+
+def ket_left(space: RelativeTensorSpace, xi: np.ndarray) -> np.ndarray:
+    """Insertion of a left-factorization element (or of a stack of them):
+    right factor -> quotient."""
+    return _insertions(space, xi, 0)
 
 
 def ket_right(space: RelativeTensorSpace, eta: np.ndarray) -> np.ndarray:
-    """Insertion of a right-factorization element: left factor -> quotient."""
-    if space.flavor != "cstar":
-        raise PreconditionError("kets need the operator flavor")
-    base = space.meta["base"]
-    col = (np.asarray(eta, dtype=complex) @ base.cyclic_vector).reshape(-1, 1)
-    nh = space.plain_dims[0]
-    return space.class_map @ np.kron(np.eye(nh), col)
+    """Insertion of a right-factorization element (or of a stack of them):
+    left factor -> quotient."""
+    return _insertions(space, eta, 1)
 
 
 def insertion_span(space: RelativeTensorSpace, ket_fact: Factorization,
@@ -238,15 +252,10 @@ def insertion_span(space: RelativeTensorSpace, ket_fact: Factorization,
     leg selects which plain factor the insertions fill; the tail supplies the
     maps from the base space into the remaining factor.
     """
-    if space.flavor != "cstar":
-        raise PreconditionError("insertions need the operator flavor")
-    insert = ket_left if leg == 0 else ket_right
-    mats = [
-        insert(space, x) @ t
-        for x in ket_fact.basis()
-        for t in tail_fact.basis()
-    ]
-    return span(mats, space.dim, space.meta["base"].space_dim, space.tol)
+    kets = _insertions(space, ket_fact.subspace.stack, leg)
+    family = kets[:, None] @ tail_fact.subspace.stack[None]
+    n = space.meta["base"].space_dim
+    return span(family.reshape(-1, space.dim, n), space.dim, n, space.tol)
 
 
 def ket_factorization(space: RelativeTensorSpace, ket_fact: Factorization,

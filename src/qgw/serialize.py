@@ -62,15 +62,28 @@ def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
             f"{where}: data must hold {rows * cols} entries, "
             f"got {len(data) if isinstance(data, list) else 'non-list'}"
         )
-    out = np.empty(rows * cols, dtype=complex)
-    for i, entry in enumerate(data):
-        if (
-            not isinstance(entry, list) or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)
-        ):
-            raise FormatError(f"{where}: data[{i}] must be [re, im]")
-        out[i] = complex(entry[0], entry[1])
-    return out.reshape(rows, cols)
+    try:
+        pairs = np.array(data) if data else np.zeros((0, 2))
+    except ValueError:  # ragged entries
+        pairs = None
+    if pairs is None or pairs.shape != (len(data), 2) \
+            or pairs.dtype.kind not in "bif":
+        # some entry is no [re, im] pair of bools, floats or int64s: name
+        # the first malformed one (larger ints that fit a double pass)
+        for i, entry in enumerate(data):
+            if (
+                not isinstance(entry, list) or len(entry) != 2
+                or not all(isinstance(x, (int, float)) for x in entry)
+            ):
+                raise FormatError(f"{where}: data[{i}] must be [re, im]")
+            try:
+                complex(*entry)
+            except OverflowError:
+                raise FormatError(
+                    f"{where}: data[{i}] is too large for a double"
+                ) from None
+    pairs = np.ascontiguousarray(pairs, dtype=float)
+    return pairs.view(complex).reshape(rows, cols)
 
 
 def decode_vector(obj, where: str = "vector") -> np.ndarray:

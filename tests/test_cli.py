@@ -197,6 +197,32 @@ def test_non_square_rep_exits_2_naming_it(capsys, tmp_path, linked, command,
     assert f"reps.{name}" in out
 
 
+def test_squares_live_over_the_bundle_base(capsys, tmp_path, linked):
+    # the factorizations, and so the operator square, are decoded over the
+    # base section: a doubled cyclic vector scales the operator Gram by four
+    doc = json.loads(open(linked).read())
+    for entry in doc["base"]["zeta"]["data"]:
+        entry[:] = [2 * x for x in entry]
+    bundle = tmp_path / "doubled_zeta.json"
+    bundle.write_text(json.dumps(doc))
+    code, out = run(capsys, "phi", "--in", str(bundle))
+    assert code == 1
+    assert "[FAIL] gram_match" in out
+
+
+@pytest.mark.parametrize("command", CHECK_COMMANDS)
+def test_entry_beyond_double_range_exits_2_naming_it(capsys, tmp_path, pair2,
+                                                     command):
+    doc = json.loads(open(pair2).read())
+    doc["state"]["rho"]["data"][0] = [10 ** 400, 0]
+    bundle = tmp_path / "huge.json"
+    bundle.write_text(json.dumps(doc))
+    code, out = run(capsys, command, "--in", str(bundle))
+    assert code == 2
+    assert f"{command}: ERROR" in out
+    assert "state.rho: data[0]" in out
+
+
 def test_factorize_without_base_cyclic_vector_exits_2(capsys, tmp_path,
                                                       linked):
     doc = json.loads(open(linked).read())
@@ -212,16 +238,27 @@ def load_report(path) -> Report:
     return Report.from_dict(json.loads(path.read_text()))
 
 
+# fast records of the benchmark: (workload, label, generator arguments,
+# commands); the records do not depend on the seeds the benchmark picks
+BENCHMARK_RECORDS = [
+    ("cyclic", "z3", ["gen-group", "--order", "3"], CHECK_COMMANDS),
+    ("cyclic", "z3-swap", ["gen-group", "--order", "3", "--variant", "swap"],
+     ["pmu-check", "equiv-check"]),
+    ("cyclic", "z4-phase",
+     ["gen-group", "--order", "4", "--variant", "phase"], ["pmu-check"]),
+    ("cyclic", "z3-hopf-perturb",
+     ["gen-group", "--order", "3", "--hopf-perturb", "7"], ["hopf-check"]),
+    ("random-blocks", "blocks-3,2,1",
+     ["gen-random-base", "--blocks", "3,2,1", "--seed", "5"],
+     ["fiber", "phi", "equiv-check"]),
+]
+
+
 def test_check_commands_match_benchmark_record(tmp_path):
-    expected = json.loads(EXPECTED.read_text())["cyclic"]
-    runs = [
-        ("z3", ["--order", "3"], CHECK_COMMANDS),
-        ("z3-swap", ["--order", "3", "--variant", "swap"],
-         ["pmu-check", "equiv-check"]),
-    ]
-    for label, gen_args, commands in runs:
+    records = json.loads(EXPECTED.read_text())
+    for workload, label, gen_args, commands in BENCHMARK_RECORDS:
         bundle = tmp_path / f"{label}.json"
-        assert main(["gen-group", *gen_args, "--out", str(bundle)]) == 0
+        assert main([*gen_args, "--out", str(bundle)]) == 0
         for command in commands:
             out = tmp_path / f"{label}.{command}.json"
             code = main([command, "--in", str(bundle), "--out", str(out)])
@@ -231,7 +268,7 @@ def test_check_commands_match_benchmark_record(tmp_path):
                 "verdict": rep.verdict,
                 "checks": {c.name: c.passed for c in rep.checks},
             }
-            assert got == expected[label][command], (label, command)
+            assert got == records[workload][label][command], (label, command)
 
 
 def test_equiv_check_composes_the_other_commands(pair2, tmp_path):

@@ -1,8 +1,10 @@
-"""Negative controls for the *-representation and homomorphism residuals.
+"""Negative controls for the *-representation, homomorphism and fiber
+product residuals.
 
-Every residual that rep_report (both orientations), hom_report and
-Factorization.rho_report emit has a seeded perturbation here that drives it
-over threshold.  The coverage test collects the names the reports emit on
+Every residual that rep_report (both orientations), hom_report,
+Factorization.rho_report and fiber_equivalence (as the fiber command
+flattens it) emit has a seeded perturbation here that drives it over
+threshold.  The coverage test collects the names the reports emit on
 valid input and fails if one of them has no control.
 """
 import numpy as np
@@ -10,11 +12,14 @@ import pytest
 
 from qgw.cbase import CStarBase
 from qgw.cfact import Factorization
-from qgw.fiber import conjugated_algebra, hom_report
-from qgw.fixtures import random_standard_base
+from qgw.fiber import conjugated_algebra, fiber_equivalence, hom_report
+from qgw.fixtures import linked_bundle, random_standard_base
 from qgw.linalg import DEFAULT_TOL, random_unitary, rng, span
+from qgw.report import checks_from_residuals
+from qgw.rtensor import phi_unitary, rtp_cstar, rtp_state
 from qgw.staralg import (
     StarAlgebra,
+    algebra_from_generators,
     full_matrix_algebra,
     rep_report,
     rep_value,
@@ -140,6 +145,35 @@ def rho_corner():
     return factorization(cut, base.algebra.subspace.stack).rho_report()
 
 
+# the fiber command's residuals, over the squares of the seeded base
+
+
+def fiber_residuals(cstar_seed=SEED, legs=None, rotate=False):
+    """The flattened fiber certificate of the seeded linked bundle; legs
+    replaces both leg algebras, cstar_seed builds the operator square over
+    another seeded base, rotate moves phi by a seeded Haar unitary."""
+    data = linked_bundle([2, 1], 1, 1, SEED)
+    vn = rtp_state(data["triple"], data["rho"], data["sigma"])
+    cs = rtp_cstar(data["alpha"], data["beta"])
+    if cstar_seed != SEED:
+        other = linked_bundle([2, 1], 1, 1, cstar_seed)
+        cs = rtp_cstar(other["alpha"], other["beta"])
+    phi, _ = phi_unitary(vn, cs)
+    if rotate:
+        phi = phi @ random_unitary(vn.dim, rng(SEED + 7))
+    a, b = legs or (algebra_from_generators(3, data["rho"]),
+                    algebra_from_generators(3, data["sigma"]))
+    cert = fiber_equivalence(vn, cs, a, b, phi)
+    return {c.name: c.residual for c in checks_from_residuals(cert)}
+
+
+def fiber_scalar_legs():
+    """Scalar leg algebras: their commutants, all of M_3 on each leg, do not
+    descend to the quotient."""
+    scalars = algebra_from_generators(3, [np.eye(3)])
+    return fiber_residuals(legs=(scalars, scalars))
+
+
 # (report, residual name) -> a perturbed run of that report
 CONTROLS = {
     **{("rep_report", name): rep_control(name, False)
@@ -152,6 +186,11 @@ CONTROLS = {
     ("rho_report", "star"): rho_non_star,
     ("rho_report", "multiplicative"): rho_wrong_side,
     ("rho_report", "exchange_identity"): rho_rotated,
+    ("fiber", "classical_lift_well_defined"): fiber_scalar_legs,
+    # the spatial product over another seeded base algebra
+    ("fiber", "dimension_defect"): lambda: fiber_residuals(cstar_seed=SEED + 6),
+    # the classical product conjugated by a seeded unitary before transport
+    ("fiber", "transport"): lambda: fiber_residuals(rotate=True),
 }
 
 
@@ -166,6 +205,7 @@ def valid_reports():
         "rho_report": factorization(
             base, base.algebra.subspace.stack
         ).rho_report(),
+        "fiber": fiber_residuals(),
     }
 
 

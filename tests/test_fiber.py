@@ -25,7 +25,18 @@ from qgw.fixtures import (
     trivial_bundle,
     two_point_bundle,
 )
-from qgw.linalg import DEFAULT_TOL, dagger, mat_norm, random_unitary, rng, span
+from qgw.linalg import (
+    DEFAULT_TOL,
+    dagger,
+    intersect_null_spaces,
+    mat_norm,
+    mul_operator,
+    orthonormal_rows,
+    random_unitary,
+    rng,
+    span,
+    subspace_residual,
+)
 from qgw.rtensor import phi_unitary, rtp_cstar, rtp_state
 from qgw.staralg import StarAlgebra, algebra_from_generators, full_matrix_algebra
 
@@ -54,8 +65,8 @@ def test_classical_two_point_is_diagonal():
     assert vn.dim == 2
     assert fp.dim == 2
     assert fp.is_commutative()
-    lifted = [vn.lift([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])[0],
-              vn.lift([np.diag([0.0, 1.0]), np.diag([0.0, 1.0])])[0]]
+    units = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    lifted, _ = vn.lift([units, units])
     for m in lifted:
         assert fp.contains(m)
 
@@ -227,3 +238,61 @@ def test_fiber_morphism_degenerate_connectors_raise():
                         np.stack([np.eye(nk)]), require_descend=False)
     with pytest.raises(NotWellDefinedError):
         fm.apply(np.eye(vn.dim))
+
+
+def kron_block_spatial(space, left_alg, right_alg):
+    """The spatial product as first built: kron-built insertion kets k, one
+    dense (q n) x q^2 block P_perp (I (x) k^T) per ket for "T keeps k in S",
+    plus the rows of "T* does" read against an SVD basis of S's
+    complement."""
+    q = space.dim
+    tol = space.tol
+
+    def families(kets, partners, n):
+        sub = span([k @ p for k in kets for p in partners], q, n, tol)
+        flat = sub.flat()
+        proj = flat.T @ np.conj(flat)
+        perp = np.eye(q * n) - proj
+        forward = [perp @ mul_operator(np.eye(q), k) for k in kets]
+        if sub.dim == 0:
+            comp = np.eye(q * n)
+        elif sub.dim >= q * n:
+            comp = np.zeros((0, q * n))
+        else:
+            comp = orthonormal_rows(perp, tol)
+        adjoint = [
+            (np.conj(c).reshape(q, n) @ dagger(k)).T.reshape(-1)
+            for k in kets for c in comp
+        ]
+        return forward + [np.reshape(adjoint, (-1, q * q))]
+
+    nh, nk = space.plain_dims
+    zeta = space.meta["base"].cyclic_vector
+    cm = space.class_map
+    kets1 = [cm @ np.kron((xi @ zeta)[:, None], np.eye(nk))
+             for xi in space.meta["left_fact"].basis()]
+    kets2 = [cm @ np.kron(np.eye(nh), (eta @ zeta)[:, None])
+             for eta in space.meta["right_fact"].basis()]
+    blocks = (families(kets1, right_alg.basis(), nk)
+              + families(kets2, left_alg.basis(), nh))
+    rows = intersect_null_spaces(blocks, q * q, tol)
+    return span(rows.reshape(-1, q, q), q, q, tol)
+
+
+@pytest.mark.parametrize("legs", ["actions", "commutants"])
+@pytest.mark.parametrize("blocks,ml,mr,seed", [
+    ([2, 1], 1, 1, 11),
+    ([2, 1, 1], 1, 1, 3),
+    # a Haar-rotated 2x amplification on both legs
+    ([2, 1], 2, 2, 5),
+])
+def test_spatial_matches_kron_block_construction(blocks, ml, mr, seed, legs):
+    bundle = linked_bundle(blocks, ml, mr, seed=seed)
+    _, cs = spaces(bundle)
+    a, b = leg_algebras(bundle)
+    if legs == "commutants":
+        a, b = a.commutant(), b.commutant()
+    spatial, _ = fiber_spatial(cs, a, b)
+    reference = kron_block_spatial(cs, a, b)
+    assert spatial.dim == reference.dim
+    assert subspace_residual(spatial.subspace, reference) < 1e-10

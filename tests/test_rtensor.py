@@ -5,9 +5,10 @@ import pytest
 
 from qgw.cbase import cbase_from_state
 from qgw.cfact import Factorization
-from qgw.errors import NotWellDefinedError, PreconditionError
+from qgw.errors import DimensionError, NotWellDefinedError, PreconditionError
 from qgw.gns import State, gns
-from qgw.linalg import dagger, mat_norm, rng, span
+from qgw.fixtures import FiniteGroupoid, groupoid_bundle
+from qgw.linalg import dagger, induced_between, mat_norm, rng, span
 from qgw.rtensor import (
     RelativeTensorSpace,
     descend,
@@ -20,7 +21,12 @@ from qgw.rtensor import (
     rtp_cstar,
     rtp_state,
 )
-from qgw.staralg import StarAlgebra, full_matrix_algebra, rep_value
+from qgw.staralg import (
+    StarAlgebra,
+    algebra_from_generators,
+    full_matrix_algebra,
+    rep_value,
+)
 from qgw.linalg import span as _span
 
 
@@ -154,13 +160,13 @@ def test_lift_diagonal_descends_offdiagonal_does_not():
     triple = f2_triple()
     rho, sigma = diag_action_stacks(triple, 2)
     space = rtp_state(triple, rho, sigma)
-    mat, res = space.lift([np.diag([2.0, 3.0]), None])
+    mat, res = space.lift([np.diag([2.0, 3.0])[None], None])
     assert res < 1e-10
     e01 = np.zeros((2, 2))
     e01[0, 1] = 1.0
     with pytest.raises(NotWellDefinedError):
-        space.lift([e01, None])
-    _, res_bad = space.lift([e01, None], require=False)
+        space.lift([e01[None], None])
+    _, res_bad = space.lift([e01[None], None], require=False)
     assert res_bad > 0.1
 
 
@@ -168,8 +174,8 @@ def test_lifted_rep_commutes_after_lift():
     triple = f2_triple()
     rho, sigma = diag_action_stacks(triple, 2)
     space = rtp_state(triple, rho, sigma)
-    left, r1 = space.lifted_rep(rho, leg=0)
-    right, r2 = space.lifted_rep(sigma, leg=1)
+    left, r1 = space.lift([rho, None])
+    right, r2 = space.lift([None, sigma])
     assert max(r1, r2) < 1e-10
     for x in left:
         for y in right:
@@ -253,11 +259,11 @@ def test_nested_brackets_agree_for_commutative_case():
     rho, sigma = diag_action_stacks(triple, 2)
     inner = rtp_state(triple, rho, sigma)
     # a right action on the inner space lives on its second leg
-    inner_rho, r1 = inner.lifted_rep(rho, leg=1)
+    inner_rho, r1 = inner.lift([None, rho])
     left_pair = rtp_state(triple, inner_rho, sigma)
     left_space = nest_left(inner, left_pair)
     # a left action on the inner space lives on its first leg
-    inner_sigma, r2 = inner.lifted_rep(sigma, leg=0)
+    inner_sigma, r2 = inner.lift([sigma, None])
     right_pair = rtp_state(triple, rho, inner_sigma)
     right_space = nest_right(inner, right_pair)
     assert max(r1, r2) < 1e-10
@@ -291,3 +297,85 @@ def test_gram_kernel_shape_and_symmetry():
         rh[ap][a, t] * np.conj(rk[b][bp, t]) for t in range(5)
     )
     assert g[a * 2 + b, ap * 2 + bp] == pytest.approx(expect)
+
+
+def kron_lift(space, ops):
+    """Per-element reference: the plain tensor product of the i-th leg
+    operators, descended by induced_between."""
+    k = max((len(op) for op in ops if op is not None), default=1)
+    mats, worst = [], 0.0
+    for i in range(k):
+        plain = np.eye(1)
+        for op, d in zip(ops, space.plain_dims):
+            plain = np.kron(plain, np.eye(d) if op is None else op[i])
+        mat, res = induced_between(space.quotient, space.quotient, plain)
+        mats.append(mat)
+        worst = max(worst, res)
+    return np.stack(mats), worst
+
+
+def random_stack(gen, k, d):
+    return gen.standard_normal((k, d, d)) + 1j * gen.standard_normal((k, d, d))
+
+
+def commutant_stack(gen, k, stack):
+    """k random elements of the commutant of the algebra a stack generates."""
+    comm = algebra_from_generators(stack.shape[1], stack).commutant()
+    coeffs = gen.standard_normal((k, comm.dim))
+    return np.tensordot(coeffs, comm.subspace.stack, axes=1)
+
+
+def lift_cases():
+    """(space, leg stacks, whether they descend) on a one-leg space, a
+    two-leg square and a three-leg nesting of it."""
+    gen = rng(44)
+    x = random_stack(gen, 1, 6)[0][:, :4]
+    one = RelativeTensorSpace("state", (6,), x @ dagger(x))
+    # the range actions of a groupoid: rho also acts on the right leg,
+    # where it commutes with sigma, so the square nests
+    data = groupoid_bundle(FiniteGroupoid.pair(2))
+    triple, rho, sigma = data["triple"], data["rho"], data["sigma"]
+    two = rtp_state(triple, rho, sigma)
+    inner_rho, _ = two.lift([None, rho])
+    three = nest_left(two, rtp_state(triple, inner_rho, sigma))
+    c_rho = commutant_stack(gen, 3, rho)
+    c_sigma = commutant_stack(gen, 3, sigma)
+    return [
+        (one, [random_stack(gen, 3, 6)], False),
+        (one, [np.stack([np.eye(6), 2j * np.eye(6)])], True),
+        (two, [c_rho, None], True),
+        (two, [c_rho, c_sigma], True),
+        (two, [random_stack(gen, 3, 4), random_stack(gen, 3, 4)], False),
+        (two, [None, None], True),
+        (three, [c_rho, None, c_sigma], True),
+        (three, [None, random_stack(gen, 2, 4), None], False),
+        (three, [random_stack(gen, 2, 4)] * 3, False),
+    ]
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_stacked_lift_matches_kron_per_element(case):
+    space, ops, descends = lift_cases()[case]
+    mats, worst = space.lift(ops, require=False)
+    ref, ref_worst = kron_lift(space, ops)
+    assert mats.shape == ref.shape
+    assert mat_norm(mats - ref) < 1e-10 * max(1.0, mat_norm(ref))
+    assert abs(worst - ref_worst) < 1e-10
+    if descends:
+        assert worst < 1e-10
+    else:
+        assert worst > 1e-3
+        with pytest.raises(NotWellDefinedError):
+            space.lift(ops)
+
+
+def test_lift_rejects_mismatched_stacks():
+    triple = f2_triple()
+    rho, sigma = diag_action_stacks(triple, 2)
+    space = rtp_state(triple, rho, sigma)
+    with pytest.raises(DimensionError):
+        space.lift([rho, sigma[:1]])
+    with pytest.raises(DimensionError):
+        space.lift([rho[0], None])
+    with pytest.raises(DimensionError):
+        space.lift([rho])

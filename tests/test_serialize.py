@@ -54,6 +54,29 @@ def test_matrix_decode_rejects_bad_layouts():
         serialize.decode_matrix([1, 2], "m")
 
 
+@pytest.mark.parametrize("entry", [
+    [10 ** 400, 0],
+    ["1.5", 0.0],
+    [[1.0], 0.0],
+    [1.0, 0.0, 0.0],
+], ids=["huge_int", "string", "nested", "three"])
+def test_matrix_decode_names_the_first_malformed_entry(entry):
+    bad = serialize.encode_matrix(np.eye(2))
+    # two malformed entries: the message names the first
+    bad["data"][1] = bad["data"][3] = entry
+    with pytest.raises(FormatError, match=r"^state\.rho: data\[1\] "):
+        serialize.decode_matrix(bad, "state.rho")
+
+
+def test_matrix_decode_accepts_ints_floats_bools_and_nan():
+    obj = {"rows": 2, "cols": 2,
+           "data": [[1, 0], [True, False], [2.5, -0.0], [float("nan"), 10 ** 30]]}
+    back = serialize.decode_matrix(obj)
+    assert back[0, 0] == 1 and back[0, 1] == 1 and back[1, 0] == 2.5
+    assert np.signbit(back[1, 0].imag)
+    assert np.isnan(back[1, 1].real) and back[1, 1].imag == 1e30
+
+
 def test_stack_roundtrip_requires_uniform_shapes():
     stack = np.stack([np.eye(2), 1j * np.eye(2)])
     back = serialize.decode_stack(roundtrip(serialize.encode_stack(stack)))
