@@ -75,18 +75,6 @@ def vec(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)
 
 
-def mul_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of T -> a T b acting on row-major vec(T)."""
-    return np.kron(a, b.T)
-
-
-def commutator_operator(x: np.ndarray) -> np.ndarray:
-    """Matrix of T -> xT - Tx on vec(T)."""
-    n = x.shape[0]
-    eye = np.eye(n)
-    return np.kron(x, eye) - np.kron(eye, x.T)
-
-
 def unitary_residual(u: np.ndarray) -> float:
     n, m = u.shape
     r1 = mat_norm(dagger(u) @ u - np.eye(m))
@@ -220,20 +208,21 @@ def span(
     mats, codomain_dim: int | None = None, domain_dim: int | None = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> OperatorSubspace:
-    """HS-orthonormal span of a family of equal-shaped matrices."""
-    mats = [as_complex(m) for m in mats]
-    if not mats:
+    """HS-orthonormal span of a stack (k, m, n) of matrices; a list of
+    equal-shaped matrices is read as one.  An empty family needs explicit
+    dimensions."""
+    try:
+        stack = as_complex(mats)
+    except ValueError:
+        raise DimensionError("span of matrices with mixed shapes")
+    if stack.size == 0 and stack.ndim != 3:
         if codomain_dim is None or domain_dim is None:
             raise DimensionError("empty span needs explicit dimensions")
-        return OperatorSubspace(
-            codomain_dim, domain_dim, np.zeros((0, codomain_dim, domain_dim))
-        )
-    m, n = mats[0].shape
-    for x in mats:
-        if x.shape != (m, n):
-            raise DimensionError("span of matrices with mixed shapes")
-    flat = np.stack([vec(x) for x in mats])
-    basis = orthonormal_rows(flat, tol)
+        stack = stack.reshape(0, codomain_dim, domain_dim)
+    if stack.ndim != 3:
+        raise DimensionError(f"span needs a stack of matrices, got {stack.shape}")
+    k, m, n = stack.shape
+    basis = orthonormal_rows(stack.reshape(k, m * n), tol)
     return OperatorSubspace(m, n, basis.reshape(-1, m, n))
 
 
@@ -312,52 +301,78 @@ def intertwiner_rows(t: np.ndarray, s: np.ndarray,
 class QuotientRealization:
     """Quotient of a semi-inner-product space realized in coordinates.
 
-    gram is the (Hermitized) PSD Gram matrix on the plain space C^N.  The
-    stored co-isometry q (dim x N) satisfies q . gram . q* = I.  Derived maps:
+    The semi-inner product on C^N is given by its (Hermitized) PSD Gram G,
+    read through eigh, or by a factor C (r x N) with G = C*C, read through
+    its thin SVD with no N x N matrix formed.  Both keep the eigenvalues of
+    G (the squared singular values of C) above the rank cut for N x N.  The
+    co-isometry q (dim x N) satisfies q . G . q* = I.  Derived maps:
 
-      class_map = q . gram   sends a plain vector to its class coordinates,
-                             so (class_map w)* (class_map w') = w* gram w';
-      section   = q*         is a right inverse of class_map onto supp(gram);
-      support   = section . class_map, the orthogonal projector onto
-                             range(gram).
+      class_map = q . G   sends a plain vector to its class coordinates,
+                          so (class_map w)* (class_map w') = w* G w';
+      section   = q*      is a right inverse of class_map onto supp(G).
+
+    section . class_map, the projector onto range(G), is not stored (see
+    descend); gram is the given Gram, or C*C formed on each read.
     """
 
-    def __init__(self, gram: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-        gram = as_complex(gram)
-        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-            raise DimensionError("gram must be square")
-        herm_defect = mat_norm(gram - dagger(gram))
-        scale = max(1.0, mat_norm(gram))
-        if herm_defect > tol.eps / 1e-3 * scale:
-            raise NumericError(f"gram not Hermitian: defect {herm_defect:.3e}")
-        gram = 0.5 * (gram + dagger(gram))
-        w, v = np.linalg.eigh(gram)
-        lam_max = float(w[-1]) if w.size else 0.0
-        if w.size and float(w[0]) < -tol.check * max(1.0, lam_max):
-            raise NumericError(f"gram not PSD: min eigenvalue {w[0]:.3e}")
-        if lam_max <= 0.0:
-            keep = np.zeros(w.shape, dtype=bool)
+    def __init__(self, gram: np.ndarray | None = None,
+                 tol: Tolerance = DEFAULT_TOL, *,
+                 factor: np.ndarray | None = None):
+        if (gram is None) == (factor is None):
+            raise DimensionError("give a gram or a factor, not both or neither")
+        if factor is None:
+            gram = as_complex(gram)
+            if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+                raise DimensionError("gram must be square")
+            herm_defect = mat_norm(gram - dagger(gram))
+            scale = max(1.0, mat_norm(gram))
+            if herm_defect > tol.eps / 1e-3 * scale:
+                raise NumericError(f"gram not Hermitian: defect {herm_defect:.3e}")
+            gram = 0.5 * (gram + dagger(gram))
+            w, v = np.linalg.eigh(gram)
+            if w.size and float(w[0]) < -tol.check * max(1.0, float(w[-1])):
+                raise NumericError(f"gram not PSD: min eigenvalue {w[0]:.3e}")
         else:
-            keep = w > tol.rank_cut(lam_max, gram.shape[0], gram.shape[1])
+            factor = as_complex(factor)
+            if factor.ndim != 2:
+                raise DimensionError("factor must be a matrix")
+            _, s, vh = np.linalg.svd(factor, full_matrices=False)
+            w, v = s ** 2, dagger(vh)
+        self._gram, self._factor = gram, factor
+        self.plain_dim = v.shape[0]
+        lam_max = float(np.max(w, initial=0.0))
+        keep = w > max(tol.rank_cut(lam_max, self.plain_dim, self.plain_dim), 0.0)
         lam = w[keep]
         vecs = v[:, keep]
-        self.gram = gram
-        self.plain_dim = gram.shape[0]
         self.dim = int(lam.size)
         # co-isometry normalized so that q . gram . q* = I
-        if lam.size:
-            self.co_isometry = (vecs / np.sqrt(lam)).conj().T
-            self.class_map = (vecs * np.sqrt(lam)).conj().T
-        else:
-            self.co_isometry = np.zeros((0, self.plain_dim), dtype=complex)
-            self.class_map = np.zeros((0, self.plain_dim), dtype=complex)
+        self.co_isometry = (vecs / np.sqrt(lam)).conj().T
+        self.class_map = (vecs * np.sqrt(lam)).conj().T
         self.section = dagger(self.co_isometry)
-        self.support = self.section @ self.class_map
         self.tol = tol
+
+    @property
+    def gram(self) -> np.ndarray:
+        if self._gram is None:
+            return dagger(self._factor) @ self._factor
+        return self._gram
 
     def to_quotient(self, w: np.ndarray) -> np.ndarray:
         """Class coordinates of a plain vector (or of stacked columns)."""
         return self.class_map @ w
+
+    def descend(self, top: np.ndarray):
+        """Descend a map whose composite with the destination's class map is
+        top (one (k, N) matrix or a stack of them), out of this quotient.
+
+        Returns (top . section, residuals): a residual is the
+        well-definedness gap top - (top . section) . class_map, failure to
+        annihilate ker(G), normalized by the scale of top.
+        """
+        mats = top @ self.section
+        gap = np.linalg.norm(top - mats @ self.class_map, axis=(-2, -1))
+        scale = np.maximum(1.0, np.linalg.norm(top, axis=(-2, -1)))
+        return mats, gap / scale
 
 
 def induced_between(
@@ -369,11 +384,8 @@ def induced_between(
     failure to annihilate ker(src.gram), normalized by the map's scale.
     With src = dst this descends an operator on one quotient.
     """
-    plain_map = as_complex(plain_map)
-    top = dst.class_map @ plain_map
-    res = mat_norm(top @ (np.eye(src.plain_dim) - src.support))
-    scale = max(1.0, mat_norm(top))
-    return top @ src.section, res / scale
+    mat, res = src.descend(dst.class_map @ as_complex(plain_map))
+    return mat, float(res)
 
 
 def rng(seed: int) -> np.random.Generator:

@@ -5,9 +5,9 @@ operator on the twofold tensor product.  The operator must descend to a
 unitary from the source-type square to the target-type square, exchange the
 leg actions the right way, and satisfy the pentagon identity.  The pentagon
 is checked on seven differently bracketed three-factor spaces, all realized
-over the same plain threefold tensor product so the edge maps stay honest
-matrices.  The operator flavor repeats the programme with insertion
-factorizations and must reach the same verdict.
+over the same plain threefold tensor product, so every edge is a plain map,
+applied to class maps leg by leg.  The operator flavor repeats the programme
+with insertion factorizations and must reach the same verdict.
 """
 from __future__ import annotations
 
@@ -83,9 +83,7 @@ class PmuCandidate:
             triple, self.rho, self.sigma, tol=self.tol
         )
         self.v_matrix, self.v_residual = induced_between(
-            self.source_space.quotient, self.target_space.quotient,
-            self.v_plain,
-        )
+            self.source_space, self.target_space, self.v_plain)
 
 
 def _exchange_residuals(cand: PmuCandidate) -> dict:
@@ -155,13 +153,29 @@ def _pentagon_vertices(cand: PmuCandidate):
     return vertices, worst
 
 
+def pentagon_edge_maps(v_plain: np.ndarray, n: int):
+    """Right multiplication of plain-cube rows (k, n^3) by the pentagon's
+    plain maps kron(v, 1), kron(1, v) and kron(1, swap), applied leg by
+    leg; the swap of the last two legs is an axis transpose."""
+    def v12(rows):
+        moved = np.tensordot(rows.reshape(-1, n * n, n), v_plain, axes=(1, 0))
+        return moved.swapaxes(1, 2).reshape(rows.shape)
+
+    def v23(rows):
+        return (rows.reshape(-1, n * n) @ v_plain).reshape(rows.shape)
+
+    def sw23(rows):
+        return rows.reshape(-1, n, n, n).swapaxes(2, 3).reshape(rows.shape)
+
+    return v12, v23, sw23
+
+
 def _pentagon_residuals(vertices: dict, v_plain: np.ndarray, n: int) -> dict:
-    """Edge maps between the seven vertices and the two-path comparison."""
-    sw = swap_matrix(n, n)
-    eye = np.eye(n)
-    v12 = np.kron(v_plain, eye)
-    v23 = np.kron(eye, v_plain)
-    sw23 = np.kron(eye, sw)
+    """Edge maps between the seven vertices and the two-path comparison.
+
+    An edge applies its plain map to the destination's class map and
+    descends the result out of the source quotient."""
+    v12, v23, sw23 = pentagon_edge_maps(v_plain, n)
     p1 = vertices["first_then_source"]
     p2 = vertices["applied_then_source"]
     p3 = vertices["applied_then_target"]
@@ -173,8 +187,8 @@ def _pentagon_residuals(vertices: dict, v_plain: np.ndarray, n: int) -> dict:
 
     def edge(a, b, plain):
         nonlocal worst
-        mat, res = descend(a, b, plain)
-        worst = max(worst, res)
+        mat, res = a.descend(plain(b.class_map))
+        worst = max(worst, float(res))
         return mat
 
     e1 = edge(p1, p2, v12)
@@ -258,21 +272,18 @@ def check_pmu_cstar(cand: PmuCandidate, beta_hat: Factorization,
          insertion_span(dt, beta, beta, 1)),
     ]
     for name, lhs, rhs in relations:
-        moved = span(
-            [v_c @ m for m in lhs.matrices()], dt.dim,
-            beta_hat.base.space_dim, tol,
-        )
+        moved = span(v_c @ lhs.stack, dt.dim, beta_hat.base.space_dim, tol)
         res[name] = subspace_residual(moved, rhs) + abs(moved.dim - rhs.dim)
-    res.update(
-        _cstar_pentagon(cand, ds, dt, beta_hat, alpha_flipped, alpha, beta)
-    )
+    vertices = _cstar_pentagon_vertices(
+        ds, dt, beta_hat, alpha_flipped, alpha, beta)
+    res.update(_pentagon_residuals(vertices, cand.v_plain, cand.space_dim))
     return Certificate(res, tol)
 
 
-def _cstar_pentagon(cand, ds, dt, beta_hat, alpha_flipped, alpha, beta):
-    """Pentagon on operator-flavor three-factor spaces."""
-    tol = cand.tol
-
+def _cstar_pentagon_vertices(ds, dt, beta_hat, alpha_flipped, alpha, beta):
+    """The seven operator-flavor three-factor spaces, built from insertion
+    factorizations of the two squares."""
+    tol = ds.tol
     hat_hat_s = ket_factorization(ds, beta_hat, beta_hat, 0, False)
     hat_beta_s = ket_factorization(ds, beta_hat, beta, 0, False)
     alpha_alpha_s = ket_factorization(ds, alpha_flipped, alpha, 1, False)
@@ -280,7 +291,7 @@ def _cstar_pentagon(cand, ds, dt, beta_hat, alpha_flipped, alpha, beta):
     alpha_alpha_t = ket_factorization(dt, alpha, alpha, 0, False)
     alpha_alpha_t_flip = ket_factorization(dt, alpha, alpha, 0, True)
     beta_hat_t = ket_factorization(dt, beta, beta_hat, 1, False)
-    vertices = {
+    return {
         "first_then_source": nest_left(
             ds, rtp_cstar(hat_hat_s, alpha_flipped, tol=tol)
         ),
@@ -302,11 +313,6 @@ def _cstar_pentagon(cand, ds, dt, beta_hat, alpha_flipped, alpha, beta):
         "first_then_target": nest_left(
             ds, rtp_cstar(alpha_alpha_s, beta, tol=tol)
         ),
-    }
-    out = _pentagon_residuals(vertices, cand.v_plain, cand.space_dim)
-    return {
-        "edges_descend": out["edges_descend"],
-        "pentagon": out["pentagon"],
     }
 
 

@@ -5,7 +5,9 @@ tensor product of the factors, together with the quotient it induces.  The
 state flavor contracts the two actions through a cyclic representation; the
 operator flavor contracts two factorizations through the base cyclic vector.
 Keeping every space realized over the same plain tensor product is what makes
-maps between differently bracketed iterates directly comparable.
+maps between differently bracketed iterates directly comparable.  Those
+iterates are given by a factor of their Gram, the outer class map contracted
+with the inner one, so no matrix on the threefold plain product is formed.
 
 Leg-wise operators reach a quotient through one stacked lift: per-leg stacks
 are zipped and contracted with the class map one leg at a time, so neither
@@ -28,7 +30,6 @@ from .linalg import (
     OperatorSubspace,
     QuotientRealization,
     Tolerance,
-    dagger,
     induced_between,
     mat_norm,
     span,
@@ -51,46 +52,20 @@ def gram_from_r_stacks(rh: np.ndarray, rk: np.ndarray) -> np.ndarray:
     return g4.reshape(n, n)
 
 
-class RelativeTensorSpace:
-    """Quotient of a plain tensor product under a relative Gram matrix."""
+class RelativeTensorSpace(QuotientRealization):
+    """Quotient of a plain tensor product of the given leg dimensions, under
+    a relative Gram matrix or a factor of it (see QuotientRealization)."""
 
-    def __init__(self, flavor: str, plain_dims: tuple, gram: np.ndarray,
-                 tol: Tolerance = DEFAULT_TOL, meta: dict | None = None):
-        total = int(np.prod(plain_dims))
-        if gram.shape != (total, total):
+    def __init__(self, flavor: str, plain_dims: tuple,
+                 gram: np.ndarray | None = None,
+                 tol: Tolerance = DEFAULT_TOL, meta: dict | None = None, *,
+                 factor: np.ndarray | None = None):
+        super().__init__(gram, tol, factor=factor)
+        if self.plain_dim != int(np.prod(plain_dims)):
             raise DimensionError("gram does not match the plain dimensions")
         self.flavor = flavor
         self.plain_dims = tuple(int(d) for d in plain_dims)
-        self.quotient = QuotientRealization(gram, tol)
-        self.tol = tol
         self.meta = meta or {}
-
-    @property
-    def dim(self) -> int:
-        return self.quotient.dim
-
-    @property
-    def plain_dim(self) -> int:
-        return self.quotient.plain_dim
-
-    @property
-    def gram(self) -> np.ndarray:
-        return self.quotient.gram
-
-    @property
-    def class_map(self) -> np.ndarray:
-        return self.quotient.class_map
-
-    @property
-    def section(self) -> np.ndarray:
-        return self.quotient.section
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.quotient.support
-
-    def to_quotient(self, v: np.ndarray) -> np.ndarray:
-        return self.quotient.to_quotient(v)
 
     def pairing(self, v: np.ndarray, w: np.ndarray) -> complex:
         """Relative inner product of two plain tensors."""
@@ -126,11 +101,8 @@ class RelativeTensorSpace:
             moved = moved.reshape(moved.shape[0], -1, d) @ op
             top = np.moveaxis(moved.reshape((-1,) + shape), -1, 2 + leg)
         top = top.reshape(-1, self.dim, self.plain_dim)
-        mats = top @ self.section
-        # top (1 - support) with support = section class_map
-        gap = np.linalg.norm(top - mats @ self.class_map, axis=(1, 2))
-        scale = np.maximum(1.0, np.linalg.norm(top, axis=(1, 2)))
-        res = float(np.max(gap / scale, initial=0.0))
+        mats, res = self.descend(top)
+        res = float(np.max(res, initial=0.0))
         if require and res > self.tol.check:
             raise NotWellDefinedError(
                 f"operator does not descend to the quotient: residual {res:.3e}"
@@ -275,30 +247,35 @@ def nest_left(inner: RelativeTensorSpace,
     """Three-factor space bracketed as (inner) tensored with a new right leg.
 
     pair must be built over (inner's quotient, new leg); the result is
-    realized over the full plain tensor product of all three factors.
+    realized over the full plain tensor product of all three factors.  Its
+    Gram is m* G_pair m with m = inner.class_map on the first leg; it is
+    given as the factor pair.class_map . m, contracted leg-wise, so no
+    matrix on the plain product is formed.
     """
     if len(pair.plain_dims) != 2 or pair.plain_dims[0] != inner.dim:
         raise DimensionError("pair space must have the inner quotient as left leg")
     right = pair.plain_dims[1]
-    m = np.kron(inner.class_map, np.eye(right))
-    gram = dagger(m) @ pair.gram @ m
+    cm = pair.class_map.reshape(pair.dim, inner.dim, right)
+    factor = np.tensordot(cm, inner.class_map, axes=(1, 0)).transpose(0, 2, 1)
     return RelativeTensorSpace(
-        pair.flavor, inner.plain_dims + (right,), gram, inner.tol,
-        {"inner": inner, "pair": pair, "bracket": "left"},
+        pair.flavor, inner.plain_dims + (right,), tol=inner.tol,
+        meta={"inner": inner, "pair": pair, "bracket": "left"},
+        factor=factor.reshape(pair.dim, -1),
     )
 
 
 def nest_right(inner: RelativeTensorSpace,
                pair: RelativeTensorSpace) -> RelativeTensorSpace:
-    """Three-factor space bracketed as a new left leg tensored with (inner)."""
+    """Three-factor space bracketed as a new left leg tensored with (inner);
+    the mirror of nest_left, with inner.class_map on the last leg."""
     if len(pair.plain_dims) != 2 or pair.plain_dims[1] != inner.dim:
         raise DimensionError("pair space must have the inner quotient as right leg")
     left = pair.plain_dims[0]
-    m = np.kron(np.eye(left), inner.class_map)
-    gram = dagger(m) @ pair.gram @ m
+    cm = pair.class_map.reshape(pair.dim, left, inner.dim)
     return RelativeTensorSpace(
-        pair.flavor, (left,) + inner.plain_dims, gram, inner.tol,
-        {"inner": inner, "pair": pair, "bracket": "right"},
+        pair.flavor, (left,) + inner.plain_dims, tol=inner.tol,
+        meta={"inner": inner, "pair": pair, "bracket": "right"},
+        factor=(cm @ inner.class_map).reshape(pair.dim, -1),
     )
 
 
@@ -308,7 +285,7 @@ def descend(src: RelativeTensorSpace, dst: RelativeTensorSpace,
     space; returns (matrix, well-definedness residual)."""
     if src.plain_dim != plain_map.shape[1] or dst.plain_dim != plain_map.shape[0]:
         raise DimensionError("plain map does not connect the two spaces")
-    return induced_between(src.quotient, dst.quotient, plain_map)
+    return induced_between(src, dst, plain_map)
 
 
 def phi_unitary(state_space: RelativeTensorSpace,

@@ -251,6 +251,9 @@ BENCHMARK_RECORDS = [
     ("random-blocks", "blocks-3,2,1",
      ["gen-random-base", "--blocks", "3,2,1", "--seed", "5"],
      ["fiber", "phi", "equiv-check"]),
+    ("pair3", "pair2", ["gen-groupoid", "--pair", "2"], ["equiv-check"]),
+    ("pair3", "pair3", ["gen-groupoid", "--pair", "3"],
+     ["pmu-check", "hopf-check"]),
 ]
 
 

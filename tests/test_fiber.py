@@ -30,7 +30,6 @@ from qgw.linalg import (
     dagger,
     intersect_null_spaces,
     mat_norm,
-    mul_operator,
     orthonormal_rows,
     random_unitary,
     rng,
@@ -39,6 +38,7 @@ from qgw.linalg import (
 )
 from qgw.rtensor import phi_unitary, rtp_cstar, rtp_state
 from qgw.staralg import StarAlgebra, algebra_from_generators, full_matrix_algebra
+from kron_reference import mul_operator
 
 
 def leg_algebras(bundle):

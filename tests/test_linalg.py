@@ -3,13 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgw.errors import NumericError
+from qgw.errors import DimensionError, NumericError
 from qgw.linalg import (
     DEFAULT_TOL,
     OperatorSubspace,
     QuotientRealization,
     Tolerance,
-    commutator_operator,
     dagger,
     exchange_gram,
     hs_inner,
@@ -17,7 +16,6 @@ from qgw.linalg import (
     intersect_null_spaces,
     intertwiner_rows,
     mat_norm,
-    mul_operator,
     orthonormal_rows,
     polar_unitary,
     random_unitary,
@@ -29,6 +27,7 @@ from qgw.linalg import (
     unitary_residual,
     vec,
 )
+from kron_reference import commutator_operator, mul_operator
 
 
 def random_mat(gen, m, n):
@@ -92,6 +91,21 @@ def test_span_projection_and_residual():
     assert sub.contains(inside, 1e-8)
     outside = random_mat(gen, 3, 3)
     assert sub.residual(outside) > 1e-3
+
+
+def test_span_reads_one_stack():
+    gen = rng(5)
+    stack = np.stack([random_mat(gen, 3, 2) for _ in range(3)])
+    a, b = span(stack), span(list(stack))
+    assert (a.dim, a.codomain_dim, a.domain_dim) == (3, 3, 2)
+    assert mat_norm(a.stack - b.stack) == 0.0
+    assert span([], 3, 2).stack.shape == (0, 3, 2)
+    with pytest.raises(DimensionError):
+        span([])
+    with pytest.raises(DimensionError):
+        span([np.eye(2), np.eye(3)])
+    with pytest.raises(DimensionError):
+        span(np.eye(3))
 
 
 def test_subspace_equal_and_residual():
@@ -170,10 +184,36 @@ def test_quotient_normalization_invariants():
     assert abs(lhs - rhs) < 1e-9
     # section is a right inverse on classes
     assert mat_norm(q.class_map @ q.section - np.eye(4)) < 1e-10
-    # support is the orthogonal projector onto range(gram)
-    assert mat_norm(q.support @ q.support - q.support) < 1e-10
-    assert mat_norm(q.support - dagger(q.support)) < 1e-10
-    assert mat_norm(q.support @ gram - gram) < 1e-8
+    # section . class_map is the orthogonal projector onto range(gram)
+    support = q.section @ q.class_map
+    assert mat_norm(support @ support - support) < 1e-10
+    assert mat_norm(support - dagger(support)) < 1e-10
+    assert mat_norm(support @ gram - gram) < 1e-8
+
+
+def test_quotient_from_factor_matches_gram():
+    # a factor C gives the quotient of C*C with the same kept dimension,
+    # the same projector and the same transported inner products
+    gen = rng(9)
+    c = random_mat(gen, 3, 5) @ random_mat(gen, 5, 7)  # rank 3 of 7
+    c = np.vstack([c, c[:1] - 2j * c[1:2]])
+    by_factor = QuotientRealization(factor=c)
+    by_gram = QuotientRealization(dagger(c) @ c)
+    assert by_factor.dim == by_gram.dim == 3
+    assert by_factor.plain_dim == 7
+    assert mat_norm(by_factor.gram - dagger(c) @ c) == 0.0
+    for q in (by_factor, by_gram):
+        assert mat_norm(q.co_isometry @ (dagger(c) @ c) @ dagger(q.co_isometry)
+                        - np.eye(3)) < 1e-9
+    proj = [q.section @ q.class_map for q in (by_factor, by_gram)]
+    assert mat_norm(proj[0] - proj[1]) < 1e-10
+    w = random_mat(gen, 7, 2)
+    inner = dagger(by_factor.to_quotient(w)) @ by_factor.to_quotient(w)
+    assert mat_norm(inner - dagger(w) @ dagger(c) @ c @ w) < 1e-8
+    with pytest.raises(DimensionError):
+        QuotientRealization()
+    with pytest.raises(DimensionError):
+        QuotientRealization(dagger(c) @ c, factor=c)
 
 
 def test_quotient_degenerate_directions_are_killed():

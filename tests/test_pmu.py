@@ -3,16 +3,29 @@ import numpy as np
 import pytest
 
 from qgw.fixtures import FiniteGroupoid, groupoid_pentagon_unitary
-from qgw.linalg import unitary_residual
+from qgw.linalg import (
+    DEFAULT_TOL,
+    QuotientRealization,
+    mat_norm,
+    random_unitary,
+    rng,
+    unitary_residual,
+)
 from qgw.pmu import (
+    PmuCandidate,
+    _cstar_pentagon_vertices,
+    _pentagon_vertices,
     check_pmu_cstar,
     check_pmu_state,
     groupoid_pmu,
+    pentagon_edge_maps,
     phase_perturbed_candidate,
     pmu_equivalence,
     swap_matrix,
     swapped_candidate,
 )
+from qgw.rtensor import rtp_cstar
+from kron_reference import kron_nested_gram
 
 
 def test_swap_matrix_exchanges_legs():
@@ -38,6 +51,66 @@ def test_plain_pentagon_identity_of_composition():
         top = v23 @ v12
         bottom = v12 @ sw23 @ v12 @ sw23 @ v23
         assert np.allclose(top, bottom)
+
+
+def test_leg_wise_edges_match_kron_matrices():
+    gen = rng(5)
+    n = 3
+    rows = gen.standard_normal((4, n ** 3)) + 1j * gen.standard_normal((4, n ** 3))
+    v = random_unitary(n * n, gen)
+    eye = np.eye(n)
+    v12, v23, sw23 = pentagon_edge_maps(v, n)
+    assert mat_norm(v12(rows) - rows @ np.kron(v, eye)) < 1e-12
+    assert mat_norm(v23(rows) - rows @ np.kron(eye, v)) < 1e-12
+    assert mat_norm(sw23(rows) - rows @ np.kron(eye, swap_matrix(n, n))) == 0.0
+
+
+def pentagon_vertex_cases():
+    """(flavor, name, space) for the seven vertices of both flavors of the
+    canonical candidate on pair(2) and Z/3."""
+    cases = []
+    for gpd in [FiniteGroupoid.pair(2), FiniteGroupoid.cyclic(3)]:
+        pmu = groupoid_pmu(gpd)
+        ds = rtp_cstar(pmu["beta_hat"], pmu["alpha_flipped"])
+        dt = rtp_cstar(pmu["alpha"], pmu["beta"])
+        flavors = {
+            "state": _pentagon_vertices(pmu["candidate"])[0],
+            "operator": _cstar_pentagon_vertices(
+                ds, dt, pmu["beta_hat"], pmu["alpha_flipped"],
+                pmu["alpha"], pmu["beta"]),
+        }
+        cases += [(flavor, name, space) for flavor, vertices in flavors.items()
+                  for name, space in vertices.items()]
+    return cases
+
+
+def test_nested_vertices_match_kron_grams():
+    cases = pentagon_vertex_cases()
+    assert len(cases) == 28
+    for flavor, name, space in cases:
+        ref = QuotientRealization(kron_nested_gram(space))
+        assert space.dim == ref.dim, (flavor, name)
+        assert mat_norm(space.gram - ref.gram) < 1e-12, (flavor, name)
+        proj = space.section @ space.class_map
+        assert mat_norm(proj - ref.section @ ref.class_map) < 1e-10, (flavor, name)
+
+
+def test_non_descending_operator_fails_both_descent_residuals():
+    # a seeded unitary on the plain square sends kernel vectors of the
+    # source square off the target's support, and its pentagon edges the
+    # same way on the three-factor spaces
+    pmu = groupoid_pmu(FiniteGroupoid.pair(2))
+    cand = pmu["candidate"]
+    n = cand.space_dim
+    bad = PmuCandidate(cand.triple, cand.sigma_hat, cand.rho, cand.sigma,
+                       random_unitary(n * n, rng(6)), cand.tol)
+    report = check_pmu_state(bad)
+    assert report.residuals["descends_to_quotients"] > 1e3 * DEFAULT_TOL.check
+    assert report.residuals["edges_descend"] > 1e3 * DEFAULT_TOL.check
+    assert not report.ok
+    operator = check_pmu_cstar(bad, pmu["beta_hat"], pmu["alpha_flipped"],
+                               pmu["alpha"], pmu["beta"])
+    assert operator.residuals["edges_descend"] > 1e3 * DEFAULT_TOL.check
 
 
 def test_groupoid_candidate_descends_to_unitary():

@@ -8,7 +8,14 @@ from qgw.cfact import Factorization
 from qgw.errors import DimensionError, NotWellDefinedError, PreconditionError
 from qgw.gns import State, gns
 from qgw.fixtures import FiniteGroupoid, groupoid_bundle
-from qgw.linalg import dagger, induced_between, mat_norm, rng, span
+from qgw.linalg import (
+    QuotientRealization,
+    dagger,
+    induced_between,
+    mat_norm,
+    rng,
+    span,
+)
 from qgw.rtensor import (
     RelativeTensorSpace,
     descend,
@@ -28,6 +35,7 @@ from qgw.staralg import (
     rep_value,
 )
 from qgw.linalg import span as _span
+from kron_reference import kron_nested_gram
 
 
 def diag_algebra(n):
@@ -308,7 +316,7 @@ def kron_lift(space, ops):
         plain = np.eye(1)
         for op, d in zip(ops, space.plain_dims):
             plain = np.kron(plain, np.eye(d) if op is None else op[i])
-        mat, res = induced_between(space.quotient, space.quotient, plain)
+        mat, res = induced_between(space, space, plain)
         mats.append(mat)
         worst = max(worst, res)
     return np.stack(mats), worst
@@ -379,3 +387,55 @@ def test_lift_rejects_mismatched_stacks():
         space.lift([rho[0], None])
     with pytest.raises(DimensionError):
         space.lift([rho])
+
+
+def random_space(gen, plain_dims, rank):
+    """A state-flavor space over plain_dims with a random Gram of the given
+    rank, so its kernel and support are in general position."""
+    x = gen.standard_normal((rank, int(np.prod(plain_dims))))
+    x = x + 1j * gen.standard_normal(x.shape)
+    return RelativeTensorSpace("state", plain_dims, dagger(x) @ x)
+
+
+def random_nestings():
+    """One space of each bracket over a random rank-deficient inner space."""
+    gen = rng(45)
+    inner = random_space(gen, (3, 4), 7)
+    left = nest_left(inner, random_space(gen, (inner.dim, 3), 10))
+    right = nest_right(inner, random_space(gen, (3, inner.dim), 9))
+    return [left, right]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_nesting_factor_matches_kron_gram(case):
+    space = random_nestings()[case]
+    ref = QuotientRealization(kron_nested_gram(space))
+    assert space.plain_dim == ref.plain_dim == 36
+    assert space.dim == ref.dim
+    assert mat_norm(space.gram - ref.gram) < 1e-12 * mat_norm(ref.gram)
+    proj = space.section @ space.class_map
+    assert mat_norm(proj - ref.section @ ref.class_map) < 1e-10
+    # a factor-built quotient still transports the semi-inner product
+    w = np.arange(36.0) - 3j
+    assert abs(np.vdot(space.to_quotient(w), space.to_quotient(w))
+               - space.pairing(w, w)) < 1e-10 * mat_norm(ref.gram)
+
+
+def test_induced_gap_matches_complement_of_support():
+    # the gap top - (top section) class_map equals top (1 - support) with
+    # support = section class_map formed on the plain space
+    space = random_nestings()[0]
+    proj = space.section @ space.class_map
+    comp = np.eye(space.plain_dim) - proj
+    gen = rng(46)
+    x, y = (gen.standard_normal((36, 36)) for _ in range(2))
+    # keeps ker(gram) = range(comp), so it descends; a generic map does not
+    keeping = proj @ x @ proj + comp @ y @ comp
+    for plain, descends in [(keeping, True), (x + 1j * y, False)]:
+        mat, res = induced_between(space, space, plain)
+        top = space.class_map @ plain
+        old = mat_norm(top @ comp) / max(1.0, mat_norm(top))
+        assert abs(res - old) < 1e-12
+        assert (res < 1e-10) == descends
+        if not descends:
+            assert res > 1e-3

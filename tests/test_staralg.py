@@ -8,11 +8,9 @@ from qgw.fiber import intertwiner_space
 from qgw.fixtures import random_standard_base
 from qgw.gns import State, gns
 from qgw.linalg import (
-    commutator_operator,
     dagger,
     intersect_null_spaces,
     mat_norm,
-    mul_operator,
     random_unitary,
     rng,
     span,
@@ -27,6 +25,7 @@ from qgw.staralg import (
     rep_value,
     scalars,
 )
+from kron_reference import commutator_operator, mul_operator
 
 
 def diag_algebra(n):
