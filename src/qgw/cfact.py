@@ -22,6 +22,7 @@ from .linalg import (
     DEFAULT_TOL,
     OperatorSubspace,
     Tolerance,
+    canonical_rows,
     dagger,
     intertwiner_rows,
     rank,
@@ -162,15 +163,18 @@ def factorization_from_rep(base: CStarBase, rho, target_dim: int,
 
     rho maps an acting-algebra element to its matrix on the target; the
     resulting space is all T with T b = rho(b) T, certified as a
-    factorization.
+    factorization.  Its basis is canonical_rows of the solution, so it
+    depends on the space alone and not on the solver's choice inside it.
     """
     acting = base.algebra if flipped else base.partner
     n = base.space_dim
     images = np.stack([rho(b) for b in acting.basis()])
-    rows = intertwiner_rows(images, acting.subspace.stack, tol)
-    stack = rows.reshape(-1, target_dim, n)
-    sub = span(stack, target_dim, n, tol)
-    return Factorization(base, target_dim, sub, flipped=flipped, tol=tol)
+    rows = intertwiner_rows(images, acting.subspace.stack,
+                            acting.star_matrix(), tol)
+    stack = canonical_rows(rows, tol).reshape(-1, target_dim, n)
+    return Factorization(base, target_dim,
+                         OperatorSubspace(target_dim, n, stack),
+                         flipped=flipped, tol=tol)
 
 
 def compatible(first: Factorization, second: Factorization) -> Certificate:

@@ -1,16 +1,17 @@
 """Fiber products of represented algebras over a base, and their morphisms.
 
 The classical construction relativizes the commutation-theorem description of
-a tensor product: descend everything that commutes with either factor (all
-pairs of commutant elements, lifted in one stacked call), then take the
-commutant on the quotient.  The spatial construction never mentions the
+a tensor product: it takes the commutant of the lifted leg commutants on the
+state-flavor quotient.  The spatial construction never mentions the
 commutants: it carves the same algebra out of the operator space of the
 operator-flavor quotient by insertion-operator conditions alone.  Per leg, S
-is the span of the insertions composed with the other leg's algebra, c runs
-over its orthogonal complement and k over the insertions; the rows
-<c, T k> = 0 (T keeps S) and <k, T c> = 0 (T* does) of both legs go to one
-null-space solve.  Morphisms are certified two independent ways and the
-package refuses to return an answer when the two disagree.
+is the span of the insertions composed with the other leg's algebra, and an
+operator belongs iff it and its adjoint keep every insertion inside S.  Both
+are solved in the eigenbasis of one seeded Hermitian element the solutions
+commute with (linalg.eigen_match), the spatial one built from the frame
+operators F_X = sum s_j X s_j* of both legs' S (s_j orthonormal).  Morphisms
+are certified two independent ways and the package refuses to return an
+answer when the two disagree.
 """
 from __future__ import annotations
 
@@ -25,8 +26,11 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    OperatorSubspace,
     Tolerance,
     dagger,
+    eigen_match,
+    from_pairs,
     intersect_null_spaces,
     intertwiner_rows,
     mat_norm,
@@ -42,45 +46,42 @@ from .staralg import StarAlgebra, rep_report
 
 def fiber_classical(space: RelativeTensorSpace, left_alg: StarAlgebra,
                     right_alg: StarAlgebra):
-    """Commutant-of-descended-commutants construction on the state-flavor
-    quotient; returns (algebra, Certificate)."""
+    """Commutant of the lifted leg commutants on the state-flavor quotient;
+    returns (algebra, Certificate).
+
+    Lifting is multiplicative on operators that descend, so the lifts of
+    s (x) 1 and 1 (x) t generate the relative commutant.  With their
+    adjoints they are *-closed whatever the lifts' residual.
+    """
     nh, nk = space.plain_dims
     if left_alg.space_dim != nh or right_alg.space_dim != nk:
         raise DimensionError("algebras must act on the two plain factors")
-    left = left_alg.commutant().subspace.stack
-    right = right_alg.commutant().subspace.stack
-    # every product s (x) t of the two commutant bases, lifted in one call
-    lifted, worst = space.lift([np.repeat(left, len(right), axis=0),
-                                np.tile(right, (len(left), 1, 1))], require=False)
-    relative_commutant = span(lifted, space.dim, space.dim, space.tol)
-    envelope = StarAlgebra(
-        space.dim, relative_commutant, space.tol, certify=False
-    )
-    algebra = envelope.commutant()
-    return algebra, Certificate({"lift_well_defined": worst}, space.tol)
+    left, worst_left = space.lift(
+        [left_alg.commutant().subspace.stack, None], require=False)
+    right, worst_right = space.lift(
+        [None, right_alg.commutant().subspace.stack], require=False)
+    lifts = np.concatenate([left, right])
+    family = np.concatenate([lifts, dagger(lifts)])
+    swap = np.roll(np.eye(len(family)), len(lifts), axis=0)
+    q = space.dim
+    rows = intertwiner_rows(family, family, swap, space.tol)
+    algebra = StarAlgebra(q, OperatorSubspace(q, q, rows.reshape(-1, q, q)),
+                          space.tol, certify=False)
+    return algebra, Certificate(
+        {"lift_well_defined": max(worst_left, worst_right)}, space.tol)
 
 
-def _insertion_rows(kets: np.ndarray, partners: np.ndarray,
-                    tol: Tolerance):
-    """Rows in vec(T) saying that T and T* keep every insertion inside
-    S = span{k p : k in kets, p in partners}.
-
-    kets is a stack of (q x n) insertions, partners one of (n x n) algebra
-    elements.  With c running over an orthonormal basis of the complement of
-    S, "T keeps k in S" is <c, T k> = 0 and "T* does" is <k, T c> = 0; both
-    are linear in the row-major vec(T).  Returns (forward, adjoint) rows.
-    """
-    q, n = kets.shape[1:]
-    family = (kets[:, None] @ partners[None]).reshape(-1, q, n)
-    sub = span(family, q, n, tol)
-    # the trailing right singular vectors of the orthonormal basis of S
-    # span its orthogonal complement (all of C^(q n) when S is empty)
-    comp = np.linalg.svd(sub.flat())[2][sub.dim:].reshape(-1, q, n)
-    # with g[c, k, i, l] = sum_j conj(c[i, j]) k[l, j], <c, T k> is
-    # sum T * g[c, k]; <k, T c> takes conj(g) with both index pairs swapped
-    g = np.tensordot(comp.conj(), kets, axes=(2, 2)).transpose(0, 2, 1, 3)
-    return (g.reshape(-1, q * q),
-            g.conj().transpose(1, 0, 3, 2).reshape(-1, q * q))
+def _keep_rows(kets: np.ndarray, basis: np.ndarray, a: np.ndarray,
+               b: np.ndarray) -> np.ndarray:
+    """Rows in the unknowns T[a_p, b_p] of (1 - P_S)(T k) over the kets k,
+    S spanned by the orthonormal basis: T[a_p, b_p] sends k to
+    e_(a_p) (x) k[b_p], whose part along s_j is <s_j[a_p], k[b_p]>."""
+    p = np.arange(a.size)
+    rows = kets[:, b].transpose(1, 0, 2)
+    along = basis[:, a].conj().transpose(1, 0, 2) @ rows.transpose(0, 2, 1)
+    moved = -np.tensordot(along, basis, axes=(1, 0))
+    moved[p, :, a] += rows
+    return moved.reshape(a.size, -1).T
 
 
 def fiber_spatial(space: RelativeTensorSpace, left_alg: StarAlgebra,
@@ -90,24 +91,40 @@ def fiber_spatial(space: RelativeTensorSpace, left_alg: StarAlgebra,
 
     An operator belongs iff it and its adjoint send left insertions into
     left insertions composed with the right algebra, and symmetrically.
+    Such an operator commutes with both legs' frame operators; in the
+    eigenbasis of a seeded combination of them, T* keeps k in S iff the
+    conjugated keep rows with (a, b) swapped vanish on T.
     """
     if space.flavor != "cstar":
         raise PreconditionError("spatial construction needs the operator flavor")
-    left_fact: Factorization = space.meta["left_fact"]
-    right_fact: Factorization = space.meta["right_fact"]
     nh, nk = space.plain_dims
     if left_alg.space_dim != nh or right_alg.space_dim != nk:
         raise DimensionError("algebras must act on the two plain factors")
-    q = space.dim
-    rows = [
-        *_insertion_rows(ket_left(space, left_fact.subspace.stack),
-                         right_alg.subspace.stack, space.tol),
-        *_insertion_rows(ket_right(space, right_fact.subspace.stack),
-                         left_alg.subspace.stack, space.tol),
-    ]
-    stack = intersect_null_spaces(rows, q * q, space.tol).reshape(-1, q, q)
-    algebra = StarAlgebra(q, span(stack, q, q, space.tol), space.tol)
-    return algebra, Certificate({}, space.tol)
+    q, tol, legs = space.dim, space.tol, []
+    for kets, partners in (
+        (ket_left(space, space.meta["left_fact"].subspace.stack), right_alg),
+        (ket_right(space, space.meta["right_fact"].subspace.stack), left_alg),
+    ):
+        n = kets.shape[2]
+        family = kets[:, None] @ partners.subspace.stack[None]
+        legs.append((kets, span(family.reshape(-1, q, n), q, n, tol).stack))
+
+    def frames(draw):
+        frame = np.zeros((q, q), dtype=complex)
+        for _, basis in legs:
+            z = draw((basis.shape[2],) * 2)
+            frame += np.sum(basis @ (z + dagger(z)) @ dagger(basis), axis=0)
+        return frame, frame
+
+    u, _, a, b, _ = eigen_match(frames, tol)
+    rows = []
+    for kets, basis in legs:
+        kets, basis = dagger(u) @ kets, dagger(u) @ basis
+        rows += [_keep_rows(kets, basis, a, b),
+                 _keep_rows(kets, basis, b, a).conj()]
+    stack = from_pairs(intersect_null_spaces(rows, a.size, tol), u, u, a, b)
+    algebra = StarAlgebra(q, OperatorSubspace(q, q, stack), tol)
+    return algebra, Certificate({}, tol)
 
 
 def conjugated_algebra(u: np.ndarray, algebra: StarAlgebra,
@@ -166,7 +183,8 @@ def intertwiner_space(pi, source: StarAlgebra, n_from: int, n_to: int,
                       tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Stack of maps V with V a = pi(a) V for every a in the source."""
     images = np.stack([pi(a) for a in source.basis()])
-    rows = intertwiner_rows(images, source.subspace.stack, tol)
+    rows = intertwiner_rows(images, source.subspace.stack,
+                            source.star_matrix(), tol)
     return rows.reshape(-1, n_to, n_from)
 
 

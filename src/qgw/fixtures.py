@@ -242,20 +242,22 @@ def linked_factorizations(triple: GnsTriple, base: CStarBase, rho_stack,
     return alpha, beta
 
 
+def linked_data(triple: GnsTriple, rho, sigma, tol: Tolerance = DEFAULT_TOL,
+                base: CStarBase | None = None, **extra) -> dict:
+    """Triple, its standard base (built unless given), the two actions and
+    the factorizations linked to them through the base, plus extra."""
+    base = base or cbase_from_state(triple)
+    alpha, beta = linked_factorizations(triple, base, rho, sigma, tol)
+    return {"triple": triple, "base": base, "rho": rho, "sigma": sigma,
+            "alpha": alpha, "beta": beta, **extra}
+
+
 def linked_bundle(block_sizes, mult_left, mult_right, seed,
                   tol: Tolerance = DEFAULT_TOL) -> dict:
     """Everything the flavor comparison needs, randomly generated."""
     triple, base = random_standard_base(block_sizes, seed, tol)
     rho, sigma = random_action_pair(triple, mult_left, mult_right, seed + 1)
-    alpha, beta = linked_factorizations(triple, base, rho, sigma, tol)
-    return {
-        "triple": triple,
-        "base": base,
-        "rho": rho,
-        "sigma": sigma,
-        "alpha": alpha,
-        "beta": beta,
-    }
+    return linked_data(triple, rho, sigma, tol, base)
 
 
 def trivial_bundle(dim_left: int = 2, dim_right: int = 2,
@@ -265,37 +267,16 @@ def trivial_bundle(dim_left: int = 2, dim_right: int = 2,
 
     alg = full_matrix_algebra(1, tol)
     triple = gns(alg, State(alg, np.array([1.0])), tol)
-    base = cbase_from_state(triple)
-    rho = np.stack([np.eye(dim_left)])
-    sigma = np.stack([np.eye(dim_right)])
-    alpha, beta = linked_factorizations(triple, base, rho, sigma, tol)
-    return {
-        "triple": triple,
-        "base": base,
-        "rho": rho,
-        "sigma": sigma,
-        "alpha": alpha,
-        "beta": beta,
-    }
+    return linked_data(triple, np.stack([np.eye(dim_left)]),
+                       np.stack([np.eye(dim_right)]), tol)
 
 
 def two_point_bundle(tol: Tolerance = DEFAULT_TOL) -> dict:
     """Two-point commutative base acting diagonally on two qubit spaces."""
-    stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    alg = StarAlgebra(2, OperatorSubspace(2, 2, stack.astype(complex)), tol)
+    stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    alg = StarAlgebra(2, OperatorSubspace(2, 2, stack), tol)
     triple = gns(alg, State(alg, np.array([0.5, 0.5])), tol)
-    base = cbase_from_state(triple)
-    rho = stack.astype(complex)
-    sigma = stack.astype(complex)
-    alpha, beta = linked_factorizations(triple, base, rho, sigma, tol)
-    return {
-        "triple": triple,
-        "base": base,
-        "rho": rho,
-        "sigma": sigma,
-        "alpha": alpha,
-        "beta": beta,
-    }
+    return linked_data(triple, stack, stack, tol)
 
 
 def groupoid_bundle(gpd: FiniteGroupoid, weights=None,
@@ -305,16 +286,5 @@ def groupoid_bundle(gpd: FiniteGroupoid, weights=None,
     triple = unit_triple(gpd, weights, tol)
     range_stack, source_stack = groupoid_actions(gpd)
     rho = range_stack.astype(complex)
-    sigma = range_stack.astype(complex)
-    base = cbase_from_state(triple)
-    alpha, beta = linked_factorizations(triple, base, rho, sigma, tol)
-    return {
-        "groupoid": gpd,
-        "triple": triple,
-        "base": base,
-        "rho": rho,
-        "sigma": sigma,
-        "source_stack": source_stack.astype(complex),
-        "alpha": alpha,
-        "beta": beta,
-    }
+    return linked_data(triple, rho, rho, tol, groupoid=gpd,
+                       source_stack=source_stack.astype(complex))

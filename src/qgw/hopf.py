@@ -74,10 +74,11 @@ def _coassociativity_residual(space, algebra, delta, triple, rho_stack,
     inner_rho, _ = space.lift([None, rho_stack], require=False)
     try:
         pair = rtp_state(triple, inner_rho, sigma_stack)
+        # a candidate that is no *-map has no intertwiner solve either
+        inter = intertwiner_space(delta, algebra, n, space.dim)
     except PreconditionError:
         return float("inf")
     big = nest_left(space, pair)
-    inter = intertwiner_space(delta, algebra, n, space.dim)
     if inter.shape[0] == 0:
         return float("inf")
     plain = np.stack([space.section @ x for x in inter])

@@ -10,11 +10,12 @@ Checks report residual norms; callers compare against explicit thresholds.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import DimensionError, NumericError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -270,32 +271,106 @@ def null_rows(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     w, v = np.linalg.eigh(0.5 * (gram + dagger(gram)))
     lam_max = float(w[-1]) if w.size else 0.0
     # constraint data is normalized to O(1) scale throughout the package, so
-    # a system whose largest eigenvalue is machine noise carries no
-    # constraint at all
-    if np.sqrt(max(lam_max, 0.0)) <= tol.eps * n_unknowns:
+    # a system whose largest eigenvalue is under the cut of a unit-scale one
+    # carries no constraint at all (a closed-form Gram keeps the round-off
+    # of its O(1) terms, so its noise is not squared)
+    if lam_max <= tol.rank_cut(1.0, n_unknowns, n_unknowns):
         return np.eye(n_unknowns, dtype=complex)
     keep = w <= tol.rank_cut(lam_max, n_unknowns, n_unknowns)
     return v[:, keep].T
 
 
-def exchange_gram(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Gram sum C_i* C_i of the constraints C_i vec(T) = vec(t_i T - T s_i),
-    for stacks t (k, m, m) and s (k, n, n) and row-major vec, in closed form:
-    kron(I_m, sum conj(s_i) s_i^T) + kron(sum t_i* t_i, I_n) - X - X*, where
-    X = sum kron(t_i, conj(s_i)) is one product over the basis axis."""
-    t, s = as_complex(t), as_complex(s)
-    m, n = t.shape[1], s.shape[1]
-    x = np.tensordot(t, s.conj(), axes=(0, 0)).transpose(0, 2, 1, 3)
-    x = x.reshape(m * n, m * n)
-    return (np.kron(np.eye(m), np.einsum("iab,icb->ac", s.conj(), s))
-            + np.kron(np.einsum("iba,ibc->ac", t.conj(), t), np.eye(n))
-            - x - dagger(x))
+def exchange_gram(t: np.ndarray, s: np.ndarray, a: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
+    """Gram sum C_i* C_i of the constraints C_i vec(T) = vec(t_i T - T s_i)
+    on the unknowns T[a_p, b_p] alone: entry [p, r] is d(a_p, a_r) B[b_p, b_r]
+    + A[a_p, a_r] d(b_p, b_r) - X[p, r] - conj(X[r, p]), d the Kronecker
+    delta, A = sum t_i* t_i, B = sum conj(s_i) s_i^T, X[p, r] =
+    sum t_i[a_p, a_r] conj(s_i[b_p, b_r])."""
+    ai, aj, bi, bj = a[:, None], a[None], b[:, None], b[None]
+    x = np.einsum("ipr,ipr->pr", t[:, ai, aj], s[:, bi, bj].conj())
+    a_sum = np.einsum("iba,ibc->ac", t.conj(), t)[ai, aj]
+    b_sum = np.einsum("iab,icb->ac", s.conj(), s)[bi, bj]
+    return (ai == aj) * b_sum + a_sum * (bi == bj) - x - dagger(x)
 
 
-def intertwiner_rows(t: np.ndarray, s: np.ndarray,
+def eigen_match(hermitian_pair, tol: Tolerance = DEFAULT_TOL):
+    """Eigenvectors of (h_t, h_s) = hermitian_pair(draw), paired where their
+    eigenvalues agree to within 1000 eps of the spectral scale: a generous
+    cut, since pairing too much only adds unknowns while splitting an
+    eigenspace loses solutions.  draw(shape) returns complex standard normal
+    samples; of the draws seeded 0, 1 and 2 the one whose nearest unpaired
+    eigenvalues lie farthest apart is kept.  Returns (u, v, a, b, margin):
+    eigenvectors as columns, the pairs (u_a, v_b), and the smallest
+    unpaired difference over the cut."""
+    best = None
+    for seed in range(3):
+        # the stdlib generator: importing numpy.random would add its import
+        # time to every check command
+        gen = random.Random(seed)
+
+        def draw(shape):
+            return np.array([complex(gen.gauss(0, 1), gen.gauss(0, 1))
+                             for _ in range(int(np.prod(shape)))]
+                            ).reshape(shape)
+
+        (lam, u), (mu, v) = (np.linalg.eigh(0.5 * (h + dagger(h)))
+                             for h in hermitian_pair(draw))
+        cut = 1e3 * tol.eps * np.max(np.abs(np.r_[lam, mu]), initial=1.0)
+        diff = np.abs(lam[:, None] - mu[None])
+        margin = float(np.min(diff[diff > cut], initial=np.inf) / cut)
+        if best is None or margin > best[-1]:
+            best = (u, v, *np.nonzero(diff <= cut), margin)
+    return best
+
+
+def from_pairs(rows: np.ndarray, u: np.ndarray, v: np.ndarray,
+               a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The maps u T v*, T holding one row at (a, b) and zero elsewhere."""
+    mats = np.zeros((len(rows), u.shape[0], v.shape[0]), dtype=complex)
+    mats[:, a, b] = rows
+    return u @ mats @ dagger(v)
+
+
+def intertwiner_rows(t: np.ndarray, s: np.ndarray, star: np.ndarray,
                      tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal rows spanning {T : t_i T = T s_i}; see exchange_gram."""
-    return null_rows(exchange_gram(t, s), tol)
+    """Orthonormal rows spanning {T : t_i T = T s_i} in row-major vec(T).
+
+    Precondition (PreconditionError otherwise): the family is *-closed,
+    t_i* = sum_j star[j, i] t_j and likewise s_i*, as an algebra basis and
+    its image under a *-homomorphism are.  A solution then intertwines the
+    Hermitian h_t = sum d_i t_i and h_s = sum d_i s_i for d closed under the
+    star, so it maps each eigenspace of h_s into the one of h_t with the
+    same eigenvalue (eigen_match); only those entries are unknowns.
+    """
+    t, s, star = as_complex(t), as_complex(s), as_complex(star)
+    gap = max(worst_norm(dagger(f) - np.tensordot(star.T, f, axes=1))
+              for f in (t, s))
+    if gap > tol.check * max(1.0, worst_norm(t), worst_norm(s)):
+        raise PreconditionError(f"family is not *-closed: residual {gap:.3e}")
+
+    def hermitian_pair(draw):
+        c = draw(len(t))
+        d = 0.5 * (c + star @ c.conj())
+        return [np.tensordot(d, f, axes=1) for f in (t, s)]
+
+    u, v, a, b, _ = eigen_match(hermitian_pair, tol)
+    gram = exchange_gram(dagger(u) @ t @ u, dagger(v) @ s @ v, a, b)
+    mats = from_pairs(null_rows(gram, tol), u, v, a, b)
+    return mats.reshape(len(mats), -1)
+
+
+def canonical_rows(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    """Orthonormal rows spanning what the orthonormal rows given span, read
+    off the subspace alone: Gram-Schmidt, in index order, of the projections
+    rows^T w_j of the unit vectors (w_j the columns of conj(rows))."""
+    kept = np.zeros((len(rows), 0), dtype=complex)
+    for w in rows.conj().T:
+        for _ in range(2):
+            w = w - kept @ (kept.conj().T @ w)
+        if np.linalg.norm(w) > tol.rank_cut(1.0, *rows.shape):
+            kept = np.column_stack([kept, w / np.linalg.norm(w)])
+    return kept.T @ rows
 
 
 class QuotientRealization:

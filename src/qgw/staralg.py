@@ -5,8 +5,9 @@ basis.  Products are read in one place: the structure tensor
 c[i, j] = coefficients(b_i b_j), built lazily in one batched pass together
 with the star matrix.  Construction certifies closure from that pass, and
 left multiplication and the one *-representation check (rep_report)
-contract it.  Commutants and centers are null spaces of one closed-form Gram
-on vectorized operators (linalg.exchange_gram).
+contract it.  A basis is *-closed under its star matrix, the precondition of
+the restricted solve (linalg.intertwiner_rows) that gives commutants; the
+center is the part of the algebra inside the commutant.
 """
 from __future__ import annotations
 
@@ -20,10 +21,9 @@ from .linalg import (
     OperatorSubspace,
     Tolerance,
     dagger,
-    exchange_gram,
+    intersect_null_spaces,
     intertwiner_rows,
     mat_norm,
-    null_rows,
     span,
     subspace_equal,
     worst_norm,
@@ -113,18 +113,19 @@ class StarAlgebra:
         return commute_residual(stack, stack) <= self.tol.check
 
     def commutant(self) -> "StarAlgebra":
-        n = self.space_dim
-        stack = self.subspace.stack
-        rows = intertwiner_rows(stack, stack, self.tol).reshape(-1, n, n)
-        return StarAlgebra(n, span(rows, n, n, self.tol), self.tol, certify=False)
+        n, stack = self.space_dim, self.subspace.stack
+        rows = intertwiner_rows(stack, stack, self.star_matrix(), self.tol)
+        return StarAlgebra(n, OperatorSubspace(n, n, rows.reshape(-1, n, n)),
+                           self.tol, certify=False)
 
     def center(self) -> "StarAlgebra":
-        n = self.space_dim
-        stack, flat = self.subspace.stack, self.subspace.flat()
-        # the commutant's Gram restricted to the algebra's coefficient space
-        gram = flat.conj() @ exchange_gram(stack, stack) @ flat.T
-        mats = (null_rows(gram, self.tol) @ flat).reshape(-1, n, n)
-        return StarAlgebra(n, span(mats, n, n, self.tol), self.tol, certify=False)
+        n, flat = self.space_dim, self.subspace.flat()
+        com = self.commutant().subspace.flat()
+        # the part of c . flat outside the commutant must vanish
+        outside = flat - (flat @ com.conj().T) @ com
+        rows = intersect_null_spaces([outside.T], self.dim, self.tol) @ flat
+        return StarAlgebra(n, OperatorSubspace(n, n, rows.reshape(-1, n, n)),
+                           self.tol, certify=False)
 
     def equal(self, other: "StarAlgebra", threshold: float | None = None) -> bool:
         thr = self.tol.check if threshold is None else threshold

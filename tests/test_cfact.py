@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qgw import cfact
 from qgw.cbase import CStarBase, cbase_from_state
 from qgw.cfact import (
     Factorization,
@@ -9,6 +10,7 @@ from qgw.cfact import (
     factorization_from_rep,
 )
 from qgw.errors import InvalidFactorizationError, PreconditionError
+from qgw.fixtures import linked_bundle
 from qgw.gns import State, gns
 from qgw.linalg import dagger, mat_norm, random_unitary, rng, span, subspace_equal
 from qgw.staralg import full_matrix_algebra
@@ -160,3 +162,20 @@ def test_eval_needs_cyclic_vector():
     )
     with pytest.raises(PreconditionError):
         fact.r_operator(np.zeros(base.space_dim))
+
+
+def test_factorization_basis_depends_on_the_space_alone(monkeypatch):
+    """The basis gen-random-base writes is read off the intertwiner space:
+    rotating the solver's rows by a Haar unitary leaves it in place."""
+    first = linked_bundle([3, 2, 1], 2, 2, 5)
+    solve = cfact.intertwiner_rows
+
+    def rotated(*args):
+        rows = solve(*args)
+        return random_unitary(len(rows), rng(len(rows))) @ rows
+
+    monkeypatch.setattr(cfact, "intertwiner_rows", rotated)
+    again = linked_bundle([3, 2, 1], 2, 2, 5)
+    for name in ("alpha", "beta"):
+        moved = again[name].subspace.stack - first[name].subspace.stack
+        assert np.abs(moved).max() <= 1e-12

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qgw import cli, fiber, linalg
 from qgw.cfact import Factorization
 from qgw.errors import (
     InternalInconsistencyError,
@@ -296,3 +297,37 @@ def test_spatial_matches_kron_block_construction(blocks, ml, mr, seed, legs):
     reference = kron_block_spatial(cs, a, b)
     assert spatial.dim == reference.dim
     assert subspace_residual(spatial.subspace, reference) < 1e-10
+
+
+# the bundles on which every restricted solve of fiber, hopf-check and
+# morphism-check keeps its nearest unpaired eigenvalues well past the cut
+MARGIN_BUNDLES = {
+    "pair2": ["gen-groupoid", "--pair", "2"],
+    "pair3": ["gen-groupoid", "--pair", "3"],
+    "z3": ["gen-group", "--order", "3"],
+    "z4": ["gen-group", "--order", "4"],
+    "random_321": ["gen-random-base", "--blocks", "3,2,1", "--seed", "5",
+                   "--mult-left", "2", "--mult-right", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARGIN_BUNDLES))
+def test_eigen_match_margins_are_wide(name, tmp_path, monkeypatch, capsys):
+    margins = []
+    original = linalg.eigen_match
+
+    def recording(*args, **kwargs):
+        match = original(*args, **kwargs)
+        margins.append(match[-1])
+        return match
+
+    for module in (linalg, fiber):
+        monkeypatch.setattr(module, "eigen_match", recording)
+    path = str(tmp_path / "bundle.json")
+    assert cli.main(MARGIN_BUNDLES[name] + ["--out", path]) == 0
+    ctx = cli.BundleContext(path, DEFAULT_TOL)
+    assert cli.certify_fiber(ctx).ok
+    if "hopf" in ctx.doc:
+        cli.certify_hopf(ctx)
+        cli.certify_morphism(ctx)
+    assert margins and min(margins) >= 100

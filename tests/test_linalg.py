@@ -3,13 +3,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgw.errors import DimensionError, NumericError
+from qgw.errors import DimensionError, NumericError, PreconditionError
 from qgw.linalg import (
     DEFAULT_TOL,
     OperatorSubspace,
     QuotientRealization,
     Tolerance,
+    canonical_rows,
     dagger,
+    eigen_match,
     exchange_gram,
     hs_inner,
     induced_between,
@@ -27,6 +29,7 @@ from qgw.linalg import (
     unitary_residual,
     vec,
 )
+from qgw.staralg import full_matrix_algebra
 from kron_reference import commutator_operator, mul_operator
 
 
@@ -145,24 +148,73 @@ def test_exchange_gram_matches_kron_blocks():
     for ti, si in zip(t, s):
         b = mul_operator(ti, np.eye(n)) - mul_operator(np.eye(m), si)
         ref += dagger(b) @ b
-    assert mat_norm(exchange_gram(t, s) - ref) < 1e-12 * mat_norm(ref)
+    every = np.indices((m, n)).reshape(2, -1)
+    assert mat_norm(exchange_gram(t, s, *every) - ref) < 1e-12 * mat_norm(ref)
+    # on a subset of the unknowns it is the reference's principal block
+    a, b = np.array([0, 2, 2, 1]), np.array([4, 0, 3, 3])
+    part = ref[np.ix_(a * n + b, a * n + b)]
+    assert mat_norm(exchange_gram(t, s, a, b) - part) < 1e-12 * mat_norm(ref)
     ref = sum(dagger(c) @ c for c in map(commutator_operator, t))
-    assert mat_norm(exchange_gram(t, t) - ref) < 1e-12 * mat_norm(ref)
+    every = np.indices((m, m)).reshape(2, -1)
+    assert mat_norm(exchange_gram(t, t, *every) - ref) < 1e-12 * mat_norm(ref)
 
 
 def test_intertwiner_rows_of_an_amplification():
-    # generic s_i generate M_3, so T with (I_2 (x) s_i) T = T s_i are the
+    # the s_i span M_3, so T with (I_2 (x) s_i) T = T s_i are the
     # two-dimensional space of stacked multiples of the identity
-    gen = rng(12)
-    s = np.stack([random_mat(gen, 3, 3) for _ in range(2)])
+    alg = full_matrix_algebra(3)
+    w = random_unitary(3, rng(12))
+    s = w @ alg.subspace.stack @ dagger(w)
     t = np.stack([np.kron(np.eye(2), si) for si in s])
-    rows = intertwiner_rows(t, s)
+    rows = intertwiner_rows(t, s, alg.star_matrix())
     assert rows.shape == (2, 18)
     for r in rows.reshape(-1, 6, 3):
         assert max(mat_norm(ti @ r - r @ si) for ti, si in zip(t, s)) < 1e-10
     expect = span([np.vstack([np.eye(3), 0 * np.eye(3)]),
                    np.vstack([0 * np.eye(3), np.eye(3)])])
     assert subspace_equal(span(list(rows.reshape(-1, 6, 3))), expect, 1e-8)
+
+
+def test_intertwiner_rows_rejects_a_family_that_is_not_star_closed():
+    alg = full_matrix_algebra(2)
+    s, star = alg.subspace.stack, alg.star_matrix()
+    # a generic pair with the identity as its star matrix
+    gen = rng(13)
+    pair = np.stack([random_mat(gen, 2, 2) for _ in range(2)])
+    with pytest.raises(PreconditionError):
+        intertwiner_rows(pair, pair, np.eye(2))
+    # images of a linear map that is no *-map
+    bent = s + 1e-3 * random_mat(gen, 2, 2)
+    with pytest.raises(PreconditionError):
+        intertwiner_rows(bent, s, star)
+    assert intertwiner_rows(s, s, star).shape == (1, 4)
+
+
+def test_eigen_match_pairs_eigenvalues_within_the_cut():
+    def pair(_draw):
+        # a doubly degenerate 1 split by round-off, and a 2 only h_s has
+        return (np.diag([1.0, 1.0 + 1e-14, 3.0]), np.diag([2.0, 1.0, 3.0]))
+
+    u, v, a, b, margin = eigen_match(pair)
+    lam = np.diag(dagger(u) @ pair(None)[0] @ u).real
+    mu = np.diag(dagger(v) @ pair(None)[1] @ v).real
+    assert sorted(zip(lam[a].round(6), mu[b].round(6))) == [
+        (1.0, 1.0), (1.0, 1.0), (3.0, 3.0)]
+    # the nearest unpaired eigenvalues are 1 apart; the cut is 3e-6
+    assert margin == pytest.approx(1.0 / (1e3 * DEFAULT_TOL.eps * 3.0))
+
+
+def test_canonical_rows_depend_on_the_span_alone():
+    gen = rng(14)
+    rows = orthonormal_rows(random_mat(gen, 3, 8))
+    # a span with leading zero coordinates, so some unit vectors project to 0
+    rows[:, :2] = 0.0
+    rows = orthonormal_rows(rows)
+    base = canonical_rows(rows)
+    assert mat_norm(base @ dagger(base) - np.eye(3)) < 1e-12
+    assert subspace_equal(span(base[:, None]), span(rows[:, None]), 1e-10)
+    moved = canonical_rows(random_unitary(3, gen) @ rows)
+    assert mat_norm(moved - base) < 1e-12
 
 
 def test_intersect_null_spaces_no_constraints_is_everything():

@@ -111,7 +111,7 @@ def kron_block_reference(blocks, rows: int, cols: int):
 
 
 @pytest.mark.parametrize("sizes, seed", [([2, 1], 0), ([2, 2, 1], 1),
-                                         ([3, 1], 2)])
+                                         ([3, 1], 2), ([3, 2, 1], 3)])
 def test_closed_form_solves_match_kron_blocks(sizes, seed):
     """commutant, intertwiner_space and factorization_from_rep span what the
     per-element kron blocks span, for a Haar-conjugated amplification."""
@@ -140,6 +140,65 @@ def test_closed_form_solves_match_kron_blocks(sizes, seed):
     assert subspace_equal(span(list(inter), big, n), ref, 1e-8)
     fact = factorization_from_rep(base, rho, big)
     assert subspace_equal(fact.subspace, ref, 1e-8)
+
+
+def amplified(alg, copies):
+    """alg (x) I_copies."""
+    n = alg.space_dim * copies
+    return StarAlgebra(n, span([np.kron(b, np.eye(copies))
+                                for b in alg.basis()], n, n))
+
+
+def haar_conjugated(alg, seed):
+    n = alg.space_dim
+    w = random_unitary(n, rng(seed))
+    return StarAlgebra(n, span([w @ b @ dagger(w) for b in alg.basis()], n, n))
+
+
+# algebras whose seeded Hermitian elements have degenerate spectra, so the
+# restricted solve merges eigenvalues (all but the full matrix algebra)
+DEGENERATE = {
+    "scalars": lambda: scalars(4),
+    "full": lambda: full_matrix_algebra(3),
+    "repeated_diagonal": lambda: algebra_from_generators(
+        5, [np.diag([1.0, 1.0, 2.0, 2.0, 3.0])]),
+    "blocks_321_twice": lambda: amplified(block_algebra([3, 2, 1]), 2),
+}
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_restricted_commutant_matches_kron_blocks(name, rotate):
+    alg = DEGENERATE[name]()
+    if rotate:
+        alg = haar_conjugated(alg, 40)
+    n = alg.space_dim
+    ref = kron_block_reference(
+        [commutator_operator(x) for x in alg.basis()], n, n)
+    com = alg.commutant()
+    assert com.dim == ref.dim
+    assert subspace_equal(com.subspace, ref, 1e-8)
+    assert com.commutant().equal(alg)
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_restricted_intertwiners_of_amplified_blocks(rotate):
+    """Maps V from M3 + M2 + M1 (x) I_2 to its Haar-rotated copy with
+    V a = pi(a) V: every eigenvalue of the seeded elements is doubled."""
+    source = amplified(block_algebra([3, 2, 1]), 2)
+    n = source.space_dim
+    w = random_unitary(n, rng(41)) if rotate else np.eye(n)
+
+    def pi(b):
+        return w @ b @ dagger(w)
+
+    ref = kron_block_reference(
+        [mul_operator(np.eye(n), b) - mul_operator(pi(b), np.eye(n))
+         for b in source.basis()], n, n)
+    # four copies of each block's 2 x 2 multiplicity space
+    assert ref.dim == 3 * 4
+    inter = intertwiner_space(pi, source, n, n)
+    assert subspace_equal(span(list(inter), n, n), ref, 1e-8)
 
 
 def test_left_mult_matrix_is_multiplicative():
