@@ -90,15 +90,12 @@ def groupoid_bundle_json(gpd: FiniteGroupoid, source: dict,
             pmu_data["alpha_flipped"], "state"
         ),
     }
-    basis = arrow_alg.basis()
-    images_state = [hopf_data["delta_state"](b) for b in basis]
-    images_cstar = [hopf_data["delta_cstar"](b) for b in basis]
     out["hopf"] = {
         "state": {
             "side": "state",
             "A": "arrow_algebra",
             "Delta": serialize.encode_morphism(
-                images_state, "arrow_algebra", "fiber-state"
+                hopf_data["delta_state"], "arrow_algebra", "fiber-state"
             ),
             "legs": {"rho": "reps.rho", "sigma": "reps.sigma"},
         },
@@ -106,7 +103,7 @@ def groupoid_bundle_json(gpd: FiniteGroupoid, source: dict,
             "side": "operator",
             "A": "arrow_algebra",
             "Delta": serialize.encode_morphism(
-                images_cstar, "arrow_algebra", "fiber-operator"
+                hopf_data["delta_cstar"], "arrow_algebra", "fiber-operator"
             ),
             "legs": {
                 "alpha": "factorizations.alpha",
@@ -256,13 +253,22 @@ class BundleContext:
         )
 
     @kept
-    def delta(self, flavor: str):
+    def delta(self, flavor: str) -> np.ndarray:
         """Comultiplication of the hopf section's "state" or "operator"
-        flavor, as a callable on the arrow algebra."""
-        return serialize.decode_morphism(
-            self.entry("hopf", flavor, "Delta"), np.stack(self.arrow.basis()),
-            f"hopf.{flavor}.Delta",
+        flavor: its image stack aligned with the arrow algebra's basis,
+        each image an operator on that flavor's square."""
+        where = f"hopf.{flavor}.Delta"
+        images = serialize.decode_morphism(
+            self.entry("hopf", flavor, "Delta"), self.arrow.dim, where
         )
+        vn, cs = self.squares
+        q = (cs if flavor == "operator" else vn).dim
+        if images.shape[1:] != (q, q):
+            raise FormatError(
+                f"{where}: images are {images.shape[1:]}, the square is "
+                f"({q}, {q})"
+            )
+        return images
 
     @property
     @kept

@@ -33,15 +33,14 @@ from .linalg import (
     from_pairs,
     intersect_null_spaces,
     intertwiner_rows,
-    mat_norm,
-    rank,
     span,
+    stack_norms,
     subspace_residual,
     worst_norm,
 )
 from .report import Certificate
-from .rtensor import RelativeTensorSpace, descend, ket_left, ket_right
-from .staralg import StarAlgebra, rep_report
+from .rtensor import RelativeTensorSpace, ket_left, ket_right
+from .staralg import StarAlgebra, rep_report, rep_value
 
 
 def fiber_classical(space: RelativeTensorSpace, left_alg: StarAlgebra,
@@ -130,8 +129,8 @@ def fiber_spatial(space: RelativeTensorSpace, left_alg: StarAlgebra,
 def conjugated_algebra(u: np.ndarray, algebra: StarAlgebra,
                        tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
     """Image of an algebra under conjugation by a (co)isometry."""
-    mats = [u @ a @ dagger(u) for a in algebra.basis()]
     n = u.shape[0]
+    mats = u @ algebra.subspace.stack @ dagger(u)
     return StarAlgebra(n, span(mats, n, n, tol), tol, certify=False)
 
 
@@ -166,32 +165,38 @@ def fiber_equivalence(state_space: RelativeTensorSpace,
     )
 
 
-def hom_report(pi, source: StarAlgebra, target: StarAlgebra) -> dict:
-    """Residuals for the linear map pi (a callable on matrices) being a
-    unital *-homomorphism between the two algebras."""
-    images = np.stack([pi(b) for b in source.basis()])
-    rep = rep_report(source, images)
-    return {
-        "unital": rep["unital"],
-        "lands_in_target": target.residual(images),
-        "star": rep["star"],
-        "multiplicative": rep["multiplicative"],
-    }
+def hom_report(images: np.ndarray, source: StarAlgebra,
+               target: StarAlgebra) -> dict:
+    """Residuals for the linear map with the given image stack, aligned
+    with the source basis, being a unital *-homomorphism between the two
+    algebras."""
+    return {**rep_report(source, images),
+            "lands_in_target": target.residual(images)}
 
 
-def intertwiner_space(pi, source: StarAlgebra, n_from: int, n_to: int,
+def intertwiner_space(images: np.ndarray, source: StarAlgebra,
                       tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Stack of maps V with V a = pi(a) V for every a in the source."""
-    images = np.stack([pi(a) for a in source.basis()])
+    """Stack of maps V with V a = pi(a) V for every a in the source, pi the
+    linear map with the given image stack (aligned with the basis)."""
     rows = intertwiner_rows(images, source.subspace.stack,
                             source.star_matrix(), tol)
-    return rows.reshape(-1, n_to, n_from)
+    return rows.reshape(-1, images.shape[1], source.space_dim)
 
 
-def is_morphism(pi, source_alg: StarAlgebra, source_fact: Factorization,
-                target_alg: StarAlgebra,
+def _kept(sub: OperatorSubspace, mats: np.ndarray, thr: float) -> np.ndarray:
+    """Which matrices of the stack lie in sub, each within thr times its
+    own scale; reduced over the last stack axis."""
+    gap = np.linalg.norm(mats - sub.reconstruct(sub.coefficients(mats)),
+                         axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(mats, axis=(-2, -1)))
+    return np.all(gap <= thr * scale, axis=-1)
+
+
+def is_morphism(images: np.ndarray, source_alg: StarAlgebra,
+                source_fact: Factorization, target_alg: StarAlgebra,
                 target_fact: Factorization) -> Certificate:
-    """Does the homomorphism respect the factorizations?
+    """Does the homomorphism with the given image stack (aligned with the
+    source basis) respect the factorizations?
 
     Criterion one transports the induced base action elementwise; criterion
     two asks the full intertwiner space to carry one factorization onto the
@@ -200,7 +205,7 @@ def is_morphism(pi, source_alg: StarAlgebra, source_fact: Factorization,
     """
     tol = source_alg.tol
     thr = tol.check
-    hom = hom_report(pi, source_alg, target_alg)
+    hom = hom_report(images, source_alg, target_alg)
     bad = {k: v for k, v in hom.items() if v > thr}
     if bad:
         raise PreconditionError(f"not a homomorphism into the target: {bad}")
@@ -217,31 +222,19 @@ def is_morphism(pi, source_alg: StarAlgebra, source_fact: Factorization,
     moved = source_fact.rho(acting)
     res["base_action_inside_source"] = source_alg.residual(moved)
     res["transports_base_action"] = worst_norm(
-        np.stack([pi(x) for x in moved]) - target_fact.rho(acting)
+        rep_value(source_alg, images, moved) - target_fact.rho(acting)
     )
     verdict_one = all(v <= thr for v in res.values())
     # criterion two: intertwiners exchanging the factorizations span the
     # target factorization
-    inter = intertwiner_space(
-        pi, source_alg, source_alg.space_dim, target_alg.space_dim, tol
-    )
-    good = []
-    for v in inter:
-        keep = all(
-            target_fact.subspace.residual(v @ xi) <= thr * max(1.0, mat_norm(v @ xi))
-            for xi in source_fact.basis()
-        ) and all(
-            source_fact.subspace.residual(dagger(v) @ eta)
-            <= thr * max(1.0, mat_norm(dagger(v) @ eta))
-            for eta in target_fact.basis()
-        )
-        if keep:
-            good.append(v)
-    if good:
-        carried = span(
-            [v @ xi for v in good for xi in source_fact.basis()],
-            target_fact.target_dim, target_fact.base.space_dim, tol,
-        )
+    inter = intertwiner_space(images, source_alg, tol)
+    carried = inter[:, None] @ source_fact.subspace.stack[None]
+    back = dagger(inter)[:, None] @ target_fact.subspace.stack[None]
+    good = _kept(target_fact.subspace, carried, thr) \
+        & _kept(source_fact.subspace, back, thr)
+    if good.any():
+        carried = span(carried[good].reshape(-1, *carried.shape[2:]),
+                       tol=tol)
         res["intertwiners_carry_factorization"] = subspace_residual(
             carried, target_fact.subspace
         ) + abs(carried.dim - target_fact.dim)
@@ -255,76 +248,34 @@ def is_morphism(pi, source_alg: StarAlgebra, source_fact: Factorization,
     return Certificate(res, tol)
 
 
-class FiberMorphism:
-    """Map between fiber products induced by a pair of morphisms.
-
-    apply solves Z W_k = W_k S over the connecting maps W_k; existence and
-    uniqueness are certified per element.
-    """
-
-    def __init__(self, connectors: np.ndarray, source_dim: int,
-                 target_dim: int, tol: Tolerance, wd_residual: float):
-        self.connectors = connectors
-        self.source_dim = source_dim
-        self.target_dim = target_dim
-        self.tol = tol
-        self.wd_residual = wd_residual
-        # Z . hstack(W_k) = hstack(W_k S) pins Z row by row; uniqueness is
-        # full row rank of the stacked connectors
-        self._columns = np.concatenate(list(connectors), axis=1)
-        self._columns_pinv = np.linalg.pinv(self._columns)
-        self._unique = rank(self._columns, tol) == target_dim
-
-    def apply(self, s: np.ndarray, require: bool = True):
-        """Image of a source-quotient operator; returns (matrix, residual)."""
-        s = np.asarray(s, dtype=complex)
-        if s.shape != (self.source_dim, self.source_dim):
-            raise DimensionError("operator must act on the source quotient")
-        if not self._unique:
-            raise NotWellDefinedError(
-                "connecting maps do not determine the image uniquely"
-            )
-        moved = np.concatenate([w @ s for w in self.connectors], axis=1)
-        z = moved @ self._columns_pinv
-        residual = float(
-            np.linalg.norm(z @ self._columns - moved)
-        ) / max(1.0, float(np.linalg.norm(moved)))
-        if require and residual > self.tol.check:
-            raise NotWellDefinedError(
-                f"no operator satisfies the exchange relations: {residual:.3e}"
-            )
-        return z, residual
-
-
 def fiber_morphism(source_space: RelativeTensorSpace,
-                   target_space: RelativeTensorSpace,
-                   left_intertwiners: np.ndarray,
-                   right_intertwiners: np.ndarray,
-                   require_descend: bool = True) -> FiberMorphism:
-    """Connect two quotients by all products of leg intertwiners.
+                   target_space: RelativeTensorSpace, legs, images):
+    """Images of a stack of source-quotient operators S_m under the map
+    between fiber products induced by leg maps.
 
-    left/right intertwiners are stacks of maps between leg groups of the two
-    plain spaces (possibly rectangular, so one leg may fan out into several);
-    each product descends between the quotients and the family defines the
-    induced map on fiber products.
+    legs are zipped leg stacks, lifted into the target as connecting maps
+    W_k (RelativeTensorSpace.lift with into; one leg may fan out into
+    several).  Z_m W_k = W_k S_m for every k pins Z_m row by row: one solve
+    Z_m = [W_k S_m]_k . pinv([W_k]_k) over the whole stack.  Returns (stack
+    of Z_m, worst residual over the connectors' descent and the exchange
+    relations); NotWellDefinedError when the stacked connectors lack full
+    row rank, so they do not determine the image uniquely.
     """
-    connectors = []
-    worst = 0.0
-    for x in left_intertwiners:
-        for y in right_intertwiners:
-            plain = np.kron(x, y)
-            if plain.shape != (target_space.plain_dim, source_space.plain_dim):
-                raise DimensionError(
-                    "leg intertwiners do not connect the two plain spaces"
-                )
-            w, res = descend(source_space, target_space, plain)
-            worst = max(worst, res)
-            connectors.append(w)
-    if require_descend and worst > source_space.tol.check:
+    conn, worst = source_space.lift(legs, require=False, into=target_space)
+    k, q_to, q_from = conn.shape
+    columns = conn.transpose(1, 0, 2).reshape(q_to, k * q_from)
+    u, sv, vh = np.linalg.svd(columns, full_matrices=False)
+    cut = source_space.tol.rank_cut(np.max(sv, initial=0.0), *columns.shape)
+    if np.sum(sv > cut) != q_to:
         raise NotWellDefinedError(
-            f"leg intertwiners do not descend: residual {worst:.3e}"
+            "connecting maps do not determine the image uniquely"
         )
-    return FiberMorphism(
-        np.stack(connectors), source_space.dim, target_space.dim,
-        source_space.tol, worst,
-    )
+    # [W_k S_m]_k in the layout of the columns: it and the solve's gap are
+    # the only arrays of that size formed, which sets the peak memory
+    moved = columns.reshape(-1, q_from) @ images
+    moved = moved.reshape(-1, q_to, k * q_from)
+    z = moved @ (dagger(vh) / sv @ dagger(u))
+    gap = z @ columns
+    gap -= moved
+    res = stack_norms(gap) / np.maximum(1.0, stack_norms(moved))
+    return z, max(worst, float(np.max(res, initial=0.0)))

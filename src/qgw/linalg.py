@@ -67,6 +67,13 @@ def worst_norm(stack: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(stack, axis=(-2, -1)), initial=0.0))
 
 
+def stack_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, read through a real view so
+    that no temporary of the stack's size is formed."""
+    flat = np.ascontiguousarray(stack).view(float).reshape(len(stack), -1)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product tr(a* b), conjugate-linear in a."""
     return complex(np.vdot(a, b))
@@ -182,8 +189,10 @@ class OperatorSubspace:
         return self.stack.reshape(self.dim, self.codomain_dim * self.domain_dim)
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
-        """HS coordinates of x in the orthonormal basis."""
-        return self.flat().conj() @ vec(as_complex(x))
+        """HS coordinates of x in the orthonormal basis; a row of them per
+        matrix for a stack."""
+        x = as_complex(x)
+        return (self.flat().conj() @ x.reshape(x.shape[:-2] + (-1, 1)))[..., 0]
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         """Element with the given coordinates; a stack for stacked rows."""
@@ -357,7 +366,7 @@ def intertwiner_rows(t: np.ndarray, s: np.ndarray, star: np.ndarray,
     u, v, a, b, _ = eigen_match(hermitian_pair, tol)
     gram = exchange_gram(dagger(u) @ t @ u, dagger(v) @ s @ v, a, b)
     mats = from_pairs(null_rows(gram, tol), u, v, a, b)
-    return mats.reshape(len(mats), -1)
+    return mats.reshape(len(mats), u.shape[0] * v.shape[0])
 
 
 def canonical_rows(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL):

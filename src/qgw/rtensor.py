@@ -71,36 +71,49 @@ class RelativeTensorSpace(QuotientRealization):
         """Relative inner product of two plain tensors."""
         return complex(np.conj(v) @ self.gram @ w)
 
-    def lift(self, ops, require: bool = True):
-        """Descend leg-wise operator stacks to the quotient.
+    def lift(self, ops, require: bool = True,
+             into: "RelativeTensorSpace | None" = None):
+        """Descend leg-wise operator stacks from this quotient to into
+        (default: this quotient itself).
 
-        ops has one stack (k, d, d) per plain factor, or None for the
-        identity leg; the stacks are zipped, so element i lifts the tensor
-        product of the i-th operators.  class_map is contracted with each
-        leg in turn, never with the plain tensor product.  Returns (stack on
-        the quotient, worst residual); a residual measures failure to
-        preserve the null space, normalized per element by the scale of the
-        lifted map as in induced_between.
+        ops has one stack (k, g, d) per plain factor of dimension d here, or
+        None for the identity leg; g = d unless into is given, when the g's
+        group into's plain dimensions in order, so one leg may fan out into
+        several.  The stacks are zipped, so element i lifts the tensor
+        product of the i-th maps.  into.class_map is contracted with each
+        leg in turn, never with the plain tensor product, and descended
+        through this quotient.  Returns (stack of matrices, worst residual);
+        a residual measures failure to preserve the null space, normalized
+        per element by the scale of the lifted map as in induced_between.
         """
-        ops = list(ops)
-        if len(ops) != len(self.plain_dims):
-            raise DimensionError("one operator stack per tensor leg required")
-        sizes = {np.shape(op)[0] for op in ops if op is not None} or {1}
+        dst = self if into is None else into
+        ops = [None if op is None else np.asarray(op, dtype=complex)
+               for op in ops]
+        if len(ops) != len(self.plain_dims) or any(
+            op is not None and (op.ndim != 3 or op.shape[2] != d)
+            for op, d in zip(ops, self.plain_dims)
+        ):
+            raise DimensionError("one operator stack (k, g, d) per tensor leg "
+                                 f"of dimension d in {self.plain_dims} required")
+        sizes = {op.shape[0] for op in ops if op is not None} or {1}
         if len(sizes) != 1:
             raise DimensionError(f"leg stacks of different lengths {sizes}")
+        groups = tuple(d if op is None else op.shape[1]
+                       for op, d in zip(ops, self.plain_dims))
+        if int(np.prod(groups)) != dst.plain_dim \
+                or (into is None and groups != self.plain_dims):
+            raise DimensionError(f"leg maps into {groups} do not reach the "
+                                 f"plain dimensions {dst.plain_dims}")
         # top[i, q, j_1, ..., j_L] = sum class_map[q, l_1..l_L] prod x_i[l, j]
-        top = self.class_map.reshape((1, self.dim) + self.plain_dims)
-        for leg, (op, d) in enumerate(zip(ops, self.plain_dims)):
+        top = dst.class_map.reshape((1, dst.dim) + groups)
+        for leg, (op, g, d) in enumerate(zip(ops, groups, self.plain_dims)):
             if op is None:
                 continue
-            op = np.asarray(op, dtype=complex)
-            if op.shape[1:] != (d, d):
-                raise DimensionError(f"leg stack {op.shape} is not (k, {d}, {d})")
             moved = np.moveaxis(top, 2 + leg, -1)
-            shape = moved.shape[1:]
-            moved = moved.reshape(moved.shape[0], -1, d) @ op
+            shape = moved.shape[1:-1] + (d,)
+            moved = moved.reshape(moved.shape[0], -1, g) @ op
             top = np.moveaxis(moved.reshape((-1,) + shape), -1, 2 + leg)
-        top = top.reshape(-1, self.dim, self.plain_dim)
+        top = top.reshape(-1, dst.dim, self.plain_dim)
         mats, res = self.descend(top)
         res = float(np.max(res, initial=0.0))
         if require and res > self.tol.check:

@@ -222,10 +222,10 @@ def decode_factorization(obj, base: CStarBase, where: str = "factorization",
     )
 
 
-def encode_morphism(image_stack, source_ref: str, target_ref: str) -> dict:
-    """Linear map out of an algebra: column i is the flattened image of the
-    i-th generator of the source section."""
-    images = np.stack([np.asarray(m, dtype=complex) for m in image_stack])
+def encode_morphism(images, source_ref: str, target_ref: str) -> dict:
+    """Linear map out of an algebra, given by its image stack: column i is
+    the flattened image of the i-th generator of the source section."""
+    images = np.asarray(images, dtype=complex)
     k, a, b = images.shape
     return {
         "matrix_on_basis": encode_matrix(images.reshape(k, a * b).T),
@@ -235,12 +235,9 @@ def encode_morphism(image_stack, source_ref: str, target_ref: str) -> dict:
     }
 
 
-def decode_morphism(obj, generator_stack, where: str = "morphism"):
-    """Rebuild the map as a callable on the source algebra's span.
-
-    generator_stack must be the decoded generators of the source section, in
-    stored order; the returned callable accepts any element of their span.
-    """
+def decode_morphism(obj, n_generators: int, where: str = "morphism"):
+    """The map's image stack, aligned with the basis: entry i is the image
+    of the i-th of the source section's n_generators stored generators."""
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object")
     for key in ("matrix_on_basis", "image_shape"):
@@ -254,18 +251,11 @@ def decode_morphism(obj, generator_stack, where: str = "morphism"):
         or mat.shape[0] != shape[0] * shape[1]
     ):
         raise FormatError(f"{where}: image_shape disagrees with the matrix")
-    gens = np.asarray(generator_stack, dtype=complex)
-    if mat.shape[1] != gens.shape[0]:
+    if mat.shape[1] != n_generators:
         raise FormatError(
-            f"{where}: {mat.shape[1]} columns for {gens.shape[0]} generators"
+            f"{where}: {mat.shape[1]} columns for {n_generators} generators"
         )
-    flat = gens.reshape(gens.shape[0], -1)
-
-    def morphism(x):
-        coeffs = flat.conj() @ np.asarray(x, dtype=complex).reshape(-1)
-        return (mat @ coeffs).reshape(shape[0], shape[1])
-
-    return morphism
+    return mat.T.reshape(n_generators, *shape)
 
 
 def bundle_skeleton(kind: str, source: dict, tol: Tolerance) -> dict:

@@ -166,7 +166,8 @@ def scalars(n: int, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
 
 
 def rep_value(algebra: StarAlgebra, mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Value at x of the linear map sending basis element i to mats[i]."""
+    """Value at x (each matrix of a stack x) of the linear map whose image
+    stack is mats: basis element i goes to mats[i]."""
     return np.tensordot(algebra.coefficients(x), np.asarray(mats), axes=1)
 
 

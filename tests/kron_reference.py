@@ -1,6 +1,9 @@
-"""Kron-matrix references for the vec-form operators that the library now
-applies without forming them; tests compare the library against these."""
+"""Kron-matrix and per-element references for what the library now computes
+without forming kron products or looping over elements; tests compare the
+library against these."""
 import numpy as np
+
+from qgw.linalg import induced_between
 
 
 def mul_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -24,3 +27,31 @@ def kron_nested_gram(space) -> np.ndarray:
     else:
         m = np.kron(np.eye(pair.plain_dims[0]), inner.class_map)
     return m.conj().T @ pair.gram @ m
+
+
+def kron_connectors(src, dst, left, right):
+    """Connecting maps as first built: the plain tensor product of every
+    pair of leg maps, descended by induced_between one pair at a time.
+    Returns (stack, worst residual)."""
+    mats, worst = [], 0.0
+    for x in left:
+        for y in right:
+            mat, res = induced_between(src, dst, np.kron(x, y))
+            mats.append(mat)
+            worst = max(worst, res)
+    return np.stack(mats), worst
+
+
+def pinv_images(connectors, images):
+    """Per-element solve of Z W_k = W_k S over the stacked connectors, as
+    first done.  Returns (stack of Z, worst relative residual)."""
+    columns = np.concatenate(list(connectors), axis=1)
+    pinv = np.linalg.pinv(columns)
+    out, worst = [], 0.0
+    for s in images:
+        moved = np.concatenate([w @ s for w in connectors], axis=1)
+        z = moved @ pinv
+        worst = max(worst, np.linalg.norm(z @ columns - moved)
+                    / max(1.0, np.linalg.norm(moved)))
+        out.append(z)
+    return np.stack(out), worst

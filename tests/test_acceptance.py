@@ -199,9 +199,10 @@ def test_06_conjugation_carries_classical_to_spatial():
 def test_07_morphism_criteria_agree():
     verdicts = []
 
-    def record(pi, source_alg, source_fact, target_alg, target_fact,
+    def record(images, source_alg, source_fact, target_alg, target_fact,
                expect):
-        v = is_morphism(pi, source_alg, source_fact, target_alg, target_fact)
+        v = is_morphism(images, source_alg, source_fact, target_alg,
+                        target_fact)
         assert v.ok == expect, v.residuals
         verdicts.append(expect)
 
@@ -211,7 +212,7 @@ def test_07_morphism_criteria_agree():
     base2 = f2["alpha"].base
     alg2 = base2.algebra
     ident = Factorization(base2, 2, alg2.subspace)
-    record(lambda x: x, alg2, ident, alg2, ident, True)
+    record(alg2.subspace.stack, alg2, ident, alg2, ident, True)
     for gpd in (FiniteGroupoid.pair(2), FiniteGroupoid.cyclic(3)):
         h = groupoid_hopf(gpd)
         cs = h["cstar_space"]
@@ -224,13 +225,15 @@ def test_07_morphism_criteria_agree():
     # negatives: permutation automorphisms that scramble the induced base
     # action, and a comultiplication aimed at a rotated factorization
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    record(lambda x: swap @ x @ swap, alg2, ident, alg2, ident, False)
+    record(swap @ alg2.subspace.stack @ swap, alg2, ident, alg2, ident,
+           False)
     t3 = diag_triple([1 / 3] * 3)
     base3 = cbase_from_state(t3)
     alg3 = base3.algebra
     ident3 = Factorization(base3, 3, alg3.subspace)
     shift = np.roll(np.eye(3), 1, axis=0)
-    record(lambda x: shift @ x @ shift.T, alg3, ident3, alg3, ident3, False)
+    record(shift @ alg3.subspace.stack @ shift.T, alg3, ident3, alg3, ident3,
+           False)
     h = groupoid_hopf(FiniteGroupoid.pair(2))
     cs = h["cstar_space"]
     fp, _ = fiber_spatial(cs, h["algebra"], h["algebra"])

@@ -155,6 +155,16 @@ def test_missing_section_exits_2(capsys, tmp_path, pair2):
     assert "reps" in out
 
 
+def resized_delta(side):
+    """Edit of a Delta entry: images side x side instead of the pair(2)
+    square's 8 x 8, with matrix_on_basis resized to match."""
+    def edit(delta):
+        rows, cols = side * side, delta["matrix_on_basis"]["cols"]
+        matrix = {"rows": rows, "cols": cols, "data": [[0.0, 0.0]] * (rows * cols)}
+        return {**delta, "image_shape": [side, side], "matrix_on_basis": matrix}
+    return edit
+
+
 @pytest.mark.parametrize("command,path,value", [
     ("hopf-check", ("hopf", "state", "Delta", "image_shape"), ["a", "b"]),
     ("rtp", ("reps",), None),
@@ -162,6 +172,13 @@ def test_missing_section_exits_2(capsys, tmp_path, pair2):
     ("factorize", ("factorizations",), "x"),
     ("factorize", ("factorizations",), None),
     ("factorize", ("factorizations",), -1),
+    # well-formed Delta entries whose images miss the square
+    *[(command, ("hopf", flavor, "Delta"), resized_delta(side))
+      for side in (4, 9)
+      for command, flavor in (("hopf-check", "state"),
+                              ("hopf-check", "operator"),
+                              ("equiv-check", "state"),
+                              ("morphism-check", "operator"))],
 ])
 def test_retyped_entry_exits_2_naming_it(capsys, tmp_path, pair2, command,
                                          path, value):
@@ -170,7 +187,7 @@ def test_retyped_entry_exits_2_naming_it(capsys, tmp_path, pair2, command,
     holder = doc
     for name in parents:
         holder = holder[name]
-    holder[key] = value
+    holder[key] = value(holder[key]) if callable(value) else value
     bundle = tmp_path / "retyped.json"
     bundle.write_text(json.dumps(doc))
     # an escaping exception would surface here as a test error
@@ -253,7 +270,7 @@ BENCHMARK_RECORDS = [
      ["fiber", "phi", "equiv-check"]),
     ("pair3", "pair2", ["gen-groupoid", "--pair", "2"], ["equiv-check"]),
     ("pair3", "pair3", ["gen-groupoid", "--pair", "3"],
-     ["pmu-check", "hopf-check"]),
+     ["pmu-check", "hopf-check", "morphism-check"]),
 ]
 
 

@@ -1,20 +1,25 @@
-"""Negative controls for the *-representation, homomorphism and fiber
-product residuals.
+"""Negative controls for the *-representation, homomorphism, fiber
+product and comultiplication residuals.
 
 Every residual that rep_report (both orientations), hom_report,
 Factorization.rho_report and fiber_equivalence (as the fiber command
-flattens it) emit has a seeded perturbation here that drives it over
-threshold.  The coverage test collects the names the reports emit on
-valid input and fails if one of them has no control.
+flattens it) emit, and every hopf_equivalence residual that the image
+stacks of a comultiplication drive beyond hom_report's, has a seeded
+perturbation here that drives it over threshold.  The coverage test
+collects the names the reports emit on valid input and fails if one of
+them has no control.
 """
+from functools import cache
+
 import numpy as np
 import pytest
 
 from qgw.cbase import CStarBase
 from qgw.cfact import Factorization
 from qgw.fiber import conjugated_algebra, fiber_equivalence, hom_report
-from qgw.fixtures import linked_bundle, random_standard_base
-from qgw.linalg import DEFAULT_TOL, random_unitary, rng, span
+from qgw.fixtures import FiniteGroupoid, linked_bundle, random_standard_base
+from qgw.hopf import groupoid_hopf, hopf_equivalence, perturbed_hopf
+from qgw.linalg import DEFAULT_TOL, dagger, random_unitary, rng, span
 from qgw.report import checks_from_residuals
 from qgw.rtensor import phi_unitary, rtp_cstar, rtp_state
 from qgw.staralg import (
@@ -90,7 +95,7 @@ def hom_control(name):
         alg = triple.algebra
         mats = PERTURBATIONS[name](alg, triple.rep_stack)
         target = full_matrix_algebra(mats.shape[1])
-        return hom_report(lambda x: rep_value(alg, mats, x), alg, target)
+        return hom_report(mats, alg, target)
     return control
 
 
@@ -100,7 +105,7 @@ def hom_outside_target():
     target = conjugated_algebra(
         random_unitary(triple.dim, rng(SEED + 3)), base.algebra
     )
-    return hom_report(triple.rep, triple.algebra, target)
+    return hom_report(triple.rep_stack, triple.algebra, target)
 
 
 def factorization(base, stack):
@@ -174,6 +179,61 @@ def fiber_scalar_legs():
     return fiber_residuals(legs=(scalars, scalars))
 
 
+# the residuals that a comultiplication's image stacks drive, around the
+# diagonal candidates of pair(2) and Z_3
+
+
+@cache
+def pair2_hopf():
+    return groupoid_hopf(FiniteGroupoid.pair(2))
+
+
+def hopf_residuals(delta_state=None, delta_cstar=None, hopf=None):
+    """hopf_equivalence with either image stack replaced: the state
+    flavor's leg and coassociativity residuals and the parent's own."""
+    h = hopf or pair2_hopf()
+    vn, cs = h["state_space"], h["cstar_space"]
+    eq = hopf_equivalence(
+        vn, cs, h["algebra"],
+        h["delta_state"] if delta_state is None else delta_state,
+        h["delta_cstar"] if delta_cstar is None else delta_cstar,
+        phi_unitary(vn, cs)[0],
+    )
+    state = eq.children["state"].residuals
+    return {**{name: state[name] for name in
+               ("right_action_leg", "left_action_leg", "coassociative")},
+            **eq.residuals}
+
+
+def hopf_rotated(flavor):
+    """One flavor's images conjugated by a seeded Haar unitary: still a
+    *-homomorphism, aimed away from its fiber product and from phi."""
+    h = pair2_hopf()
+    key = "delta_state" if flavor == "state" else "delta_cstar"
+    u = random_unitary(h[key].shape[1], rng(SEED + 8))
+    return hopf_residuals(**{key: u @ h[key] @ dagger(u)})
+
+
+def hopf_automorphed():
+    """The state images of Z_3 after the automorphism of C[Z_3] that swaps
+    the minimal projections of the trivial and one other character: still
+    a *-homomorphism into the square that transports both leg actions and
+    extends to the three-factor space, but the two extensions differ."""
+    h = groupoid_hopf(FiniteGroupoid.cyclic(3))
+    alg = h["algebra"]
+    chars = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    p = chars[:, [1, 0, 2]] @ dagger(chars)
+    moved = p @ alg.subspace.stack @ dagger(p)
+    return hopf_residuals(delta_state=rep_value(alg, h["delta_state"], moved),
+                          hopf=h)
+
+
+def hopf_perturbed():
+    """perturbed_hopf: a seeded rank-one defect, off the identity, injected
+    into both flavors coherently."""
+    return hopf_residuals(hopf=perturbed_hopf(pair2_hopf(), SEED))
+
+
 # (report, residual name) -> a perturbed run of that report
 CONTROLS = {
     **{("rep_report", name): rep_control(name, False)
@@ -191,6 +251,12 @@ CONTROLS = {
     ("fiber", "dimension_defect"): lambda: fiber_residuals(cstar_seed=SEED + 6),
     # the classical product conjugated by a seeded unitary before transport
     ("fiber", "transport"): lambda: fiber_residuals(rotate=True),
+    ("hopf", "right_action_leg"): hopf_perturbed,
+    ("hopf", "left_action_leg"): hopf_perturbed,
+    ("hopf", "coassociative"): hopf_automorphed,
+    ("hopf", "transport"): lambda: hopf_rotated("operator"),
+    # the state flavor fails, the operator flavor passes
+    ("hopf", "verdicts_agree"): lambda: hopf_rotated("state"),
 }
 
 
@@ -201,11 +267,12 @@ def valid_reports():
     return {
         "rep_report": rep_report(alg, triple.rep_stack),
         "rep_report_anti": rep_report(alg, triple.rep_op_stack, anti=True),
-        "hom_report": hom_report(triple.rep, alg, base.algebra),
+        "hom_report": hom_report(triple.rep_stack, alg, base.algebra),
         "rho_report": factorization(
             base, base.algebra.subspace.stack
         ).rho_report(),
         "fiber": fiber_residuals(),
+        "hopf": hopf_residuals(),
     }
 
 

@@ -9,7 +9,6 @@ from qgw.errors import (
     PreconditionError,
 )
 from qgw.fiber import (
-    FiberMorphism,
     conjugated_algebra,
     fiber_classical,
     fiber_morphism,
@@ -37,9 +36,16 @@ from qgw.linalg import (
     span,
     subspace_residual,
 )
-from qgw.rtensor import phi_unitary, rtp_cstar, rtp_state
+from qgw.hopf import groupoid_hopf
+from qgw.rtensor import (
+    RelativeTensorSpace,
+    nest_left,
+    phi_unitary,
+    rtp_cstar,
+    rtp_state,
+)
 from qgw.staralg import StarAlgebra, algebra_from_generators, full_matrix_algebra
-from kron_reference import mul_operator
+from kron_reference import kron_connectors, mul_operator, pinv_images
 
 
 def leg_algebras(bundle):
@@ -151,17 +157,22 @@ def test_spatial_rejects_state_flavor():
 
 def test_intertwiner_space_extremes():
     full = full_matrix_algebra(3)
-    ident = lambda x: x
-    inter = intertwiner_space(ident, full, 3, 3)
+    inter = intertwiner_space(full.subspace.stack, full)
     assert inter.shape[0] == 1
     trivial = algebra_from_generators(3, [np.eye(3)])
-    inter = intertwiner_space(ident, trivial, 3, 3)
+    inter = intertwiner_space(trivial.subspace.stack, trivial)
     assert inter.shape[0] == 9
+    # the trace onto C: t(1) = 2 forces T = 2 T
+    diagonal = algebra_from_generators(2, [np.diag([1.0, 0.0])])
+    traces = np.trace(diagonal.subspace.stack, axis1=1, axis2=2)
+    inter = intertwiner_space(traces[:, None, None], diagonal)
+    assert inter.shape == (0, 1, 2)
 
 
 def test_hom_report_flags_non_homomorphism():
     full = full_matrix_algebra(2)
-    squash = lambda x: np.diag(np.diag(x))
+    # the diagonal part of each basis element
+    squash = full.subspace.stack * np.eye(2)
     rep = hom_report(squash, full, full)
     assert rep["multiplicative"] > 1e-3
 
@@ -170,7 +181,8 @@ def test_identity_is_morphism():
     bundle = linked_bundle([2], 1, 1, seed=3)
     nh = bundle["rho"].shape[1]
     a = algebra_from_generators(nh, bundle["rho"])
-    verdict = is_morphism(lambda x: x, a, bundle["alpha"], a, bundle["alpha"])
+    verdict = is_morphism(a.subspace.stack, a, bundle["alpha"], a,
+                          bundle["alpha"])
     assert verdict.ok
     assert verdict.residuals["transports_base_action"] < 1e-9
 
@@ -185,7 +197,7 @@ def test_conjugation_onto_moved_factorization_is_morphism():
     moved_sub = span([u @ xi for xi in alpha.basis()], nh,
                      alpha.base.space_dim, DEFAULT_TOL)
     moved = Factorization(alpha.base, nh, moved_sub, flipped=False)
-    verdict = is_morphism(lambda x: u @ x @ dagger(u), a, alpha,
+    verdict = is_morphism(u @ a.subspace.stack @ dagger(u), a, alpha,
                           moved_alg, moved)
     assert verdict.ok
 
@@ -196,36 +208,45 @@ def test_conjugation_onto_unmoved_factorization_is_not_morphism():
     a = algebra_from_generators(nh, bundle["rho"])
     u = random_unitary(nh, rng(5))
     moved_alg = conjugated_algebra(u, a)
-    verdict = is_morphism(lambda x: u @ x @ dagger(u), a, bundle["alpha"],
-                          moved_alg, bundle["alpha"])
+    verdict = is_morphism(u @ a.subspace.stack @ dagger(u), a,
+                          bundle["alpha"], moved_alg, bundle["alpha"])
     assert not verdict.ok
+
+
+@pytest.mark.parametrize("starve", ["intertwiner_space", "rep_value"])
+def test_disagreeing_morphism_criteria_raise(monkeypatch, starve):
+    """The identity with one criterion's input zeroed (no intertwiners for
+    criterion two, a vanishing transported action for criterion one): the
+    other criterion still holds, and is_morphism refuses to pick a side."""
+    bundle = linked_bundle([2], 1, 1, seed=3)
+    nh = bundle["rho"].shape[1]
+    a = algebra_from_generators(nh, bundle["rho"])
+    real = getattr(fiber, starve)
+    monkeypatch.setattr(fiber, starve, lambda *args: 0 * real(*args))
+    with pytest.raises(InternalInconsistencyError):
+        is_morphism(a.subspace.stack, a, bundle["alpha"], a, bundle["alpha"])
 
 
 def test_fiber_morphism_identity_connectors():
     bundle = two_point_bundle()
     vn, _ = spaces(bundle)
-    nh = bundle["rho"].shape[1]
-    nk = bundle["sigma"].shape[1]
-    fm = fiber_morphism(vn, vn, np.stack([np.eye(nh)]), np.stack([np.eye(nk)]))
     gen = rng(0)
     s = gen.standard_normal((vn.dim, vn.dim))
-    z, res = fm.apply(s)
+    z, res = fiber_morphism(vn, vn, [None, None], s[None])
     assert res < 1e-12
-    assert mat_norm(z - s) < 1e-10
+    assert mat_norm(z[0] - s) < 1e-10
 
 
 def test_fiber_morphism_reproduces_flavor_transport():
     bundle = linked_bundle([2], 1, 1, seed=23)
     vn, cs = spaces(bundle)
     phi, _ = phi_unitary(vn, cs)
-    nh = bundle["rho"].shape[1]
-    nk = bundle["sigma"].shape[1]
-    fm = fiber_morphism(vn, cs, np.stack([np.eye(nh)]), np.stack([np.eye(nk)]))
-    assert mat_norm(fm.connectors[0] - phi) < 1e-9
+    connectors, _ = vn.lift([None, None], into=cs)
+    assert mat_norm(connectors[0] - phi) < 1e-9
     gen = rng(1)
-    s = gen.standard_normal((vn.dim, vn.dim)) \
-        + 1j * gen.standard_normal((vn.dim, vn.dim))
-    z, res = fm.apply(s)
+    s = gen.standard_normal((2, vn.dim, vn.dim)) \
+        + 1j * gen.standard_normal((2, vn.dim, vn.dim))
+    z, res = fiber_morphism(vn, cs, [None, None], s)
     assert res < 1e-9
     assert mat_norm(z - phi @ s @ dagger(phi)) < 1e-8
 
@@ -234,11 +255,79 @@ def test_fiber_morphism_degenerate_connectors_raise():
     bundle = two_point_bundle()
     vn, _ = spaces(bundle)
     nh = bundle["rho"].shape[1]
-    nk = bundle["sigma"].shape[1]
-    fm = fiber_morphism(vn, vn, np.stack([np.zeros((nh, nh))]),
-                        np.stack([np.eye(nk)]), require_descend=False)
     with pytest.raises(NotWellDefinedError):
-        fm.apply(np.eye(vn.dim))
+        fiber_morphism(vn, vn, [np.zeros((1, nh, nh)), None],
+                       np.eye(vn.dim)[None])
+
+
+def test_fiber_morphism_reports_non_descending_legs():
+    """An off-diagonal matrix unit on the left leg does not descend; next
+    to the identity connector the image is still unique, and the residual
+    reports the connector's descent gap."""
+    bundle = two_point_bundle()
+    vn, _ = spaces(bundle)
+    nh = bundle["rho"].shape[1]
+    e01 = np.zeros((nh, nh))
+    e01[0, 1] = 1.0
+    legs = [np.stack([np.eye(nh), e01]), None]
+    _, gap = vn.lift(legs, require=False)
+    assert gap > 0.1
+    z, res = fiber_morphism(vn, vn, legs, np.eye(vn.dim)[None])
+    assert mat_norm(z[0] - np.eye(vn.dim)) < 1e-10
+    assert res == gap
+
+
+def coassociativity_case(gpd):
+    """The state square of a diagonal comultiplication, its three-factor
+    space, the intertwiners on the plain square (filling the first or the
+    last two legs) and the image stack."""
+    h = groupoid_hopf(gpd)
+    space = h["state_space"]
+    inner_rho, _ = space.lift([None, space.meta["rho_stack"]])
+    big = nest_left(space, rtp_state(space.meta["triple"], inner_rho,
+                                     space.meta["sigma_stack"]))
+    plain = space.section @ intertwiner_space(h["delta_state"], h["algebra"])
+    return space, big, plain, plain, h["delta_state"]
+
+
+def linked_case():
+    """A linked square into a random-Gram space over (nh, nh, nk): random
+    fan-out leg maps that do not descend, and a random image stack."""
+    bundle = linked_bundle([2, 1], 2, 2, seed=5)
+    vn, _ = spaces(bundle)
+    nh, nk = vn.plain_dims
+    gen = rng(31)
+
+    def draw(*shape):
+        return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+    x = draw(nh * nh * nk, 2 * vn.dim)
+    big = RelativeTensorSpace("state", (nh, nh, nk), x @ dagger(x))
+    return (vn, big, draw(3, nh * nh, nh), draw(3, nh * nk, nk),
+            draw(4, vn.dim, vn.dim))
+
+
+CONNECTOR_CASES = {
+    "pair2": lambda: coassociativity_case(FiniteGroupoid.pair(2)),
+    "z3": lambda: coassociativity_case(FiniteGroupoid.cyclic(3)),
+    "linked": linked_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONNECTOR_CASES))
+def test_batched_connectors_and_images_match_kron_reference(case):
+    src, dst, left, right, images = CONNECTOR_CASES[case]()
+    nh, nk = src.plain_dims
+    for legs, pairs in (([left, None], (left, np.eye(nk)[None])),
+                        ([None, right], (np.eye(nh)[None], right))):
+        conn, worst = src.lift(legs, require=False, into=dst)
+        ref, ref_worst = kron_connectors(src, dst, *pairs)
+        assert mat_norm(conn - ref) <= 1e-12 * max(1.0, mat_norm(ref))
+        assert abs(worst - ref_worst) <= 1e-12
+        z, res = fiber_morphism(src, dst, legs, images)
+        ref_z, ref_res = pinv_images(ref, images)
+        assert mat_norm(z - ref_z) <= 1e-10 * max(1.0, mat_norm(ref_z))
+        assert abs(res - max(ref_worst, ref_res)) <= 1e-10
 
 
 def kron_block_spatial(space, left_alg, right_alg):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qgw import fiber, hopf
 from qgw.fixtures import FiniteGroupoid
 from qgw.hopf import (
     check_hopf_cstar,
@@ -9,7 +10,7 @@ from qgw.hopf import (
     hopf_equivalence,
     perturbed_hopf,
 )
-from qgw.linalg import dagger, mat_norm, rng
+from qgw.linalg import Tolerance, dagger, mat_norm, rng
 from qgw.rtensor import ket_factorization, phi_unitary
 
 
@@ -71,10 +72,8 @@ def test_rotated_candidate_fails_both_flavors():
 
     u_vn = random_unitary(vn.dim, gen)
     u_cs = random_unitary(cs.dim, gen)
-    base_state = h["delta_state"]
-    base_cstar = h["delta_cstar"]
-    delta_state = lambda a: u_vn @ base_state(a) @ dagger(u_vn)
-    delta_cstar = lambda a: u_cs @ base_cstar(a) @ dagger(u_cs)
+    delta_state = u_vn @ h["delta_state"] @ dagger(u_vn)
+    delta_cstar = u_cs @ h["delta_cstar"] @ dagger(u_cs)
     rs = check_hopf_state(vn, h["algebra"], delta_state)
     rc = check_hopf_cstar(cs, h["algebra"], delta_cstar)
     assert not rs.ok
@@ -96,3 +95,30 @@ def test_coassociativity_residual_is_scale_accurate():
     h = groupoid_hopf(FiniteGroupoid.pair(2))
     rep = check_hopf_state(h["state_space"], h["algebra"], h["delta_state"])
     assert rep.residuals["coassociative"] < 1e-10
+
+
+def test_intertwiner_solves_follow_the_tolerance(monkeypatch):
+    """Both fiber-layer solves of the state check, the coassociativity
+    intertwiners included, run at the squares' tolerance."""
+    h = groupoid_hopf(FiniteGroupoid.pair(2), tol=Tolerance(eps=1e-6))
+    seen = []
+    real = fiber.intertwiner_rows
+
+    def spy(*args):
+        seen.append(args[3].eps)
+        return real(*args)
+
+    monkeypatch.setattr(fiber, "intertwiner_rows", spy)
+    check_hopf_state(h["state_space"], h["algebra"], h["delta_state"])
+    assert len(seen) == 2 and set(seen) == {1e-6}
+
+
+def test_coassociative_includes_the_solve_residuals(monkeypatch):
+    """The descent and exchange residuals of both extensions count, not
+    only the comparison of the extensions themselves."""
+    h = groupoid_hopf(FiniteGroupoid.pair(2))
+    real = hopf.fiber_morphism
+    monkeypatch.setattr(hopf, "fiber_morphism",
+                        lambda *args: (real(*args)[0], 0.5))
+    rep = check_hopf_state(h["state_space"], h["algebra"], h["delta_state"])
+    assert rep.residuals["coassociative"] == 0.5

@@ -136,7 +136,8 @@ def test_closed_form_solves_match_kron_blocks(sizes, seed):
          for b in acting.basis()], big, n,
     )
     assert ref.dim > 0
-    inter = intertwiner_space(rho, acting, n, big)
+    inter = intertwiner_space(np.stack([rho(b) for b in acting.basis()]),
+                              acting)
     assert subspace_equal(span(list(inter), big, n), ref, 1e-8)
     fact = factorization_from_rep(base, rho, big)
     assert subspace_equal(fact.subspace, ref, 1e-8)
@@ -197,7 +198,7 @@ def test_restricted_intertwiners_of_amplified_blocks(rotate):
          for b in source.basis()], n, n)
     # four copies of each block's 2 x 2 multiplicity space
     assert ref.dim == 3 * 4
-    inter = intertwiner_space(pi, source, n, n)
+    inter = intertwiner_space(pi(source.subspace.stack), source)
     assert subspace_equal(span(list(inter), n, n), ref, 1e-8)
 
 
