@@ -36,9 +36,12 @@ from .staralg import algebra_from_generators
 def resolve_tolerance(value: float | None) -> Tolerance:
     if value is None:
         env = os.environ.get("QGW_TOLERANCE")
-        value = float(env) if env else 1e-9
-    if value <= 0:
-        raise FormatError("tolerance must be positive")
+        try:
+            value = float(env) if env else 1e-9
+        except ValueError:
+            raise FormatError(f"QGW_TOLERANCE is not a number: {env!r}") from None
+    if not 0.0 < value < float("inf"):
+        raise FormatError(f"tolerance must be positive and finite, got {value}")
     return Tolerance(eps=value)
 
 

@@ -33,8 +33,8 @@ from .linalg import (
     from_pairs,
     intersect_null_spaces,
     intertwiner_rows,
+    mat_norm,
     span,
-    stack_norms,
     subspace_residual,
     worst_norm,
 )
@@ -255,11 +255,11 @@ def fiber_morphism(source_space: RelativeTensorSpace,
 
     legs are zipped leg stacks, lifted into the target as connecting maps
     W_k (RelativeTensorSpace.lift with into; one leg may fan out into
-    several).  Z_m W_k = W_k S_m for every k pins Z_m row by row: one solve
-    Z_m = [W_k S_m]_k . pinv([W_k]_k) over the whole stack.  Returns (stack
-    of Z_m, worst residual over the connectors' descent and the exchange
-    relations); NotWellDefinedError when the stacked connectors lack full
-    row rank, so they do not determine the image uniquely.
+    several).  Z_m W_k = W_k S_m for every k pins Z_m row by row: Z_m =
+    [W_k S_m]_k . pinv([W_k]_k), image by image against one SVD.  Returns
+    (stack of Z_m, worst residual over the connectors' descent and the
+    exchange relations); NotWellDefinedError when the stacked connectors
+    lack full row rank, so they do not determine the image uniquely.
     """
     conn, worst = source_space.lift(legs, require=False, into=target_space)
     k, q_to, q_from = conn.shape
@@ -270,12 +270,13 @@ def fiber_morphism(source_space: RelativeTensorSpace,
         raise NotWellDefinedError(
             "connecting maps do not determine the image uniquely"
         )
-    # [W_k S_m]_k in the layout of the columns: it and the solve's gap are
-    # the only arrays of that size formed, which sets the peak memory
-    moved = columns.reshape(-1, q_from) @ images
-    moved = moved.reshape(-1, q_to, k * q_from)
-    z = moved @ (dagger(vh) / sv @ dagger(u))
-    gap = z @ columns
-    gap -= moved
-    res = stack_norms(gap) / np.maximum(1.0, stack_norms(moved))
-    return z, max(worst, float(np.max(res, initial=0.0)))
+    pinv = dagger(vh) / sv @ dagger(u)
+    z = np.empty((len(images), q_to, q_to), dtype=complex)
+    # one image at a time: [W_k S_m]_k, in the layout of the columns, and
+    # its gap are never formed for the whole stack
+    for m, image in enumerate(images):
+        moved = (columns.reshape(-1, q_from) @ image).reshape(q_to, -1)
+        z[m] = moved @ pinv
+        res = mat_norm(z[m] @ columns - moved) / max(1.0, mat_norm(moved))
+        worst = max(worst, res)
+    return z, worst

@@ -6,6 +6,8 @@ decisions follow one tolerant rule everywhere: a singular value counts iff
 
     sigma > eps * sigma_max * max(rows, cols).
 
+QuotientRealization and null_rows apply it to Gram eigenvalues (sigma^2).
+
 Checks report residual norms; callers compare against explicit thresholds.
 """
 from __future__ import annotations
@@ -387,8 +389,10 @@ class QuotientRealization:
 
     The semi-inner product on C^N is given by its (Hermitized) PSD Gram G,
     read through eigh, or by a factor C (r x N) with G = C*C, read through
-    its thin SVD with no N x N matrix formed.  Both keep the eigenvalues of
-    G (the squared singular values of C) above the rank cut for N x N.  The
+    eigh of its r x r Gram C C* = U diag(lam) U* with no N x N matrix or
+    N-wide SVD formed.  Both keep G's eigenvalues (C's sigma^2) above the
+    cut eps lam_max N; eigh of C C* is accurate to about r 1e-16 lam_max,
+    so it resolves that cut on sigma^2 as well as an SVD of C would.  The
     co-isometry q (dim x N) satisfies q . G . q* = I.  Derived maps:
 
       class_map = q . G   sends a plain vector to its class coordinates,
@@ -420,19 +424,21 @@ class QuotientRealization:
             factor = as_complex(factor)
             if factor.ndim != 2:
                 raise DimensionError("factor must be a matrix")
-            _, s, vh = np.linalg.svd(factor, full_matrices=False)
-            w, v = s ** 2, dagger(vh)
+            w, u = np.linalg.eigh(factor @ dagger(factor))
         self._gram, self._factor = gram, factor
-        self.plain_dim = v.shape[0]
+        self.plain_dim = (gram if factor is None else factor).shape[1]
         lam_max = float(np.max(w, initial=0.0))
         keep = w > max(tol.rank_cut(lam_max, self.plain_dim, self.plain_dim), 0.0)
         lam = w[keep]
-        vecs = v[:, keep]
         self.dim = int(lam.size)
+        if factor is None:
+            self.class_map = (v[:, keep] * np.sqrt(lam)).conj().T
+            self.section = v[:, keep] / np.sqrt(lam)
+        else:  # C = U S V*: U_k* C = S_k V_k*, C* U_k / lam = V_k / S_k
+            self.class_map = dagger(u[:, keep]) @ factor
+            self.section = dagger(self.class_map) / lam
         # co-isometry normalized so that q . gram . q* = I
-        self.co_isometry = (vecs / np.sqrt(lam)).conj().T
-        self.class_map = (vecs * np.sqrt(lam)).conj().T
-        self.section = dagger(self.co_isometry)
+        self.co_isometry = dagger(self.section)
         self.tol = tol
 
     @property

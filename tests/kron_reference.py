@@ -18,15 +18,36 @@ def commutator_operator(x: np.ndarray) -> np.ndarray:
     return np.kron(x, eye) - np.kron(eye, x.T)
 
 
-def kron_nested_gram(space) -> np.ndarray:
-    """Gram of a nest_left/nest_right space formed on the plain product as
-    m* G_pair m, with m the inner class map kron'd onto its leg."""
+def kron_inner_map(space) -> np.ndarray:
+    """The inner class map of a nest_left/nest_right space kron'd onto its
+    leg of the pair space."""
     inner, pair = space.meta["inner"], space.meta["pair"]
     if space.meta["bracket"] == "left":
-        m = np.kron(inner.class_map, np.eye(pair.plain_dims[1]))
-    else:
-        m = np.kron(np.eye(pair.plain_dims[0]), inner.class_map)
-    return m.conj().T @ pair.gram @ m
+        return np.kron(inner.class_map, np.eye(pair.plain_dims[1]))
+    return np.kron(np.eye(pair.plain_dims[0]), inner.class_map)
+
+
+def kron_nested_gram(space) -> np.ndarray:
+    """Gram of a nest_left/nest_right space formed on the plain product as
+    m* G_pair m, with m from kron_inner_map."""
+    m = kron_inner_map(space)
+    return m.conj().T @ space.meta["pair"].gram @ m
+
+
+def kron_nested_factor(space) -> np.ndarray:
+    """Factor pair.class_map . m of a nest_left/nest_right space, with m
+    from kron_inner_map."""
+    return space.meta["pair"].class_map @ kron_inner_map(space)
+
+
+def svd_quotient(factor, tol):
+    """(class_map, section) of the quotient of C*C read through the thin
+    SVD of the factor C, with the rank rule on sigma^2 for N unknowns, as
+    first done: class_map = S_k V_k*, section = V_k / S_k."""
+    _, s, vh = np.linalg.svd(factor, full_matrices=False)
+    n = factor.shape[1]
+    keep = s ** 2 > tol.rank_cut(np.max(s, initial=0.0) ** 2, n, n)
+    return s[keep, None] * vh[keep], vh[keep].conj().T / s[keep]
 
 
 def kron_connectors(src, dst, left, right):

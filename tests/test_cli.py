@@ -354,6 +354,27 @@ def test_invalid_tolerance_exits_2(capsys, pair2):
     assert "positive" in out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "0"])
+@pytest.mark.parametrize("command", ["gns", "pmu-check"])
+def test_bad_tolerance_flag_exits_2(capsys, pair2, command, value):
+    code, out = run(capsys, command, "--in", pair2, "--tolerance", value)
+    assert code == 2
+    assert "positive and finite" in out
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "QGW_TOLERANCE is not a number"), ("nan", "finite"),
+    ("inf", "finite"), ("-1e-9", "positive"),
+])
+@pytest.mark.parametrize("command", ["gns", "pmu-check"])
+def test_bad_tolerance_env_exits_2(capsys, pair2, monkeypatch, command,
+                                   value, message):
+    monkeypatch.setenv("QGW_TOLERANCE", value)
+    code, out = run(capsys, command, "--in", pair2)
+    assert code == 2
+    assert message in out
+
+
 def test_bad_blocks_argument_exits_2(capsys):
     code, out = run(capsys, "gen-random-base", "--blocks", "2,x",
                     "--seed", "1")

@@ -268,6 +268,30 @@ def test_quotient_from_factor_matches_gram():
         QuotientRealization(dagger(c) @ c, factor=c)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+@pytest.mark.parametrize("times_cut, kept", [(0.1, 3), (10.0, 4)])
+def test_factor_rank_flips_at_the_cut_on_sigma_squared(scale, times_cut,
+                                                       kept):
+    # a factor with singular values scale * (1, 0.7, 0.4, sigma), sigma^2 at
+    # 0.1x and 10x the cut eps lam_max N on G = C*C: the smallest direction
+    # is dropped and kept exactly there, as by the Gram route (a cut on
+    # sigma itself would keep it both times)
+    gen, n = rng(12), 9
+    cut = DEFAULT_TOL.rank_cut(1.0, n, n)
+    s = scale * np.array([1.0, 0.7, 0.4, np.sqrt(times_cut * cut)])
+    vh = random_unitary(n, gen)[:4]
+    c = random_unitary(4, gen) @ (s[:, None] * vh)
+    by_factor = QuotientRealization(factor=c)
+    by_gram = QuotientRealization(dagger(c) @ c)
+    assert by_factor.dim == by_gram.dim == kept
+    # a kept direction at 10x the cut is resolved to about 4e-16 lam_max /
+    # lam_k, 5e-9 here, by either eigh
+    proj = [q.section @ q.class_map for q in (by_factor, by_gram)]
+    assert mat_norm(proj[0] - proj[1]) < 1e-8
+    assert mat_norm(by_factor.class_map @ by_factor.section
+                    - np.eye(kept)) < 1e-8
+
+
 def test_quotient_degenerate_directions_are_killed():
     gram = np.diag([2.0, 0.0, 1.0, 0.0])
     q = QuotientRealization(gram)

@@ -6,6 +6,7 @@ from qgw.fixtures import FiniteGroupoid, groupoid_pentagon_unitary
 from qgw.linalg import (
     DEFAULT_TOL,
     QuotientRealization,
+    dagger,
     mat_norm,
     random_unitary,
     rng,
@@ -25,7 +26,7 @@ from qgw.pmu import (
     swapped_candidate,
 )
 from qgw.rtensor import rtp_cstar
-from kron_reference import kron_nested_gram
+from kron_reference import kron_nested_factor, kron_nested_gram, svd_quotient
 
 
 def test_swap_matrix_exchanges_legs():
@@ -93,6 +94,24 @@ def test_nested_vertices_match_kron_grams():
         assert mat_norm(space.gram - ref.gram) < 1e-12, (flavor, name)
         proj = space.section @ space.class_map
         assert mat_norm(proj - ref.section @ ref.class_map) < 1e-10, (flavor, name)
+
+
+def test_nested_vertices_match_the_thin_svd():
+    # the r x r Gram of the factor gives the thin SVD's quotient: the same
+    # dimension, inner products and projector, and a section right inverse
+    # to the class map
+    cases = pentagon_vertex_cases()
+    assert len(cases) == 28
+    for flavor, name, space in cases:
+        factor = kron_nested_factor(space)
+        class_map, section = svd_quotient(factor, space.tol)
+        assert space.dim == len(class_map), (flavor, name)
+        assert mat_norm(dagger(space.class_map) @ space.class_map
+                        - dagger(class_map) @ class_map) < 1e-10, (flavor, name)
+        assert mat_norm(space.section @ space.class_map
+                        - section @ class_map) < 1e-10, (flavor, name)
+        assert mat_norm(space.class_map @ space.section
+                        - np.eye(space.dim)) < 1e-12, (flavor, name)
 
 
 def test_non_descending_operator_fails_both_descent_residuals():
