@@ -54,12 +54,6 @@ class CStarBase:
     def orbit_rank(self, alg: StarAlgebra, v: np.ndarray) -> int:
         return rank(alg.subspace.stack @ v, self.tol)
 
-    def is_bicyclic(self, v: np.ndarray) -> bool:
-        return (
-            self.orbit_rank(self.algebra, v) == self.space_dim
-            and self.orbit_rank(self.partner, v) == self.space_dim
-        )
-
     def standard_report(self) -> dict:
         """Residuals and rank defects for the standardness properties."""
         out = {}
@@ -79,22 +73,6 @@ class CStarBase:
             com.subspace, self.partner.subspace
         ) + abs(com.dim - self.partner.dim)
         return out
-
-    def is_standard(self) -> bool:
-        rep = self.standard_report()
-        return all(v <= self.tol.check for v in rep.values())
-
-
-def find_bicyclic(base: CStarBase, attempts: int = 16) -> np.ndarray | None:
-    """Search for a joint cyclic vector; None if the attempts all fail."""
-    n = base.space_dim
-    for seed in range(attempts):
-        gen = np.random.default_rng(seed)
-        v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        v /= np.linalg.norm(v)
-        if base.is_bicyclic(v):
-            return v
-    return None
 
 
 def cbase_from_state(triple: GnsTriple) -> CStarBase:

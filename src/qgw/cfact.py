@@ -75,10 +75,6 @@ class Factorization:
     def acting_algebra(self) -> StarAlgebra:
         return self.base.algebra if self.flipped else self.base.partner
 
-    def contains(self, x: np.ndarray, threshold: float | None = None) -> bool:
-        thr = self.tol.check if threshold is None else threshold
-        return self.subspace.contains(x, thr)
-
     def axiom_report(self) -> dict:
         out = {}
         prod = self.product_algebra()

@@ -4,7 +4,7 @@ Generates fixture bundles and runs the certification commands on them.  A
 bundle is one JSON document whose sections reference each other by name.
 A check command hands one lazily built bundle context to its certifier and
 prints the certificate as a check table.  Exit codes: 0 when every check
-passes, 1 when one fails, 2 on malformed input.
+passes, 1 when one fails, 2 on malformed input or when memory runs out.
 """
 from __future__ import annotations
 
@@ -538,6 +538,9 @@ def main(argv=None) -> int:
             args.command, [], 0.0,
             error=f"{type(exc).__name__}: {exc}",
         )
+    except MemoryError as exc:
+        report = Report(args.command, [], 0.0,
+                        error=f"MemoryError: {str(exc) or 'out of memory'}")
     report.timing_ms = (time.perf_counter() - started) * 1000.0
     out_path = getattr(args, "out", None)
     if out_path and report.verdict != "error":

@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cbase import CStarBase, cbase_from_state
-from .cfact import Factorization, factorization_from_rep
-from .errors import DimensionError
+from .cfact import factorization_from_rep
 from .gns import GnsTriple, State, gns
 from .linalg import (
     DEFAULT_TOL,
@@ -69,9 +68,6 @@ class FiniteGroupoid:
             return -1
         return int(self.compose_table[g, h])
 
-    def is_unit(self, g: int) -> bool:
-        return g in set(self.unit_arrows.tolist())
-
     def lambda_matrix(self, g: int) -> np.ndarray:
         """Left translation on the arrow space."""
         m = np.zeros((self.n_arrows, self.n_arrows))
@@ -107,25 +103,6 @@ def groupoid_algebra(gpd: FiniteGroupoid,
     return alg, norms
 
 
-def groupoid_state(gpd: FiniteGroupoid, algebra: StarAlgebra,
-                   norms: np.ndarray, weights=None) -> State:
-    """State picking out the units; uniform weights by default."""
-    w = unit_weights(gpd, weights)
-    values = np.zeros(gpd.n_arrows, dtype=complex)
-    for u, g in enumerate(gpd.unit_arrows):
-        values[g] = w[u] / norms[g]
-    return State(algebra, values)
-
-
-def unit_weights(gpd: FiniteGroupoid, weights=None) -> np.ndarray:
-    if weights is None:
-        return np.full(gpd.n_units, 1.0 / gpd.n_units)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (gpd.n_units,) or w.min() <= 0 or abs(w.sum() - 1) > 1e-12:
-        raise DimensionError("weights must be positive and sum to one")
-    return w
-
-
 def unit_algebra(gpd: FiniteGroupoid, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
     """Functions on the unit space."""
     n = gpd.n_units
@@ -133,10 +110,11 @@ def unit_algebra(gpd: FiniteGroupoid, tol: Tolerance = DEFAULT_TOL) -> StarAlgeb
     return StarAlgebra(n, OperatorSubspace(n, n, stack), tol)
 
 
-def unit_triple(gpd: FiniteGroupoid, weights=None,
+def unit_triple(gpd: FiniteGroupoid,
                 tol: Tolerance = DEFAULT_TOL) -> GnsTriple:
+    """The uniform state on the unit algebra and its cyclic representation."""
     alg = unit_algebra(gpd, tol)
-    w = unit_weights(gpd, weights)
+    w = np.full(gpd.n_units, 1.0 / gpd.n_units)
     return gns(alg, State(alg, w.astype(complex)), tol)
 
 
@@ -260,30 +238,11 @@ def linked_bundle(block_sizes, mult_left, mult_right, seed,
     return linked_data(triple, rho, sigma, tol, base)
 
 
-def trivial_bundle(dim_left: int = 2, dim_right: int = 2,
-                   tol: Tolerance = DEFAULT_TOL) -> dict:
-    """Scalar base: the relative product degenerates to the plain tensor."""
-    from .staralg import full_matrix_algebra
-
-    alg = full_matrix_algebra(1, tol)
-    triple = gns(alg, State(alg, np.array([1.0])), tol)
-    return linked_data(triple, np.stack([np.eye(dim_left)]),
-                       np.stack([np.eye(dim_right)]), tol)
-
-
-def two_point_bundle(tol: Tolerance = DEFAULT_TOL) -> dict:
-    """Two-point commutative base acting diagonally on two qubit spaces."""
-    stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
-    alg = StarAlgebra(2, OperatorSubspace(2, 2, stack), tol)
-    triple = gns(alg, State(alg, np.array([0.5, 0.5])), tol)
-    return linked_data(triple, stack, stack, tol)
-
-
-def groupoid_bundle(gpd: FiniteGroupoid, weights=None,
+def groupoid_bundle(gpd: FiniteGroupoid,
                     tol: Tolerance = DEFAULT_TOL) -> dict:
     """Groupoid base data: unit algebra triple plus the arrow space carrying
     the range action on both sides."""
-    triple = unit_triple(gpd, weights, tol)
+    triple = unit_triple(gpd, tol)
     range_stack, source_stack = groupoid_actions(gpd)
     rho = range_stack.astype(complex)
     return linked_data(triple, rho, rho, tol, groupoid=gpd,

@@ -20,7 +20,7 @@ from .linalg import (
     mat_norm,
     rank,
 )
-from .staralg import StarAlgebra, commute_residual, rep_report, rep_value
+from .staralg import StarAlgebra, commute_residual, rep_report
 
 
 class State:
@@ -110,17 +110,6 @@ class GnsTriple:
         self.rep_op_stack = self.j.sandwich(dagger(self.rep_stack))
         self.rep_stack.flags.writeable = False
         self.rep_op_stack.flags.writeable = False
-
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """Image of the algebra element x as a vector of the space."""
-        return self.w @ self.algebra.coefficients(x)
-
-    def rep(self, x: np.ndarray) -> np.ndarray:
-        return rep_value(self.algebra, self.rep_stack, x)
-
-    def rep_op(self, x: np.ndarray) -> np.ndarray:
-        """Right action: the opposite algebra element with underlying x."""
-        return rep_value(self.algebra, self.rep_op_stack, x)
 
     def certificates(self) -> dict:
         """Residuals of everything this construction promises."""

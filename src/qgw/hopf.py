@@ -137,12 +137,12 @@ def hopf_equivalence(state_space: RelativeTensorSpace,
     )
 
 
-def groupoid_hopf(gpd: FiniteGroupoid, weights=None,
+def groupoid_hopf(gpd: FiniteGroupoid,
                   tol: Tolerance = DEFAULT_TOL) -> dict:
     """Diagonal comultiplication of a groupoid algebra, on both flavors: the
     image stacks, aligned with the arrow algebra's basis, of the lifted
     normalized arrows."""
-    bundle = groupoid_bundle(gpd, weights, tol)
+    bundle = groupoid_bundle(gpd, tol)
     arrow_alg, norms = groupoid_algebra(gpd, tol)
     vn = rtp_state(bundle["triple"], bundle["rho"], bundle["sigma"])
     cs = rtp_cstar(bundle["alpha"], bundle["beta"])

@@ -76,15 +76,6 @@ def stack_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a* b), conjugate-linear in a."""
-    return complex(np.vdot(a, b))
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    return a.reshape(-1)
-
-
 def unitary_residual(u: np.ndarray) -> float:
     n, m = u.shape
     r1 = mat_norm(dagger(u) @ u - np.eye(m))
@@ -102,7 +93,6 @@ class AntilinearMap:
     """Antilinear operator v -> K conj(v), stored through its matrix K.
 
     Composition rules (all derivable from the action):
-      adjoint            has matrix K^T
       square             is the linear map K conj(K)
       J A J (A linear)   is the linear map K conj(A) conj(K)
     """
@@ -118,9 +108,6 @@ class AntilinearMap:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ np.conj(v)
-
-    def adjoint(self) -> "AntilinearMap":
-        return AntilinearMap(self.matrix.T)
 
     def square(self) -> np.ndarray:
         """Matrix of the (linear) composition with itself."""
@@ -208,9 +195,6 @@ class OperatorSubspace:
         flat = as_complex(x).reshape(-1, self.codomain_dim * self.domain_dim)
         gap = flat - flat @ self.flat().conj().T @ self.flat()
         return worst_norm(gap[:, None])
-
-    def contains(self, x: np.ndarray, threshold: float) -> bool:
-        return self.residual(x) <= threshold * max(1.0, mat_norm(x))
 
     def matrices(self):
         return [self.stack[i] for i in range(self.dim)]
@@ -447,10 +431,6 @@ class QuotientRealization:
             return dagger(self._factor) @ self._factor
         return self._gram
 
-    def to_quotient(self, w: np.ndarray) -> np.ndarray:
-        """Class coordinates of a plain vector (or of stacked columns)."""
-        return self.class_map @ w
-
     def descend(self, top: np.ndarray):
         """Descend a map whose composite with the destination's class map is
         top (one (k, N) matrix or a stack of them), out of this quotient.
@@ -474,7 +454,10 @@ def induced_between(
     failure to annihilate ker(src.gram), normalized by the map's scale.
     With src = dst this descends an operator on one quotient.
     """
-    mat, res = src.descend(dst.class_map @ as_complex(plain_map))
+    plain_map = as_complex(plain_map)
+    if plain_map.shape != (dst.plain_dim, src.plain_dim):
+        raise DimensionError("plain map does not connect the two spaces")
+    mat, res = src.descend(dst.class_map @ plain_map)
     return mat, float(res)
 
 

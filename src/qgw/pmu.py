@@ -36,7 +36,6 @@ from .linalg import (
 )
 from .report import Certificate
 from .rtensor import (
-    descend,
     insertion_span,
     ket_factorization,
     nest_left,
@@ -252,7 +251,7 @@ def check_pmu_cstar(cand: PmuCandidate, beta_hat: Factorization,
     res["source_flavor_match"] = max(cert_s.residuals.values())
     res["target_flavor_match"] = max(cert_t.residuals.values())
     v_c = xi_t @ cand.v_matrix @ dagger(xi_s)
-    direct, direct_res = descend(ds, dt, cand.v_plain)
+    direct, direct_res = induced_between(ds, dt, cand.v_plain)
     res["operator_transport_consistent"] = max(
         direct_res, mat_norm(v_c - direct)
     )

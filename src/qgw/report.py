@@ -167,29 +167,16 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def checks_from_residuals(residuals, threshold: float | None = None,
-                          overrides: dict | None = None,
-                          prefix: str = "") -> list:
-    """One Check per residual entry; overrides maps names to their own
-    thresholds.
-
-    A Certificate brings its own thresholds and flattens its children after
-    its own entries, each child's name joining the prefix.  Anchors follow
-    the leaf name.
+def checks_from_residuals(cert: Certificate, prefix: str = "") -> list:
+    """One Check per residual of the certificate, in name order and held to
+    its own threshold, then its children's, each child's name joining the
+    prefix.  Anchors follow the leaf name.
     """
-    if isinstance(residuals, Certificate):
-        out = checks_from_residuals(
-            residuals.residuals, None, residuals.thresholds, prefix
-        )
-        for name, child in residuals.children.items():
-            out += checks_from_residuals(child, prefix=f"{prefix}{name}_")
-        return out
-    overrides = overrides or {}
-    out = []
-    for name in sorted(residuals):
-        thr = overrides.get(name, threshold)
-        out.append(
-            Check(prefix + name, residuals[name], thr,
-                  anchor=ANCHORS.get(name, name))
-        )
+    out = [
+        Check(prefix + name, cert.residuals[name], cert.thresholds[name],
+              anchor=ANCHORS.get(name, name))
+        for name in sorted(cert.residuals)
+    ]
+    for name, child in cert.children.items():
+        out += checks_from_residuals(child, prefix=f"{prefix}{name}_")
     return out

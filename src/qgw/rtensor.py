@@ -30,7 +30,6 @@ from .linalg import (
     OperatorSubspace,
     QuotientRealization,
     Tolerance,
-    induced_between,
     mat_norm,
     span,
     unitary_residual,
@@ -66,10 +65,6 @@ class RelativeTensorSpace(QuotientRealization):
         self.flavor = flavor
         self.plain_dims = tuple(int(d) for d in plain_dims)
         self.meta = meta or {}
-
-    def pairing(self, v: np.ndarray, w: np.ndarray) -> complex:
-        """Relative inner product of two plain tensors."""
-        return complex(np.conj(v) @ self.gram @ w)
 
     def lift(self, ops, require: bool = True,
              into: "RelativeTensorSpace | None" = None):
@@ -290,15 +285,6 @@ def nest_right(inner: RelativeTensorSpace,
         meta={"inner": inner, "pair": pair, "bracket": "right"},
         factor=(cm @ inner.class_map).reshape(pair.dim, -1),
     )
-
-
-def descend(src: RelativeTensorSpace, dst: RelativeTensorSpace,
-            plain_map: np.ndarray):
-    """Induce a plain-space map between two quotients of the same plain
-    space; returns (matrix, well-definedness residual)."""
-    if src.plain_dim != plain_map.shape[1] or dst.plain_dim != plain_map.shape[0]:
-        raise DimensionError("plain map does not connect the two spaces")
-    return induced_between(src, dst, plain_map)
 
 
 def phi_unitary(state_space: RelativeTensorSpace,

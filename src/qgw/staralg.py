@@ -80,10 +80,6 @@ class StarAlgebra:
     def basis(self):
         return self.subspace.matrices()
 
-    def contains(self, x: np.ndarray, threshold: float | None = None) -> bool:
-        thr = self.tol.check if threshold is None else threshold
-        return self.subspace.contains(x, thr)
-
     def residual(self, x: np.ndarray) -> float:
         return self.subspace.residual(x)
 
@@ -97,20 +93,12 @@ class StarAlgebra:
         """Structure tensor: c[i, j] = coefficients(b_i b_j)."""
         return self._products[0]
 
-    def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Coordinates of x -> a x on the orthonormal algebra basis."""
-        return np.tensordot(self.coefficients(a), self.structure(), axes=1).T
-
     def star_matrix(self) -> np.ndarray:
         """Coordinate matrix of the antilinear star map: coords(x*) = S conj(coords(x))."""
         return self._products[1]
 
     def identity_coefficients(self) -> np.ndarray:
         return self.coefficients(np.eye(self.space_dim))
-
-    def is_commutative(self) -> bool:
-        stack = self.subspace.stack
-        return commute_residual(stack, stack) <= self.tol.check
 
     def commutant(self) -> "StarAlgebra":
         n, stack = self.space_dim, self.subspace.stack
@@ -151,18 +139,6 @@ def algebra_from_generators(space_dim: int, generators,
         if nxt.dim == current.dim:
             return StarAlgebra(space_dim, nxt, tol)
         current = nxt
-
-
-def full_matrix_algebra(n: int, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    units = np.zeros((n * n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            units[i * n + j, i, j] = 1.0
-    return StarAlgebra(n, span(units, n, n, tol), tol, certify=False)
-
-
-def scalars(n: int, tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    return StarAlgebra(n, span([np.eye(n)], n, n, tol), tol, certify=False)
 
 
 def rep_value(algebra: StarAlgebra, mats: np.ndarray, x: np.ndarray) -> np.ndarray:

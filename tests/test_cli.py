@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qgw import cli
 from qgw.cli import main
 from qgw.report import Report
 
@@ -373,6 +374,23 @@ def test_bad_tolerance_env_exits_2(capsys, pair2, monkeypatch, command,
     code, out = run(capsys, command, "--in", pair2)
     assert code == 2
     assert message in out
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 5.82 GiB"])
+def test_running_out_of_memory_exits_2_naming_it(capsys, pair2, monkeypatch,
+                                                 tmp_path, message):
+    def exhausted(ctx):
+        raise MemoryError(message)
+
+    blurb, _ = cli.CHECKS["pmu-check"]
+    monkeypatch.setitem(cli.CHECKS, "pmu-check", (blurb, exhausted))
+    path = tmp_path / "report.json"
+    code, out = run(capsys, "pmu-check", "--in", pair2, "--out", str(path))
+    assert code == 2
+    assert "pmu-check: ERROR" in out
+    named = [line for line in out.splitlines() if "MemoryError" in line]
+    assert len(named) == 1 and message in named[0]
+    assert not path.exists()
 
 
 def test_bad_blocks_argument_exits_2(capsys):

@@ -25,10 +25,10 @@ from qgw.rtensor import phi_unitary, rtp_cstar, rtp_state
 from qgw.staralg import (
     StarAlgebra,
     algebra_from_generators,
-    full_matrix_algebra,
     rep_report,
     rep_value,
 )
+from small_fixtures import full_matrix_algebra
 
 THRESHOLD = DEFAULT_TOL.check
 SEED = 4
@@ -142,7 +142,7 @@ def rho_corner():
     """Acting algebra cut down to the corner p B' of a central projection
     p; the induced action sends its unit p to a proper projection."""
     triple, base = seeded_base()
-    p = triple.rep_op(np.diag([0.0, 0.0, 1.0]))
+    p = rep_value(triple.algebra, triple.rep_op_stack, np.diag([0.0, 0.0, 1.0]))
     n = base.space_dim
     corner = StarAlgebra(n, span(p @ base.partner.subspace.stack, n, n),
                          certify=False)

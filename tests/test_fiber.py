@@ -22,8 +22,6 @@ from qgw.fixtures import (
     FiniteGroupoid,
     groupoid_bundle,
     linked_bundle,
-    trivial_bundle,
-    two_point_bundle,
 )
 from qgw.linalg import (
     DEFAULT_TOL,
@@ -39,13 +37,20 @@ from qgw.linalg import (
 from qgw.hopf import groupoid_hopf
 from qgw.rtensor import (
     RelativeTensorSpace,
+    ket_factorization,
     nest_left,
     phi_unitary,
     rtp_cstar,
     rtp_state,
 )
-from qgw.staralg import StarAlgebra, algebra_from_generators, full_matrix_algebra
+from qgw.staralg import (
+    StarAlgebra,
+    algebra_from_generators,
+    commute_residual,
+    rep_value,
+)
 from kron_reference import kron_connectors, mul_operator, pinv_images
+from small_fixtures import full_matrix_algebra, trivial_bundle, two_point_bundle
 
 
 def leg_algebras(bundle):
@@ -71,11 +76,10 @@ def test_classical_two_point_is_diagonal():
     # quotient is two dimensional and the product is the full diagonal there
     assert vn.dim == 2
     assert fp.dim == 2
-    assert fp.is_commutative()
+    assert commute_residual(fp.subspace.stack, fp.subspace.stack) < 1e-10
     units = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     lifted, _ = vn.lift([units, units])
-    for m in lifted:
-        assert fp.contains(m)
+    assert fp.residual(lifted) <= fp.tol.check
 
 
 def test_classical_full_legs_full_product():
@@ -94,7 +98,7 @@ def test_spatial_product_is_unital_algebra():
     a, b = leg_algebras(bundle)
     fp, _ = fiber_spatial(cs, a, b)
     # construction self-certifies closure; identity sits inside
-    assert fp.contains(np.eye(cs.dim))
+    assert fp.residual(np.eye(cs.dim)) <= fp.tol.check
 
 
 @pytest.mark.parametrize("case", ["trivial", "two_point", "groupoid", "random"])
@@ -211,6 +215,28 @@ def test_conjugation_onto_unmoved_factorization_is_not_morphism():
     verdict = is_morphism(u @ a.subspace.stack @ dagger(u), a,
                           bundle["alpha"], moved_alg, bundle["alpha"])
     assert not verdict.ok
+
+
+def test_unit_swap_twist_keeps_no_intertwiner():
+    """Delta after conjugation by the unit swap s of pair(2) is a
+    *-homomorphism into the fiber product that moves the base action.  Its
+    8-dimensional intertwiner space carries alpha onto alpha2 composed with
+    the swap, never into alpha2, so no intertwiner keeps the
+    factorizations: criterion two reports the whole target dimension,
+    failing with criterion one."""
+    gpd = FiniteGroupoid.pair(2)
+    h = groupoid_hopf(gpd)
+    cs, arrow, alpha = h["cstar_space"], h["algebra"], h["alpha"]
+    fp, _ = fiber_spatial(cs, arrow, arrow)
+    alpha2 = ket_factorization(cs, alpha, alpha, leg=0, flipped=False)
+    # arrows (0, 1) and (1, 0)
+    swap = gpd.lambda_matrix(1) + gpd.lambda_matrix(2)
+    images = rep_value(arrow, h["delta_cstar"],
+                       swap @ arrow.subspace.stack @ dagger(swap))
+    assert len(intertwiner_space(images, arrow)) == 8
+    cert = is_morphism(images, arrow, alpha, fp, alpha2)
+    assert cert.residuals["transports_base_action"] > 1.0
+    assert cert.residuals["intertwiners_carry_factorization"] == alpha2.dim
 
 
 @pytest.mark.parametrize("starve", ["intertwiner_space", "rep_value"])

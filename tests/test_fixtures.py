@@ -8,17 +8,15 @@ from qgw.fixtures import (
     groupoid_algebra,
     groupoid_bundle,
     groupoid_pentagon_unitary,
-    groupoid_state,
     linked_bundle,
     random_standard_base,
-    trivial_bundle,
-    two_point_bundle,
     unit_triple,
 )
-from qgw.gns import gns
+from qgw.gns import State, gns
 from qgw.linalg import mat_norm, dagger
 from qgw.rtensor import phi_unitary, rtp_cstar, rtp_state
 from qgw.staralg import rep_report
+from small_fixtures import trivial_bundle, two_point_bundle
 
 
 def test_pair_groupoid_structure():
@@ -29,8 +27,8 @@ def test_pair_groupoid_structure():
     assert g.compose(idx(0, 1), idx(1, 2)) == idx(0, 2)
     assert g.compose(idx(0, 1), idx(2, 0)) == -1
     assert g.inverse[idx(0, 1)] == idx(1, 0)
-    assert g.is_unit(idx(2, 2))
-    assert not g.is_unit(idx(0, 1))
+    assert idx(2, 2) in g.unit_arrows
+    assert idx(0, 1) not in g.unit_arrows
 
 
 def test_cyclic_group_structure():
@@ -47,7 +45,10 @@ def test_groupoid_algebra_and_state():
     g = FiniteGroupoid.pair(2)
     alg, norms = groupoid_algebra(g)
     assert alg.dim == 4
-    st = groupoid_state(g, alg, norms)
+    # the state picking out the units, uniformly weighted
+    values = np.zeros(g.n_arrows, dtype=complex)
+    values[g.unit_arrows] = 0.5 / norms[g.unit_arrows]
+    st = State(alg, values)
     assert abs(st.value(np.eye(4)) - 1.0) < 1e-12
     triple = gns(alg, st)
     assert triple.dim == 4
@@ -96,7 +97,7 @@ def test_pentagon_unitary_counts_composables():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_standard_base(seed):
     triple, base = random_standard_base([2, 1], seed)
-    assert base.is_standard()
+    assert max(base.standard_report().values()) <= base.tol.check
     assert base.space_dim == triple.dim == 5
 
 

@@ -11,8 +11,23 @@ from qgw.linalg import (
     mat_norm,
     rng,
 )
-from qgw.staralg import StarAlgebra, full_matrix_algebra
+from qgw.staralg import StarAlgebra, rep_value
 from qgw.linalg import span
+from small_fixtures import full_matrix_algebra
+
+
+def coords(triple, x):
+    """Image of the algebra element x as a vector of the space."""
+    return triple.w @ triple.algebra.coefficients(x)
+
+
+def rep(triple, x):
+    return rep_value(triple.algebra, triple.rep_stack, x)
+
+
+def rep_op(triple, x):
+    """Right action: the opposite algebra element with underlying x."""
+    return rep_value(triple.algebra, triple.rep_op_stack, x)
 
 
 def diag_algebra(n):
@@ -88,7 +103,7 @@ def test_gns_vector_state_identity():
     triple = gns(alg, st)
     z = triple.cyclic_vector
     for b in alg.basis():
-        assert abs(np.vdot(z, triple.rep(b) @ z) - st.value(b)) < 1e-10
+        assert abs(np.vdot(z, rep(triple, b) @ z) - st.value(b)) < 1e-10
 
 
 def test_modular_operator_matches_density_conjugation():
@@ -100,12 +115,12 @@ def test_modular_operator_matches_density_conjugation():
     triple = gns(alg, st)
     gen = rng(21)
     x = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
-    lhs = triple.delta @ triple.coords(x)
-    rhs = triple.coords(d @ x @ np.linalg.inv(d))
+    lhs = triple.delta @ coords(triple, x)
+    rhs = coords(triple, d @ x @ np.linalg.inv(d))
     assert np.linalg.norm(lhs - rhs) < 1e-9
     d_half = np.diag(np.sqrt(np.diag(d)))
-    lhs_j = triple.j.apply(triple.coords(x))
-    rhs_j = triple.coords(d_half @ dagger(x) @ np.linalg.inv(d_half))
+    lhs_j = triple.j.apply(coords(triple, x))
+    rhs_j = coords(triple, d_half @ dagger(x) @ np.linalg.inv(d_half))
     assert np.linalg.norm(lhs_j - rhs_j) < 1e-9
 
 
@@ -116,7 +131,7 @@ def test_tracial_state_has_trivial_modular_operator():
     # conjugation sends coords(x) to coords(x*)
     x = np.array([[1.0, 2.0j], [0.0, -1.0]])
     assert np.linalg.norm(
-        triple.j.apply(triple.coords(x)) - triple.coords(dagger(x))
+        triple.j.apply(coords(triple, x)) - coords(triple, dagger(x))
     ) < 1e-10
 
 
@@ -135,9 +150,9 @@ def test_opposite_action_commutes_and_reverses_products():
     gen = rng(22)
     a = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
     b = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
-    oa, ob = triple.rep_op(a), triple.rep_op(b)
-    assert mat_norm(triple.rep_op(a @ b) - ob @ oa) < 1e-9
-    assert mat_norm(triple.rep(a) @ ob - ob @ triple.rep(a)) < 1e-9
+    oa, ob = rep_op(triple, a), rep_op(triple, b)
+    assert mat_norm(rep_op(triple, a @ b) - ob @ oa) < 1e-9
+    assert mat_norm(rep(triple, a) @ ob - ob @ rep(triple, a)) < 1e-9
 
 
 def test_opposite_action_is_gns_of_same_values():
@@ -147,9 +162,9 @@ def test_opposite_action_is_gns_of_same_values():
     triple = gns(alg, st)
     z = triple.cyclic_vector
     for b in alg.basis():
-        assert abs(np.vdot(z, triple.rep_op(b) @ z) - st.value(b)) < 1e-9
+        assert abs(np.vdot(z, rep_op(triple, b) @ z) - st.value(b)) < 1e-9
     # cyclic for the right action too
-    orbit = np.stack([triple.rep_op(b) @ z for b in alg.basis()])
+    orbit = np.stack([rep_op(triple, b) @ z for b in alg.basis()])
     assert np.linalg.matrix_rank(orbit) == triple.dim
 
 

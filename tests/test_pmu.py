@@ -114,6 +114,18 @@ def test_nested_vertices_match_the_thin_svd():
                         - np.eye(space.dim)) < 1e-12, (flavor, name)
 
 
+def test_pentagon_vertices_keep_a_wide_rank_margin():
+    # the r x r Gram route resolves a kept direction only to about
+    # r 1e-16 lam_max / lam_k, so a vertex whose smallest kept eigenvalue
+    # drifts toward the cut could report a descent residual from round-off
+    # alone; every vertex sits above 1e6x the cut today
+    for flavor, name, space in pentagon_vertex_cases():
+        lam = np.linalg.norm(space.class_map, axis=1) ** 2
+        n = space.plain_dim
+        cut = space.tol.rank_cut(lam.max(), n, n)
+        assert lam.min() >= 1e4 * cut, (flavor, name, lam.min() / cut)
+
+
 def test_non_descending_operator_fails_both_descent_residuals():
     # a seeded unitary on the plain square sends kernel vectors of the
     # source square off the target's support, and its pentagon edges the

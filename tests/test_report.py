@@ -61,25 +61,28 @@ def test_timing_stays_out_of_the_document():
 
 
 def test_checks_from_residuals_prefix_and_overrides():
-    residuals = {"pentagon": 5e-8, "unitary": 1e-12}
-    checks = checks_from_residuals(
-        residuals, 1e-8, overrides={"pentagon": 1e-7}, prefix="state_"
-    )
+    # a certificate brings its thresholds from the Tolerance: "pentagon" is
+    # held to the pentagon threshold, everything else to check
+    tol = Tolerance()
+    residuals = {"unitary": 1e-12, "pentagon": 5e-8}
+    checks = checks_from_residuals(Certificate(residuals, tol),
+                                   prefix="state_")
+    assert [c.name for c in checks] == ["state_pentagon", "state_unitary"]
     named = {c.name: c for c in checks}
-    assert set(named) == {"state_pentagon", "state_unitary"}
-    assert named["state_pentagon"].threshold == 1e-7
+    assert named["state_pentagon"].threshold == tol.pentagon
     assert named["state_pentagon"].passed
+    assert named["state_unitary"].threshold == tol.check
     # anchors resolve from the raw name, not the prefixed one
     assert named["state_pentagon"].anchor == "pentagon-identity"
     assert named["state_unitary"].anchor == "unitarity"
-    # a certificate brings its thresholds from the Tolerance, and its
-    # children's names join the prefix at every depth
-    tol = Tolerance()
+    # children follow their parent's own entries, and their names join the
+    # prefix at every depth
     cert = Certificate({"verdicts_agree": 0.0}, tol,
                        {"state": Certificate(residuals, tol)})
-    named = {c.name: c for c in checks_from_residuals(cert, prefix="pmu_")}
-    assert set(named) == {"pmu_verdicts_agree", "pmu_state_pentagon",
-                          "pmu_state_unitary"}
+    checks = checks_from_residuals(cert, prefix="pmu_")
+    assert [c.name for c in checks] == [
+        "pmu_verdicts_agree", "pmu_state_pentagon", "pmu_state_unitary"]
+    named = {c.name: c for c in checks}
     assert named["pmu_state_pentagon"].threshold == tol.pentagon
     assert named["pmu_state_pentagon"].passed
     assert named["pmu_state_unitary"].threshold == tol.check

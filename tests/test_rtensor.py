@@ -18,7 +18,6 @@ from qgw.linalg import (
 )
 from qgw.rtensor import (
     RelativeTensorSpace,
-    descend,
     gram_from_r_stacks,
     ket_left,
     ket_right,
@@ -31,11 +30,11 @@ from qgw.rtensor import (
 from qgw.staralg import (
     StarAlgebra,
     algebra_from_generators,
-    full_matrix_algebra,
     rep_value,
 )
 from qgw.linalg import span as _span
 from kron_reference import kron_nested_gram
+from small_fixtures import full_matrix_algebra
 
 
 def diag_algebra(n):
@@ -97,7 +96,7 @@ def test_state_gram_matches_direct_route():
     space = rtp_state(triple, rho, sigma)
     zeta = triple.cyclic_vector
     k = alg.dim
-    z_op = np.stack([triple.rep_op(b) @ zeta for b in alg.basis()], axis=1)
+    z_op = (rep_value(alg, triple.rep_op_stack, alg.subspace.stack) @ zeta).T
     z_inv = np.linalg.inv(z_op)
     nh = rho.shape[1]
     rh = [
@@ -127,12 +126,10 @@ def test_standard_bimodule_squares_to_itself():
     v = gen.standard_normal(4) + 1j * gen.standard_normal(4)
     w = gen.standard_normal(4) + 1j * gen.standard_normal(4)
     zeta = triple.cyclic_vector
-    assert space.pairing(np.kron(zeta, v), np.kron(zeta, w)) == pytest.approx(
-        np.vdot(v, w)
-    )
-    assert space.pairing(np.kron(v, zeta), np.kron(w, zeta)) == pytest.approx(
-        np.vdot(v, w)
-    )
+    for left, right in ((np.kron(zeta, v), np.kron(zeta, w)),
+                        (np.kron(v, zeta), np.kron(w, zeta))):
+        assert np.vdot(left, space.gram @ right) == pytest.approx(
+            np.vdot(v, w))
 
 
 def test_rejects_wrong_rep_parity():
@@ -280,7 +277,7 @@ def test_nested_brackets_agree_for_commutative_case():
     assert mat_norm(left_space.gram - right_space.gram) < 1e-9
     # only the fully matched plain tensors survive, with weight 1/mu^2
     v = np.kron(np.eye(2)[0], np.kron(np.eye(2)[0], np.eye(2)[0]))
-    assert left_space.pairing(v, v) == pytest.approx(4.0)
+    assert np.vdot(v, left_space.gram @ v) == pytest.approx(4.0)
 
 
 def test_descend_identity_between_equal_spaces():
@@ -288,7 +285,7 @@ def test_descend_identity_between_equal_spaces():
     rho, sigma = diag_action_stacks(triple, 2)
     a = rtp_state(triple, rho, sigma)
     b = rtp_state(triple, rho, sigma)
-    mat, res = descend(a, b, np.eye(4))
+    mat, res = induced_between(a, b, np.eye(4))
     assert res < 1e-10
     assert mat_norm(dagger(mat) @ mat - np.eye(a.dim)) < 1e-10
 
@@ -417,8 +414,8 @@ def test_nesting_factor_matches_kron_gram(case):
     assert mat_norm(proj - ref.section @ ref.class_map) < 1e-10
     # a factor-built quotient still transports the semi-inner product
     w = np.arange(36.0) - 3j
-    assert abs(np.vdot(space.to_quotient(w), space.to_quotient(w))
-               - space.pairing(w, w)) < 1e-10 * mat_norm(ref.gram)
+    assert abs(np.vdot(space.class_map @ w, space.class_map @ w)
+               - np.vdot(w, space.gram @ w)) < 1e-10 * mat_norm(ref.gram)
 
 
 def test_induced_gap_matches_complement_of_support():

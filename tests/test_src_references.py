@@ -1,0 +1,90 @@
+"""Every function and method in src/qgw is reached from src/qgw.
+
+A module-level function or a non-dunder method passes when its name occurs
+as a code token (not in a string or comment, not in an import statement)
+somewhere in src/qgw outside its own body.  The check works on names, so a
+method shares its name with every other use of that name; it catches API
+that only tests call, not every unreachable path.
+"""
+import ast
+import io
+import tokenize
+from collections import defaultdict
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qgw"
+
+# qualified name -> why it stays although nothing in src/ names it
+ALLOWED = {
+    "staralg.StarAlgebra.center":
+        "a timing boundary of perfbench/tracer.py",
+    "cfact.compatible":
+        "the acceptance gate's compatibility-vs-commutation guarantee",
+    "report.Report.from_dict": "the one reader of the report format",
+    "report.Check.from_dict": "the one reader of the report format",
+    "fixtures.FiniteGroupoid.pair": "cli.FAMILIES reaches it by getattr",
+    "fixtures.FiniteGroupoid.cyclic": "cli.FAMILIES reaches it by getattr",
+}
+
+
+def definitions(tree: ast.Module, module: str):
+    """(qualified name, bare name, first line, last line) of each
+    module-level function and each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield (f"{module}.{node.name}", node.name, node.lineno,
+                   node.end_lineno)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__")):
+                    yield (f"{module}.{node.name}.{item.name}", item.name,
+                           item.lineno, item.end_lineno)
+
+
+def code_names(text: str, tree: ast.Module):
+    """(name, line) of every NAME token outside import statements."""
+    imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imports.update(range(node.lineno, node.end_lineno + 1))
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.NAME and tok.start[0] not in imports:
+            yield tok.string, tok.start[0]
+
+
+def parsed():
+    """(module, source text, syntax tree) of every module of src/qgw."""
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        yield path.stem, text, ast.parse(text)
+
+
+def unreferenced() -> list:
+    modules = list(parsed())
+    uses = defaultdict(list)  # name -> [(module, line)] of its tokens
+    for module, text, tree in modules:
+        for name, line in code_names(text, tree):
+            uses[name].append((module, line))
+    return [
+        qualname
+        for module, _, tree in modules
+        for qualname, name, first, last in definitions(tree, module)
+        if all(where == module and first <= line <= last
+               for where, line in uses[name])
+    ]
+
+
+def test_every_definition_in_src_is_referenced_from_src():
+    missing = [q for q in unreferenced() if q not in ALLOWED]
+    assert not missing, (
+        "defined in src/qgw but named nowhere else in src/qgw: "
+        + ", ".join(missing)
+    )
+
+
+def test_allowlist_names_existing_definitions():
+    defined = {entry[0] for module, _, tree in parsed()
+               for entry in definitions(tree, module)}
+    assert set(ALLOWED) <= defined, set(ALLOWED) - defined
