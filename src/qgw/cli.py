@@ -25,7 +25,7 @@ from .fiber import fiber_equivalence, fiber_spatial, is_morphism
 from .fixtures import FiniteGroupoid, linked_bundle
 from .gns import gns
 from .hopf import groupoid_hopf, hopf_equivalence, perturbed_hopf
-from .linalg import Tolerance, dagger, mat_norm
+from .linalg import Tolerance
 from .pmu import PmuCandidate, groupoid_pmu, phase_perturbed_candidate, \
     pmu_equivalence, swapped_candidate
 from .report import Certificate, Check, Report, checks_from_residuals
@@ -336,19 +336,11 @@ def certify_squares(ctx: BundleContext) -> Certificate:
     vn, cs = ctx.squares
     return Certificate({
         "dimension_defect": float(abs(vn.dim - cs.dim)),
-        "state_gram_hermitian": mat_norm(vn.gram - dagger(vn.gram)),
-        "operator_gram_hermitian": mat_norm(cs.gram - dagger(cs.gram)),
-        "state_gram_psd": _psd_defect(vn.gram),
-        "operator_gram_psd": _psd_defect(cs.gram),
+        "state_gram_hermitian": vn.hermitian_defect,
+        "operator_gram_hermitian": cs.hermitian_defect,
+        "state_gram_psd": vn.psd_defect,
+        "operator_gram_psd": cs.psd_defect,
     }, ctx.tol)
-
-
-def _psd_defect(gram: np.ndarray) -> float:
-    evs = np.linalg.eigvalsh(0.5 * (gram + dagger(gram)))
-    if evs.size == 0:
-        return 0.0
-    scale = max(1.0, float(evs[-1]))
-    return max(0.0, -float(evs[0])) / scale
 
 
 def certify_phi(ctx: BundleContext) -> Certificate:

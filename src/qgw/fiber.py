@@ -39,7 +39,7 @@ from .linalg import (
     worst_norm,
 )
 from .report import Certificate
-from .rtensor import RelativeTensorSpace, ket_left, ket_right
+from .rtensor import RelativeTensorSpace, insertions
 from .staralg import StarAlgebra, rep_report, rep_value
 
 
@@ -100,10 +100,9 @@ def fiber_spatial(space: RelativeTensorSpace, left_alg: StarAlgebra,
     if left_alg.space_dim != nh or right_alg.space_dim != nk:
         raise DimensionError("algebras must act on the two plain factors")
     q, tol, legs = space.dim, space.tol, []
-    for kets, partners in (
-        (ket_left(space, space.meta["left_fact"].subspace.stack), right_alg),
-        (ket_right(space, space.meta["right_fact"].subspace.stack), left_alg),
-    ):
+    for leg, fact, partners in ((0, space.meta["left_fact"], right_alg),
+                                (1, space.meta["right_fact"], left_alg)):
+        kets = insertions(space, fact.subspace.stack, leg)
         n = kets.shape[2]
         family = kets[:, None] @ partners.subspace.stack[None]
         legs.append((kets, span(family.reshape(-1, q, n), q, n, tol).stack))
@@ -201,7 +200,8 @@ def is_morphism(images: np.ndarray, source_alg: StarAlgebra,
     Criterion one transports the induced base action elementwise; criterion
     two asks the full intertwiner space to carry one factorization onto the
     other.  Both are computed, so the certificate is ok exactly when both
-    hold; disagreement raises InternalInconsistencyError.
+    hold; disagreement raises InternalInconsistencyError.  A base action
+    outside the source algebra raises PreconditionError.
     """
     tol = source_alg.tol
     thr = tol.check
@@ -216,15 +216,18 @@ def is_morphism(images: np.ndarray, source_alg: StarAlgebra,
         raise PreconditionError("factorizations live over different bases")
     if source_fact.flipped != target_fact.flipped:
         raise PreconditionError("factorizations pair with different sides")
-    res: dict = {}
-    # criterion one: pi carries the induced action to the induced action
+    # the question presupposes that the base acts inside the source
     acting = source_fact.acting_algebra().subspace.stack
     moved = source_fact.rho(acting)
-    res["base_action_inside_source"] = source_alg.residual(moved)
+    res = {"base_action_inside_source": source_alg.residual(moved)}
+    if res["base_action_inside_source"] > thr:
+        raise PreconditionError(
+            f"base action leaves the source algebra: {res}")
+    # criterion one: pi carries the induced action to the induced action
     res["transports_base_action"] = worst_norm(
         rep_value(source_alg, images, moved) - target_fact.rho(acting)
     )
-    verdict_one = all(v <= thr for v in res.values())
+    verdict_one = res["transports_base_action"] <= thr
     # criterion two: intertwiners exchanging the factorizations span the
     # target factorization
     inter = intertwiner_space(images, source_alg, tol)

@@ -226,15 +226,7 @@ def subspace_residual(a: OperatorSubspace, b: OperatorSubspace) -> float:
     """max distance of a unit basis vector of either space to the other."""
     if (a.codomain_dim, a.domain_dim) != (b.codomain_dim, b.domain_dim):
         raise DimensionError("comparing subspaces of different matrix shapes")
-    fa, fb = a.flat(), b.flat()
-    res = 0.0
-    if a.dim:
-        proj = (fa @ fb.conj().T) @ fb if b.dim else np.zeros_like(fa)
-        res = max(res, float(np.max(np.linalg.norm(fa - proj, axis=1), initial=0.0)))
-    if b.dim:
-        proj = (fb @ fa.conj().T) @ fa if a.dim else np.zeros_like(fb)
-        res = max(res, float(np.max(np.linalg.norm(fb - proj, axis=1), initial=0.0)))
-    return res
+    return max(b.residual(a.stack), a.residual(b.stack))
 
 
 def subspace_equal(
@@ -384,7 +376,10 @@ class QuotientRealization:
       section   = q*      is a right inverse of class_map onto supp(G).
 
     section . class_map, the projector onto range(G), is not stored (see
-    descend); gram is the given Gram, or C*C formed on each read.
+    descend); gram is the given Gram, or C*C formed on each read.  The
+    guards' readings are kept: hermitian_defect is |G - G*| before the
+    Hermitization (0 for a factor), psd_defect is -lam_min / max(1, lam_max)
+    when negative, else 0.
     """
 
     def __init__(self, gram: np.ndarray | None = None,
@@ -409,9 +404,13 @@ class QuotientRealization:
             if factor.ndim != 2:
                 raise DimensionError("factor must be a matrix")
             w, u = np.linalg.eigh(factor @ dagger(factor))
+            herm_defect = 0.0
         self._gram, self._factor = gram, factor
         self.plain_dim = (gram if factor is None else factor).shape[1]
         lam_max = float(np.max(w, initial=0.0))
+        self.hermitian_defect = herm_defect
+        self.psd_defect = max(0.0, -float(np.min(w, initial=0.0))) / max(
+            1.0, lam_max)
         keep = w > max(tol.rank_cut(lam_max, self.plain_dim, self.plain_dim), 0.0)
         lam = w[keep]
         self.dim = int(lam.size)

@@ -6,10 +6,14 @@ unitary from the source-type square to the target-type square, exchange the
 leg actions the right way, and satisfy the pentagon identity.  The pentagon
 is checked on seven differently bracketed three-factor spaces, all realized
 over the same plain threefold tensor product, so every edge is a plain map,
-applied to class maps leg by leg.  The operator flavor repeats the programme
-with insertion factorizations and must reach the same verdict.
+applied to class maps leg by leg.  Both flavors read the relations and the
+vertices from the tables EXCHANGES and VERTICES: the state flavor reads a
+leg as a lifted action, the operator flavor as a span of insertions, and
+the two must reach the same verdict.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -35,15 +39,8 @@ from .linalg import (
     worst_norm,
 )
 from .report import Certificate
-from .rtensor import (
-    insertion_span,
-    ket_factorization,
-    nest_left,
-    nest_right,
-    phi_unitary,
-    rtp_cstar,
-    rtp_state,
-)
+from .rtensor import insertion_span, nest_left, nest_right, phi_unitary, \
+    rtp_cstar, rtp_state
 from .staralg import commute_residual
 
 
@@ -85,71 +82,92 @@ class PmuCandidate:
             self.source_space, self.target_space, self.v_plain)
 
 
-def _exchange_residuals(cand: PmuCandidate) -> dict:
-    """The four leg-exchange relations, evaluated on the quotients."""
-    v = cand.v_matrix
-    rho, sigma, hat = cand.rho, cand.sigma, cand.sigma_hat
-    relations = {
-        "moves_right_range_action": ([rho, None], [None, rho]),
-        "fixes_first_leg_range_action": ([sigma, None], [sigma, None]),
-        "turns_second_range_into_source": ([None, sigma], [hat, None]),
-        "fixes_second_leg_source_action": ([None, hat], [None, hat]),
-    }
-    out = {}
-    worst_lift = 0.0
-    for name, (src_ops, tgt_ops) in relations.items():
-        a, r1 = cand.source_space.lift(src_ops, require=False)
-        b, r2 = cand.target_space.lift(tgt_ops, require=False)
-        worst_lift = max(worst_lift, r1, r2)
-        out[name] = worst_norm(v @ a - b @ v)
-    out["leg_operators_descend"] = worst_lift
-    return out
+# The four leg-exchange relations, keyed by their (state, operator) names:
+# the operator carries the source-square leg to the target-square leg.  A
+# leg (square, action, i) is the action (hat, rho or sigma) on plain leg i
+# of the source- or target-type square.
+EXCHANGES = {
+    ("moves_right_range_action", "swaps_left_insertions"):
+        (("source", "rho", 0), ("target", "rho", 1)),
+    ("fixes_first_leg_range_action", "fixes_right_insertions"):
+        (("source", "sigma", 0), ("target", "sigma", 0)),
+    ("turns_second_range_into_source", "moves_hat_insertions_across"):
+        (("source", "sigma", 1), ("target", "hat", 0)),
+    ("fixes_second_leg_source_action", "turns_hat_pairs_into_left"):
+        (("source", "hat", 1), ("target", "hat", 1)),
+}
+
+# The seven bracketed three-factor spaces of the pentagon: vertex ->
+# (bracket, leg, type of the pair square).  The leg's quotient takes the
+# first factor of a pair square of that type for a left bracket, the second
+# for a right one, and the pair square is nested over the leg's square.
+VERTICES = {
+    "first_then_source": ("left", ("source", "hat", 1), "source"),
+    "applied_then_source": ("left", ("target", "hat", 1), "source"),
+    "applied_then_target": ("left", ("target", "rho", 1), "target"),
+    "outer_source_of_applied": ("right", ("target", "rho", 1), "source"),
+    "first_then_swapped_source": ("left", ("source", "sigma", 1), "source"),
+    "applied_then_first_source": ("left", ("target", "hat", 0), "source"),
+    "first_then_target": ("left", ("source", "rho", 0), "target"),
+}
 
 
-def _pentagon_vertices(cand: PmuCandidate):
-    """The seven bracketed three-factor spaces, all over the plain cube."""
-    triple = cand.triple
-    s_space = cand.source_space
-    t_space = cand.target_space
-    hat, rho, sigma = cand.sigma_hat, cand.rho, cand.sigma
-    worst = 0.0
+def state_legs(cand: PmuCandidate):
+    """The state flavor: (squares, leg, pair).  leg(square, action, i) is
+    the lift (stack, residual) of the action on that leg, built once;
+    pair(kind, slot, leg) is the pair square of that type with the leg's
+    lift as factor 0 or 1."""
+    squares = {"source": cand.source_space, "target": cand.target_space}
+    actions = {"hat": cand.sigma_hat, "rho": cand.rho, "sigma": cand.sigma}
+    factors = {"source": (cand.sigma_hat, cand.rho),
+               "target": (cand.rho, cand.sigma)}
 
-    def lifted(space, ops):
-        nonlocal worst
-        mats, res = space.lift(ops, require=False)
-        worst = max(worst, res)
-        return mats
+    @functools.cache
+    def leg(square, action, i):
+        ops = [None, None]
+        ops[i] = actions[action]
+        return squares[square].lift(ops, require=False)
 
-    hat2_s = lifted(s_space, [None, hat])
-    sig2_s = lifted(s_space, [None, sigma])
-    rho1_s = lifted(s_space, [rho, None])
-    hat2_t = lifted(t_space, [None, hat])
-    hat1_t = lifted(t_space, [hat, None])
-    rho2_t = lifted(t_space, [None, rho])
-    vertices = {
-        "first_then_source": nest_left(
-            s_space, rtp_state(triple, hat2_s, rho, over_opposite=True)
-        ),
-        "applied_then_source": nest_left(
-            t_space, rtp_state(triple, hat2_t, rho, over_opposite=True)
-        ),
-        "applied_then_target": nest_left(
-            t_space, rtp_state(triple, rho2_t, sigma)
-        ),
-        "outer_source_of_applied": nest_right(
-            t_space, rtp_state(triple, hat, rho2_t, over_opposite=True)
-        ),
-        "first_then_swapped_source": nest_left(
-            s_space, rtp_state(triple, sig2_s, rho, over_opposite=True)
-        ),
-        "applied_then_first_source": nest_left(
-            t_space, rtp_state(triple, hat1_t, rho, over_opposite=True)
-        ),
-        "first_then_target": nest_left(
-            s_space, rtp_state(triple, rho1_s, sigma)
-        ),
-    }
-    return vertices, worst
+    def pair(kind, slot, lg):
+        stacks = list(factors[kind])
+        stacks[slot] = leg(*lg)[0]
+        return rtp_state(cand.triple, *stacks, tol=cand.tol,
+                         over_opposite=kind == "source")
+
+    return squares, leg, pair
+
+
+def operator_legs(beta_hat: Factorization, alpha_flipped: Factorization,
+                  alpha: Factorization, beta: Factorization, tol: Tolerance):
+    """The operator flavor: (squares, leg, pair).  leg(square, action, i)
+    is the span of the insertions into leg 1 - i of the square's
+    factorization there composed with the action's tail, built once;
+    pair(kind, slot, leg) is the pair square of that type with the leg's
+    factorization as factor 0, or flipped as factor 1."""
+    factors = {"source": (beta_hat, alpha_flipped), "target": (alpha, beta)}
+    squares = {kind: rtp_cstar(*facts, tol=tol)
+               for kind, facts in factors.items()}
+    tails = {"hat": beta_hat, "rho": alpha, "sigma": beta}
+
+    @functools.cache
+    def leg(square, action, i):
+        return insertion_span(squares[square], factors[square][1 - i],
+                              tails[action], 1 - i)
+
+    def pair(kind, slot, lg):
+        facts, space = list(factors[kind]), squares[lg[0]]
+        facts[slot] = Factorization(space.meta["base"], space.dim, leg(*lg),
+                                    flipped=slot == 1, tol=tol)
+        return rtp_cstar(*facts, tol=tol)
+
+    return squares, leg, pair
+
+
+def pentagon_vertices(squares: dict, pair) -> dict:
+    """The seven vertices of one flavor, all over the plain cube."""
+    return {name: (nest_left if bracket == "left" else nest_right)(
+                squares[leg[0]], pair(kind, int(bracket == "right"), leg))
+            for name, (bracket, leg, kind) in VERTICES.items()}
 
 
 def pentagon_edge_maps(v_plain: np.ndarray, n: int):
@@ -175,30 +193,24 @@ def _pentagon_residuals(vertices: dict, v_plain: np.ndarray, n: int) -> dict:
     An edge applies its plain map to the destination's class map and
     descends the result out of the source quotient."""
     v12, v23, sw23 = pentagon_edge_maps(v_plain, n)
-    p1 = vertices["first_then_source"]
-    p2 = vertices["applied_then_source"]
-    p3 = vertices["applied_then_target"]
-    p4 = vertices["outer_source_of_applied"]
-    p7 = vertices["first_then_swapped_source"]
-    p8 = vertices["applied_then_first_source"]
-    p6 = vertices["first_then_target"]
     worst = 0.0
 
-    def edge(a, b, plain):
+    def path(*hops):
+        """Composite of the edges from first_then_source along the hops
+        (plain map, next vertex)."""
         nonlocal worst
-        mat, res = a.descend(plain(b.class_map))
-        worst = max(worst, float(res))
-        return mat
+        here, mats = vertices["first_then_source"], []
+        for plain, name in hops:
+            mat, res = here.descend(plain(vertices[name].class_map))
+            worst, here = max(worst, float(res)), vertices[name]
+            mats.insert(0, mat)
+        return functools.reduce(np.matmul, mats)
 
-    e1 = edge(p1, p2, v12)
-    e2 = edge(p2, p3, v23)
-    e3 = edge(p1, p4, v23)
-    e4 = edge(p4, p7, sw23)
-    e5 = edge(p7, p8, v12)
-    e6 = edge(p8, p6, sw23)
-    e7 = edge(p6, p3, v12)
-    top = e2 @ e1
-    bottom = e7 @ e6 @ e5 @ e4 @ e3
+    top = path((v12, "applied_then_source"), (v23, "applied_then_target"))
+    bottom = path((v23, "outer_source_of_applied"),
+                  (sw23, "first_then_swapped_source"),
+                  (v12, "applied_then_first_source"),
+                  (sw23, "first_then_target"), (v12, "applied_then_target"))
     scale = max(1.0, mat_norm(top))
     return {
         "edges_descend": worst,
@@ -227,10 +239,16 @@ def check_pmu_state(cand: PmuCandidate) -> Certificate:
         if cand.source_space.dim == cand.target_space.dim
         else 1.0
     )
-    res.update(_exchange_residuals(cand))
-    vertices, lift_worst = _pentagon_vertices(cand)
-    res["vertex_actions_descend"] = lift_worst
-    res.update(_pentagon_residuals(vertices, cand.v_plain, cand.space_dim))
+    squares, leg, pair = state_legs(cand)
+    v = cand.v_matrix
+    for (name, _), (src, tgt) in EXCHANGES.items():
+        res[name] = worst_norm(v @ leg(*src)[0] - leg(*tgt)[0] @ v)
+    res["leg_operators_descend"] = max(
+        leg(*lg)[1] for legs in EXCHANGES.values() for lg in legs)
+    res["vertex_actions_descend"] = max(
+        leg(*lg)[1] for _, lg, _ in VERTICES.values())
+    res.update(_pentagon_residuals(pentagon_vertices(squares, pair),
+                                   cand.v_plain, cand.space_dim))
     return Certificate(res, cand.tol)
 
 
@@ -244,8 +262,9 @@ def check_pmu_cstar(cand: PmuCandidate, beta_hat: Factorization,
     """
     tol = cand.tol
     res: dict = {}
-    ds = rtp_cstar(beta_hat, alpha_flipped, tol=tol)
-    dt = rtp_cstar(alpha, beta, tol=tol)
+    squares, leg, pair = operator_legs(beta_hat, alpha_flipped, alpha, beta,
+                                       tol)
+    ds, dt = squares["source"], squares["target"]
     xi_s, cert_s = phi_unitary(cand.source_space, ds)
     xi_t, cert_t = phi_unitary(cand.target_space, dt)
     res["source_flavor_match"] = max(cert_s.residuals.values())
@@ -256,63 +275,13 @@ def check_pmu_cstar(cand: PmuCandidate, beta_hat: Factorization,
         direct_res, mat_norm(v_c - direct)
     )
     res["unitary"] = unitary_residual(v_c) if ds.dim == dt.dim else 1.0
-    relations = [
-        ("swaps_left_insertions",
-         insertion_span(ds, alpha_flipped, alpha, 1),
-         insertion_span(dt, alpha, alpha, 0)),
-        ("moves_hat_insertions_across",
-         insertion_span(ds, beta_hat, beta, 0),
-         insertion_span(dt, beta, beta_hat, 1)),
-        ("turns_hat_pairs_into_left",
-         insertion_span(ds, beta_hat, beta_hat, 0),
-         insertion_span(dt, alpha, beta_hat, 0)),
-        ("fixes_right_insertions",
-         insertion_span(ds, alpha_flipped, beta, 1),
-         insertion_span(dt, beta, beta, 1)),
-    ]
-    for name, lhs, rhs in relations:
-        moved = span(v_c @ lhs.stack, dt.dim, beta_hat.base.space_dim, tol)
+    for (_, name), (src, tgt) in EXCHANGES.items():
+        lhs, rhs = leg(*src), leg(*tgt)
+        moved = span(v_c @ lhs.stack, dt.dim, lhs.domain_dim, tol)
         res[name] = subspace_residual(moved, rhs) + abs(moved.dim - rhs.dim)
-    vertices = _cstar_pentagon_vertices(
-        ds, dt, beta_hat, alpha_flipped, alpha, beta)
-    res.update(_pentagon_residuals(vertices, cand.v_plain, cand.space_dim))
+    res.update(_pentagon_residuals(pentagon_vertices(squares, pair),
+                                   cand.v_plain, cand.space_dim))
     return Certificate(res, tol)
-
-
-def _cstar_pentagon_vertices(ds, dt, beta_hat, alpha_flipped, alpha, beta):
-    """The seven operator-flavor three-factor spaces, built from insertion
-    factorizations of the two squares."""
-    tol = ds.tol
-    hat_hat_s = ket_factorization(ds, beta_hat, beta_hat, 0, False)
-    hat_beta_s = ket_factorization(ds, beta_hat, beta, 0, False)
-    alpha_alpha_s = ket_factorization(ds, alpha_flipped, alpha, 1, False)
-    alpha_hat_t = ket_factorization(dt, alpha, beta_hat, 0, False)
-    alpha_alpha_t = ket_factorization(dt, alpha, alpha, 0, False)
-    alpha_alpha_t_flip = ket_factorization(dt, alpha, alpha, 0, True)
-    beta_hat_t = ket_factorization(dt, beta, beta_hat, 1, False)
-    return {
-        "first_then_source": nest_left(
-            ds, rtp_cstar(hat_hat_s, alpha_flipped, tol=tol)
-        ),
-        "applied_then_source": nest_left(
-            dt, rtp_cstar(alpha_hat_t, alpha_flipped, tol=tol)
-        ),
-        "applied_then_target": nest_left(
-            dt, rtp_cstar(alpha_alpha_t, beta, tol=tol)
-        ),
-        "outer_source_of_applied": nest_right(
-            dt, rtp_cstar(beta_hat, alpha_alpha_t_flip, tol=tol)
-        ),
-        "first_then_swapped_source": nest_left(
-            ds, rtp_cstar(hat_beta_s, alpha_flipped, tol=tol)
-        ),
-        "applied_then_first_source": nest_left(
-            dt, rtp_cstar(beta_hat_t, alpha_flipped, tol=tol)
-        ),
-        "first_then_target": nest_left(
-            ds, rtp_cstar(alpha_alpha_s, beta, tol=tol)
-        ),
-    }
 
 
 def pmu_equivalence(cand: PmuCandidate, beta_hat: Factorization,

@@ -152,16 +152,10 @@ def rtp_state(triple: GnsTriple, rho_stack, sigma_stack, *,
     # rh[c] maps the cyclic representation into the left factor
     rh = np.einsum("ihc,it->cht", rho_stack, z_left_inv)
     rk = np.einsum("ikb,it->bkt", sigma_stack, z_right_inv)
-    gram = gram_from_r_stacks(rh, rk)
-    meta = {
-        "triple": triple,
-        "rho_stack": rho_stack,
-        "sigma_stack": sigma_stack,
-        "over_opposite": over_opposite,
-        "r_left": rh,
-        "r_right": rk,
-    }
-    return RelativeTensorSpace("state", (nh, nk), gram, tol, meta)
+    meta = {"triple": triple, "rho_stack": rho_stack,
+            "sigma_stack": sigma_stack}
+    return RelativeTensorSpace("state", (nh, nk), gram_from_r_stacks(rh, rk),
+                               tol, meta)
 
 
 def rtp_cstar(left_fact: Factorization, right_fact: Factorization,
@@ -187,20 +181,16 @@ def rtp_cstar(left_fact: Factorization, right_fact: Factorization,
     nh, nk = left_fact.target_dim, right_fact.target_dim
     rh = np.stack([left_fact.r_operator(np.eye(nh)[a]) for a in range(nh)])
     rk = np.stack([right_fact.r_operator(np.eye(nk)[b]) for b in range(nk)])
-    gram = gram_from_r_stacks(rh, rk)
-    meta = {
-        "left_fact": left_fact,
-        "right_fact": right_fact,
-        "base": left_fact.base,
-        "r_left": rh,
-        "r_right": rk,
-    }
-    return RelativeTensorSpace("cstar", (nh, nk), gram, tol, meta)
+    meta = {"left_fact": left_fact, "right_fact": right_fact,
+            "base": left_fact.base}
+    return RelativeTensorSpace("cstar", (nh, nk), gram_from_r_stacks(rh, rk),
+                               tol, meta)
 
 
-def _insertions(space: RelativeTensorSpace, elements, leg: int) -> np.ndarray:
+def insertions(space: RelativeTensorSpace, elements, leg: int) -> np.ndarray:
     """Insertion maps of base-space elements (one (d, n_base) matrix or a
     stack of them) into the given plain leg: the other factor -> quotient.
+    Leg 0 takes left-factorization elements, leg 1 right ones.
 
     The column element . zeta fills the leg, so the insertion is class_map
     contracted with it over that leg, with no plain tensor product formed.
@@ -212,18 +202,6 @@ def _insertions(space: RelativeTensorSpace, elements, leg: int) -> np.ndarray:
     return np.tensordot(col, cm, axes=(-1, 1 + leg))
 
 
-def ket_left(space: RelativeTensorSpace, xi: np.ndarray) -> np.ndarray:
-    """Insertion of a left-factorization element (or of a stack of them):
-    right factor -> quotient."""
-    return _insertions(space, xi, 0)
-
-
-def ket_right(space: RelativeTensorSpace, eta: np.ndarray) -> np.ndarray:
-    """Insertion of a right-factorization element (or of a stack of them):
-    left factor -> quotient."""
-    return _insertions(space, eta, 1)
-
-
 def insertion_span(space: RelativeTensorSpace, ket_fact: Factorization,
                    tail_fact: Factorization, leg: int) -> OperatorSubspace:
     """Span of the insertions of one factorization composed with elements of
@@ -232,7 +210,7 @@ def insertion_span(space: RelativeTensorSpace, ket_fact: Factorization,
     leg selects which plain factor the insertions fill; the tail supplies the
     maps from the base space into the remaining factor.
     """
-    kets = _insertions(space, ket_fact.subspace.stack, leg)
+    kets = insertions(space, ket_fact.subspace.stack, leg)
     family = kets[:, None] @ tail_fact.subspace.stack[None]
     n = space.meta["base"].space_dim
     return span(family.reshape(-1, space.dim, n), space.dim, n, space.tol)

@@ -215,11 +215,13 @@ def decode_factorization(obj, base: CStarBase, where: str = "factorization",
     gram = flat.conj() @ flat.T
     if mat_norm(gram - np.eye(mats.shape[0])) > tol.check:
         raise FormatError(f"{where}: alpha_basis must be HS-orthonormal")
+    flipped = obj.get("flipped", False)
+    if not isinstance(flipped, bool):
+        raise FormatError(f"{where}.flipped: expected true or false, "
+                          f"got {flipped!r}")
     sub = OperatorSubspace(int(obj["H_dim"]), base.space_dim, mats)
-    return Factorization(
-        base, int(obj["H_dim"]), sub,
-        flipped=bool(obj.get("flipped", False)), tol=tol, certify=certify,
-    )
+    return Factorization(base, int(obj["H_dim"]), sub, flipped=flipped,
+                         tol=tol, certify=certify)
 
 
 def encode_morphism(images, source_ref: str, target_ref: str) -> dict:

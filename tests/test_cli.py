@@ -3,10 +3,13 @@
 Generation commands feed check commands; exit codes separate pass, fail,
 and input error; reports and bundles round-trip byte-identically.
 """
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qgw import cli
 from qgw.cli import main
@@ -180,6 +183,11 @@ def resized_delta(side):
                               ("hopf-check", "operator"),
                               ("equiv-check", "state"),
                               ("morphism-check", "operator"))],
+    # flipped must be a JSON boolean, not a string or a number
+    ("rtp", ("factorizations", "alpha", "flipped"), "false"),
+    ("rtp", ("factorizations", "beta", "flipped"), "false"),
+    ("factorize", ("factorizations", "beta", "flipped"), "false"),
+    ("factorize", ("factorizations", "alpha", "flipped"), 0),
 ])
 def test_retyped_entry_exits_2_naming_it(capsys, tmp_path, pair2, command,
                                          path, value):
@@ -397,3 +405,39 @@ def test_bad_blocks_argument_exits_2(capsys):
     code, out = run(capsys, "gen-random-base", "--blocks", "2,x",
                     "--seed", "1")
     assert code == 2
+
+
+def mutate(data, doc):
+    """Walk into doc along drawn keys, then drop the entry reached, give it
+    a value of another JSON type, or put NaN in its place."""
+    holder, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and (
+            holder is None or data.draw(st.booleans())):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(list(keys)))
+        holder, node = node, node[key]
+    edit = data.draw(st.sampled_from(["drop", "retype", "nan"]))
+    if edit == "drop":
+        del holder[key]
+    elif edit == "retype":
+        holder[key] = data.draw(st.sampled_from(
+            ["x", None, True, [], {}, 1.5, -1]
+        ).filter(lambda value: type(value) is not type(node)))
+    else:
+        holder[key] = float("nan")
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_bundle_exits_0_1_or_2(pair2, data):
+    # whatever one edit does to a valid bundle, every command ends in a
+    # verdict or an input error, never in an escaping exception
+    doc = json.loads(Path(pair2).read_text())
+    mutate(data, doc)
+    bundle = Path(pair2).with_name("mutated.json")
+    bundle.write_text(json.dumps(doc))
+    command = data.draw(st.sampled_from(CHECK_COMMANDS))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--in", str(bundle)])
+    assert code in (0, 1, 2)

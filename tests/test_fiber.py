@@ -253,6 +253,19 @@ def test_disagreeing_morphism_criteria_raise(monkeypatch, starve):
         is_morphism(a.subspace.stack, a, bundle["alpha"], a, bundle["alpha"])
 
 
+def test_base_action_outside_source_is_a_precondition():
+    # the scalars on C^2 do not contain the two-point base's diagonal
+    # action; criterion two alone would still pass on the identity
+    alpha = two_point_bundle()["alpha"]
+    scalars = algebra_from_generators(2, [])
+    with pytest.raises(PreconditionError, match="base action leaves"):
+        is_morphism(scalars.subspace.stack, scalars, alpha, scalars, alpha)
+    acting = alpha.acting_algebra().subspace.stack
+    a = algebra_from_generators(2, alpha.rho(acting))
+    cert = is_morphism(a.subspace.stack, a, alpha, a, alpha)
+    assert cert.ok and cert.residuals["base_action_inside_source"] < 1e-12
+
+
 def test_fiber_morphism_identity_connectors():
     bundle = two_point_bundle()
     vn, _ = spaces(bundle)

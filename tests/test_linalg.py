@@ -298,6 +298,26 @@ def test_quotient_rejects_non_psd_and_non_hermitian():
         QuotientRealization(bad)
 
 
+def test_quotient_keeps_the_guard_readings():
+    # a Hermitian defect of 1e-7 passes the 1e-6 guard, but reads over the
+    # 1e-8 check threshold that rtp holds it to
+    gram = np.diag([2.0, 1.0, 0.0]).astype(complex)
+    gram[0, 1] += 1e-7 / np.sqrt(2)
+    q = QuotientRealization(gram)
+    assert q.hermitian_defect == pytest.approx(1e-7)
+    assert q.hermitian_defect > DEFAULT_TOL.check
+    # a PSD Gram reads +0.0, which reports print as such
+    assert q.psd_defect == 0.0 and not np.signbit(q.psd_defect)
+    # a slightly negative eigenvalue inside the PSD guard reads as its ratio
+    # to the largest one
+    q = QuotientRealization(np.diag([4.0, -2e-9]))
+    assert q.psd_defect == pytest.approx(5e-10)
+    assert q.hermitian_defect == 0.0
+    c = np.array([[1.0, 2.0, 0.0]])
+    q = QuotientRealization(factor=c)
+    assert q.hermitian_defect == 0.0 and q.psd_defect == 0.0
+
+
 def test_induced_operator_well_definedness():
     gram = np.diag([1.0, 1.0, 0.0])
     q = QuotientRealization(gram)

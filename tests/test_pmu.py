@@ -13,19 +13,20 @@ from qgw.linalg import (
     unitary_residual,
 )
 from qgw.pmu import (
+    EXCHANGES,
     PmuCandidate,
-    _cstar_pentagon_vertices,
-    _pentagon_vertices,
     check_pmu_cstar,
     check_pmu_state,
     groupoid_pmu,
+    operator_legs,
     pentagon_edge_maps,
+    pentagon_vertices,
     phase_perturbed_candidate,
     pmu_equivalence,
+    state_legs,
     swap_matrix,
     swapped_candidate,
 )
-from qgw.rtensor import rtp_cstar
 from kron_reference import kron_nested_factor, kron_nested_gram, svd_quotient
 
 
@@ -72,16 +73,15 @@ def pentagon_vertex_cases():
     cases = []
     for gpd in [FiniteGroupoid.pair(2), FiniteGroupoid.cyclic(3)]:
         pmu = groupoid_pmu(gpd)
-        ds = rtp_cstar(pmu["beta_hat"], pmu["alpha_flipped"])
-        dt = rtp_cstar(pmu["alpha"], pmu["beta"])
         flavors = {
-            "state": _pentagon_vertices(pmu["candidate"])[0],
-            "operator": _cstar_pentagon_vertices(
-                ds, dt, pmu["beta_hat"], pmu["alpha_flipped"],
-                pmu["alpha"], pmu["beta"]),
+            "state": state_legs(pmu["candidate"]),
+            "operator": operator_legs(
+                pmu["beta_hat"], pmu["alpha_flipped"], pmu["alpha"],
+                pmu["beta"], DEFAULT_TOL),
         }
-        cases += [(flavor, name, space) for flavor, vertices in flavors.items()
-                  for name, space in vertices.items()]
+        for flavor, (squares, _, pair) in flavors.items():
+            cases += [(flavor, name, space) for name, space
+                      in pentagon_vertices(squares, pair).items()]
     return cases
 
 
@@ -126,15 +126,21 @@ def test_pentagon_vertices_keep_a_wide_rank_margin():
         assert lam.min() >= 1e4 * cut, (flavor, name, lam.min() / cut)
 
 
+def seeded_unitary_candidate(pmu):
+    """The canonical candidate's actions with a seeded unitary on the plain
+    square in place of the operator."""
+    cand = pmu["candidate"]
+    n = cand.space_dim
+    return PmuCandidate(cand.triple, cand.sigma_hat, cand.rho, cand.sigma,
+                        random_unitary(n * n, rng(6)), cand.tol)
+
+
 def test_non_descending_operator_fails_both_descent_residuals():
     # a seeded unitary on the plain square sends kernel vectors of the
     # source square off the target's support, and its pentagon edges the
     # same way on the three-factor spaces
     pmu = groupoid_pmu(FiniteGroupoid.pair(2))
-    cand = pmu["candidate"]
-    n = cand.space_dim
-    bad = PmuCandidate(cand.triple, cand.sigma_hat, cand.rho, cand.sigma,
-                       random_unitary(n * n, rng(6)), cand.tol)
+    bad = seeded_unitary_candidate(pmu)
     report = check_pmu_state(bad)
     assert report.residuals["descends_to_quotients"] > 1e3 * DEFAULT_TOL.check
     assert report.residuals["edges_descend"] > 1e3 * DEFAULT_TOL.check
@@ -209,6 +215,30 @@ def test_operator_flavor_transport_relations():
     ]:
         assert report.residuals[name] < 1e-8
     assert report.residuals["operator_transport_consistent"] < 1e-8
+
+
+@pytest.mark.parametrize("make,variant,passes", [
+    (lambda: FiniteGroupoid.pair(2), None, True),
+    (lambda: FiniteGroupoid.cyclic(3), None, True),
+    (lambda: FiniteGroupoid.cyclic(3), swapped_candidate, True),
+    (lambda: FiniteGroupoid.cyclic(4), phase_perturbed_candidate, True),
+    (lambda: FiniteGroupoid.pair(2), seeded_unitary_candidate, False),
+], ids=["pair(2)", "z3", "z3-swap", "z4-phase", "pair(2)-seeded"])
+def test_exchange_rows_agree_across_flavors(make, variant, passes):
+    # each EXCHANGES row is one relation read on two kinds of square: its
+    # state and operator residuals pass or fail together (the swap on
+    # pair(2) is left out: it is not unitary on the quotients, and there the
+    # operator rows also count the dimension the operator loses)
+    pmu = groupoid_pmu(make())
+    cand = variant(pmu) if variant else pmu["candidate"]
+    state = check_pmu_state(cand)
+    operator = check_pmu_cstar(cand, pmu["beta_hat"], pmu["alpha_flipped"],
+                               pmu["alpha"], pmu["beta"])
+    thr = DEFAULT_TOL.check
+    for state_name, operator_name in EXCHANGES:
+        verdicts = (state.residuals[state_name] <= thr,
+                    operator.residuals[operator_name] <= thr)
+        assert verdicts == (passes, passes), (state_name, operator_name)
 
 
 def test_swapped_operator_fails_pentagon_on_group():

@@ -19,8 +19,7 @@ from qgw.linalg import (
 from qgw.rtensor import (
     RelativeTensorSpace,
     gram_from_r_stacks,
-    ket_left,
-    ket_right,
+    insertions,
     nest_left,
     nest_right,
     phi_unitary,
@@ -219,12 +218,12 @@ def test_kets_implement_inner_product_identities():
         cb = gen.standard_normal(alpha.dim) + 1j * gen.standard_normal(alpha.dim)
         xi = alpha.subspace.reconstruct(ca)
         xi2 = alpha.subspace.reconstruct(cb)
-        lhs = dagger(ket_left(space, xi)) @ ket_left(space, xi2)
+        lhs = dagger(insertions(space, xi, 0)) @ insertions(space, xi2, 0)
         rhs = beta.rho(dagger(xi) @ xi2)
         assert mat_norm(lhs - rhs) < 1e-8
         eta = beta.subspace.reconstruct(ca)
         eta2 = beta.subspace.reconstruct(cb)
-        lhs2 = dagger(ket_right(space, eta)) @ ket_right(space, eta2)
+        lhs2 = dagger(insertions(space, eta, 1)) @ insertions(space, eta2, 1)
         rhs2 = alpha.rho(dagger(eta) @ eta2)
         assert mat_norm(lhs2 - rhs2) < 1e-8
 
@@ -237,7 +236,7 @@ def test_ket_isometry_against_action():
     xi = alpha.basis()[2]
     k1 = np.eye(4)[1]
     k2 = np.eye(4)[3]
-    lhs = np.vdot(ket_left(space, xi) @ k1, ket_left(space, xi) @ k2)
+    lhs = np.vdot(insertions(space, xi, 0) @ k1, insertions(space, xi, 0) @ k2)
     rhs = np.vdot(k1, beta.rho(dagger(xi) @ xi) @ k2)
     assert abs(lhs - rhs) < 1e-8
 
