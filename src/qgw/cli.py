@@ -4,7 +4,8 @@ Generates fixture bundles and runs the certification commands on them.  A
 bundle is one JSON document whose sections reference each other by name.
 A check command hands one lazily built bundle context to its certifier and
 prints the certificate as a check table.  Exit codes: 0 when every check
-passes, 1 when one fails, 2 on malformed input or when memory runs out.
+passes, 1 when one fails, 2 on malformed input (a bundle, an argument, or
+an --in or --out path) or when memory runs out.
 """
 from __future__ import annotations
 
@@ -54,8 +55,9 @@ def load_bundle(path: str) -> dict:
             f"{path}: malformed JSON at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         ) from None
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(
+            f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
     return serialize.check_bundle(doc, path)
 
 
@@ -435,8 +437,20 @@ FAMILIES = {
 }
 
 
+def require_at_least(*bounds):
+    """FormatError naming the first (option, value, floor) whose value is
+    given and under its floor."""
+    for option, value, floor in bounds:
+        if value is not None and value < floor:
+            raise FormatError(f"{option} must be at least {floor}, got {value}")
+
+
 def gen_groupoid(args, tol: Tolerance) -> dict:
-    family = FAMILIES[args.command][0]
+    family, option = FAMILIES[args.command][:2]
+    require_at_least((option, args.n, 1),
+                     ("--hopf-perturb", args.hopf_perturb, 0))
+    if not np.isfinite(args.angle):
+        raise FormatError(f"--angle must be finite, got {args.angle}")
     source = {
         "family": family, "n": args.n, "variant": args.variant,
         "angle": args.angle, "hopf_perturb": args.hopf_perturb,
@@ -452,6 +466,9 @@ def gen_random_base(args, tol: Tolerance) -> dict:
         raise FormatError(f"--blocks must be integers, got {args.blocks!r}")
     if not blocks or any(b <= 0 for b in blocks):
         raise FormatError("--blocks needs positive sizes like 2,1")
+    require_at_least(("--seed", args.seed, 0),
+                     ("--mult-left", args.mult_left, 1),
+                     ("--mult-right", args.mult_right, 1))
     source = {
         "family": "random", "blocks": blocks, "seed": args.seed,
         "mult_left": args.mult_left, "mult_right": args.mult_right,
@@ -537,8 +554,13 @@ def main(argv=None) -> int:
     out_path = getattr(args, "out", None)
     if out_path and report.verdict != "error":
         content = payload if payload is not None else report.to_json()
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        except OSError as exc:
+            report = Report(args.command, [], 0.0,
+                            error=f"--out {out_path}: {exc.strerror or exc}",
+                            timing_ms=report.timing_ms)
         sys.stdout.write(report.render_text())
     elif payload is not None and report.verdict != "error":
         sys.stdout.write(payload)

@@ -308,7 +308,21 @@ def eigen_match(hermitian_pair, tol: Tolerance = DEFAULT_TOL):
         margin = float(np.min(diff[diff > cut], initial=np.inf) / cut)
         if best is None or margin > best[-1]:
             best = (u, v, *np.nonzero(diff <= cut), margin)
+        if margin == np.inf:  # nothing unpaired: no draw can do better
+            break
     return best
+
+
+def star_closed_pair(t: np.ndarray, s: np.ndarray, star: np.ndarray):
+    """hermitian_pair for eigen_match over families t and s *-closed under
+    star (as in intertwiner_rows): their images of a drawn d closed under
+    it."""
+    def hermitian_pair(draw):
+        c = draw(len(t))
+        d = 0.5 * (c + star @ c.conj())
+        return [np.tensordot(d, f, axes=1) for f in (t, s)]
+
+    return hermitian_pair
 
 
 def from_pairs(rows: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -336,12 +350,7 @@ def intertwiner_rows(t: np.ndarray, s: np.ndarray, star: np.ndarray,
     if gap > tol.check * max(1.0, worst_norm(t), worst_norm(s)):
         raise PreconditionError(f"family is not *-closed: residual {gap:.3e}")
 
-    def hermitian_pair(draw):
-        c = draw(len(t))
-        d = 0.5 * (c + star @ c.conj())
-        return [np.tensordot(d, f, axes=1) for f in (t, s)]
-
-    u, v, a, b, _ = eigen_match(hermitian_pair, tol)
+    u, v, a, b, _ = eigen_match(star_closed_pair(t, s, star), tol)
     gram = exchange_gram(dagger(u) @ t @ u, dagger(v) @ s @ v, a, b)
     mats = from_pairs(null_rows(gram, tol), u, v, a, b)
     return mats.reshape(len(mats), u.shape[0] * v.shape[0])
@@ -363,30 +372,34 @@ def canonical_rows(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL):
 class QuotientRealization:
     """Quotient of a semi-inner-product space realized in coordinates.
 
-    The semi-inner product on C^N is given by its (Hermitized) PSD Gram G,
-    read through eigh, or by a factor C (r x N) with G = C*C, read through
-    eigh of its r x r Gram C C* = U diag(lam) U* with no N x N matrix or
-    N-wide SVD formed.  Both keep G's eigenvalues (C's sigma^2) above the
-    cut eps lam_max N; eigh of C C* is accurate to about r 1e-16 lam_max,
-    so it resolves that cut on sigma^2 as well as an SVD of C would.  The
-    co-isometry q (dim x N) satisfies q . G . q* = I.  Derived maps:
+    The PSD Gram G on C^N is read through eigh of h = U diag(w) U*: G itself;
+    or h given on a support W (N x m, orthonormal columns), G = W h W*; or
+    h = C C* for a factor C (r x N) of G = C*C, given as (C C*, x -> x C, N)
+    so that C need not be formed.  All keep G's eigenvalues lam (C's
+    sigma^2) above the cut eps lam_max N; eigh of C C* is accurate to about
+    r 1e-16 lam_max, so it resolves that cut as well as an SVD of C would.
+    A quotient keeps only class_map and lam:
 
-      class_map = q . G   sends a plain vector to its class coordinates,
-                          so (class_map w)* (class_map w') = w* G w';
-      section   = q*      is a right inverse of class_map onto supp(G).
+      class_map = sqrt(lam) U_k* (W*), or U_k* C, sends a plain vector to its
+                  class coordinates: (class_map w)* (class_map w') = w* G w'
+                  and class_map class_map* = diag(lam);
+      section   = class_map* / lam, formed when read, is a right inverse of
+                  class_map onto supp(G).
 
-    section . class_map, the projector onto range(G), is not stored (see
-    descend); gram is the given Gram, or C*C formed on each read.  The
-    guards' readings are kept: hermitian_defect is |G - G*| before the
+    section . class_map, the projector onto range(G), is not formed (see
+    descend); gram is a Gram given in full, or C*C formed on each read for a
+    factor (on a support, RelativeTensorSpace rebuilds it).  The
+    guards' readings are kept: hermitian_defect is |h - h*| before the
     Hermitization (0 for a factor), psd_defect is -lam_min / max(1, lam_max)
     when negative, else 0.
     """
 
     def __init__(self, gram: np.ndarray | None = None,
-                 tol: Tolerance = DEFAULT_TOL, *,
-                 factor: np.ndarray | None = None):
+                 tol: Tolerance = DEFAULT_TOL, *, factor=None,
+                 support: np.ndarray | None = None):
         if (gram is None) == (factor is None):
             raise DimensionError("give a gram or a factor, not both or neither")
+        self._gram = self._factor = None
         if factor is None:
             gram = as_complex(gram)
             if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
@@ -396,39 +409,43 @@ class QuotientRealization:
             if herm_defect > tol.eps / 1e-3 * scale:
                 raise NumericError(f"gram not Hermitian: defect {herm_defect:.3e}")
             gram = 0.5 * (gram + dagger(gram))
-            w, v = np.linalg.eigh(gram)
+            w, u = np.linalg.eigh(gram)
             if w.size and float(w[0]) < -tol.check * max(1.0, float(w[-1])):
                 raise NumericError(f"gram not PSD: min eigenvalue {w[0]:.3e}")
+            if support is None:
+                self._gram = gram
+            n = len(gram if support is None else support)
         else:
-            factor = as_complex(factor)
-            if factor.ndim != 2:
-                raise DimensionError("factor must be a matrix")
-            w, u = np.linalg.eigh(factor @ dagger(factor))
+            h, apply, n = self._factor = factor
+            w, u = np.linalg.eigh(h)
             herm_defect = 0.0
-        self._gram, self._factor = gram, factor
-        self.plain_dim = (gram if factor is None else factor).shape[1]
+        self.plain_dim = int(n)
         lam_max = float(np.max(w, initial=0.0))
         self.hermitian_defect = herm_defect
         self.psd_defect = max(0.0, -float(np.min(w, initial=0.0))) / max(
             1.0, lam_max)
         keep = w > max(tol.rank_cut(lam_max, self.plain_dim, self.plain_dim), 0.0)
-        lam = w[keep]
-        self.dim = int(lam.size)
-        if factor is None:
-            self.class_map = (v[:, keep] * np.sqrt(lam)).conj().T
-            self.section = v[:, keep] / np.sqrt(lam)
-        else:  # C = U S V*: U_k* C = S_k V_k*, C* U_k / lam = V_k / S_k
-            self.class_map = dagger(u[:, keep]) @ factor
-            self.section = dagger(self.class_map) / lam
-        # co-isometry normalized so that q . gram . q* = I
-        self.co_isometry = dagger(self.section)
+        self.lam = w[keep]
+        self.dim = int(self.lam.size)
+        if factor is not None:  # C = U S V*: U_k* C = S_k V_k*
+            self.class_map = apply(dagger(u[:, keep]))
+        else:
+            self.class_map = (u[:, keep] * np.sqrt(self.lam)).conj().T
+            if support is not None:
+                self.class_map = self.class_map @ dagger(support)
         self.tol = tol
 
     @property
+    def section(self) -> np.ndarray:
+        return dagger(self.class_map) / self.lam
+
+    @property
     def gram(self) -> np.ndarray:
-        if self._gram is None:
-            return dagger(self._factor) @ self._factor
-        return self._gram
+        if self._gram is not None:
+            return self._gram
+        h, apply, _ = self._factor
+        c = apply(np.eye(len(h)))
+        return dagger(c) @ c
 
     def descend(self, top: np.ndarray):
         """Descend a map whose composite with the destination's class map is

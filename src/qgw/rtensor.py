@@ -6,8 +6,9 @@ state flavor contracts the two actions through a cyclic representation; the
 operator flavor contracts two factorizations through the base cyclic vector.
 Keeping every space realized over the same plain tensor product is what makes
 maps between differently bracketed iterates directly comparable.  Those
-iterates are given by a factor of their Gram, the outer class map contracted
-with the inner one, so no matrix on the threefold plain product is formed.
+iterates are read through the r x r Gram of their factor, the outer class map
+contracted with the inner one, so no matrix on the threefold plain product is
+formed; the pair spaces they nest live on a balanced support (see below).
 
 Leg-wise operators reach a quotient through one stacked lift: per-leg stacks
 are zipped and contracted with the class map one leg at a time, so neither
@@ -30,12 +31,15 @@ from .linalg import (
     OperatorSubspace,
     QuotientRealization,
     Tolerance,
+    dagger,
+    eigen_match,
     mat_norm,
     span,
+    star_closed_pair,
     unitary_residual,
 )
 from .report import Certificate
-from .staralg import rep_report
+from .staralg import rep_report, rep_value
 
 
 def gram_from_r_stacks(rh: np.ndarray, rk: np.ndarray) -> np.ndarray:
@@ -51,20 +55,46 @@ def gram_from_r_stacks(rh: np.ndarray, rk: np.ndarray) -> np.ndarray:
     return g4.reshape(n, n)
 
 
+def balanced_support(rh: np.ndarray, rk: np.ndarray, left: np.ndarray,
+                     right: np.ndarray, star: np.ndarray,
+                     tol: Tolerance = DEFAULT_TOL):
+    """(W, G_m) with G = W G_m W* for G = gram_from_r_stacks(rh, rk), read
+    on the columns u_a x v_b of W, eigenvectors of left(z) and right(z)
+    paired where their eigenvalues agree (eigen_match).  left and right act
+    on the legs by the base center's basis, *-closed under star, and a
+    central Hermitian z balances G: G (left(z) x 1) = G (1 x right(z))."""
+    u, v, a, b, _ = eigen_match(star_closed_pair(left, right, star), tol)
+    # G = sum_t A_t x B_t, so G_m[p, r] = sum_t X_t[a_p, a_r] Y_t[b_p, b_r]
+    x = dagger(u) @ rh.transpose(2, 1, 0) @ u  # X_t = u* A_t u
+    y = dagger(v) @ rk.conj().transpose(2, 0, 1) @ v
+    ai, aj, bi, bj = a[:, None], a[None], b[:, None], b[None]
+    gram = sum(xt[ai, aj] * yt[bi, bj] for xt, yt in zip(x, y))
+    return (u[:, None, a] * v[None, :, b]).reshape(-1, a.size), gram
+
+
 class RelativeTensorSpace(QuotientRealization):
     """Quotient of a plain tensor product of the given leg dimensions, under
-    a relative Gram matrix or a factor of it (see QuotientRealization)."""
+    a relative Gram given in full, on a support or by a factor (see
+    QuotientRealization)."""
 
     def __init__(self, flavor: str, plain_dims: tuple,
                  gram: np.ndarray | None = None,
                  tol: Tolerance = DEFAULT_TOL, meta: dict | None = None, *,
-                 factor: np.ndarray | None = None):
-        super().__init__(gram, tol, factor=factor)
+                 factor=None, support: np.ndarray | None = None):
+        super().__init__(gram, tol, factor=factor, support=support)
         if self.plain_dim != int(np.prod(plain_dims)):
             raise DimensionError("gram does not match the plain dimensions")
         self.flavor = flavor
         self.plain_dims = tuple(int(d) for d in plain_dims)
         self.meta = meta or {}
+
+    @property
+    def gram(self) -> np.ndarray:
+        """Rebuilt from the reconstruction stacks on each read for a space
+        built on its balanced support."""
+        if "r_stacks" in self.meta:
+            return gram_from_r_stacks(*self.meta["r_stacks"])
+        return super().gram
 
     def lift(self, ops, require: bool = True,
              into: "RelativeTensorSpace | None" = None):
@@ -118,16 +148,45 @@ class RelativeTensorSpace(QuotientRealization):
         return mats, res
 
 
+def central_actions(flavor: str, meta: dict):
+    """(left, right, star) of the base's center for balanced_support,
+    acting through the stacks of a state-flavor space or the factorizations
+    of an operator-flavor one (the center lies in the partner too)."""
+    alg = (meta["triple"] if flavor == "state" else meta["base"]).algebra
+    center = alg.center()
+    zs = center.subspace.stack
+    if flavor == "state":
+        legs = [rep_value(alg, meta[k], zs)
+                for k in ("rho_stack", "sigma_stack")]
+    else:
+        legs = [meta[k].rho(zs) for k in ("left_fact", "right_fact")]
+    return (*legs, center.star_matrix())
+
+
+def _realize(flavor: str, rh: np.ndarray, rk: np.ndarray, tol: Tolerance,
+             meta: dict, balanced: bool) -> RelativeTensorSpace:
+    if not balanced:
+        return RelativeTensorSpace(flavor, (len(rh), len(rk)),
+                                   gram_from_r_stacks(rh, rk), tol, meta)
+    meta["r_stacks"] = (rh, rk)
+    support, gram = balanced_support(rh, rk, *central_actions(flavor, meta),
+                                     tol)
+    return RelativeTensorSpace(flavor, (len(rh), len(rk)), gram, tol, meta,
+                               support=support)
+
+
 def rtp_state(triple: GnsTriple, rho_stack, sigma_stack, *,
-              over_opposite: bool = False,
-              tol: Tolerance | None = None) -> RelativeTensorSpace:
+              over_opposite: bool = False, tol: Tolerance | None = None,
+              balanced: bool = False) -> RelativeTensorSpace:
     """State-flavor relative tensor product of two represented spaces.
 
     rho_stack gives the right action on the left factor (a representation of
     the opposite algebra, values on underlying basis elements); sigma_stack
     the left action on the right factor.  over_opposite builds instead over
     the opposite algebra with the same cyclic data, so the roles of the two
-    canonical actions swap.
+    canonical actions swap.  balanced realizes the space on the balanced
+    support of the base's center, in other class coordinates than the full
+    Gram's: for spaces only nested, as bundles store maps in squares' ones.
     """
     tol = tol or triple.tol
     rho_stack = np.asarray(rho_stack, dtype=complex)
@@ -154,17 +213,17 @@ def rtp_state(triple: GnsTriple, rho_stack, sigma_stack, *,
     rk = np.einsum("ikb,it->bkt", sigma_stack, z_right_inv)
     meta = {"triple": triple, "rho_stack": rho_stack,
             "sigma_stack": sigma_stack}
-    return RelativeTensorSpace("state", (nh, nk), gram_from_r_stacks(rh, rk),
-                               tol, meta)
+    return _realize("state", rh, rk, tol, meta, balanced)
 
 
 def rtp_cstar(left_fact: Factorization, right_fact: Factorization,
-              tol: Tolerance | None = None) -> RelativeTensorSpace:
+              tol: Tolerance | None = None,
+              balanced: bool = False) -> RelativeTensorSpace:
     """Operator-flavor relative tensor product of two factorized spaces.
 
     The left factorization's products must land in the base algebra and the
     right one's in the partner; their reconstruction operators contract
-    through the base cyclic vector.
+    through the base cyclic vector.  balanced as in rtp_state.
     """
     tol = tol or left_fact.tol
     if left_fact.base is not right_fact.base:
@@ -183,8 +242,7 @@ def rtp_cstar(left_fact: Factorization, right_fact: Factorization,
     rk = np.stack([right_fact.r_operator(np.eye(nk)[b]) for b in range(nk)])
     meta = {"left_fact": left_fact, "right_fact": right_fact,
             "base": left_fact.base}
-    return RelativeTensorSpace("cstar", (nh, nk), gram_from_r_stacks(rh, rk),
-                               tol, meta)
+    return _realize("cstar", rh, rk, tol, meta, balanced)
 
 
 def insertions(space: RelativeTensorSpace, elements, leg: int) -> np.ndarray:
@@ -228,26 +286,43 @@ def ket_factorization(space: RelativeTensorSpace, ket_fact: Factorization,
                          tol=space.tol)
 
 
+def _nest(inner: RelativeTensorSpace, pair: RelativeTensorSpace,
+          bracket: str, plain_dims: tuple) -> RelativeTensorSpace:
+    """The nested space, read through the r x r Gram of its factor C:
+    C C* = P (Lambda x 1) P* with P = pair.class_map and Lambda =
+    inner.class_map inner.class_map* = diag(inner.lam); x C contracts x P
+    with inner.class_map on its leg."""
+    left = bracket == "left"
+    p = pair.class_map.reshape((pair.dim,) + pair.plain_dims)
+    h = (p * (inner.lam[:, None] if left else inner.lam)).reshape(
+        pair.dim, -1) @ dagger(pair.class_map)
+    n = int(np.prod(plain_dims))
+
+    def rows(x):
+        top = (x @ pair.class_map).reshape((len(x),) + pair.plain_dims)
+        if left:
+            return np.tensordot(top, inner.class_map, axes=(1, 0)).swapaxes(
+                1, 2).reshape(len(x), n)
+        return (top @ inner.class_map).reshape(len(x), n)
+
+    meta = {"inner": inner, "pair": pair, "bracket": bracket}
+    return RelativeTensorSpace(pair.flavor, plain_dims, tol=inner.tol,
+                               meta=meta, factor=(h, rows, n))
+
+
 def nest_left(inner: RelativeTensorSpace,
               pair: RelativeTensorSpace) -> RelativeTensorSpace:
     """Three-factor space bracketed as (inner) tensored with a new right leg.
 
     pair must be built over (inner's quotient, new leg); the result is
     realized over the full plain tensor product of all three factors.  Its
-    Gram is m* G_pair m with m = inner.class_map on the first leg; it is
-    given as the factor pair.class_map . m, contracted leg-wise, so no
-    matrix on the plain product is formed.
+    Gram is m* G_pair m with m = inner.class_map on the first leg, read
+    through the factor pair.class_map . m (see _nest), so no matrix on the
+    plain product is formed.
     """
     if len(pair.plain_dims) != 2 or pair.plain_dims[0] != inner.dim:
         raise DimensionError("pair space must have the inner quotient as left leg")
-    right = pair.plain_dims[1]
-    cm = pair.class_map.reshape(pair.dim, inner.dim, right)
-    factor = np.tensordot(cm, inner.class_map, axes=(1, 0)).transpose(0, 2, 1)
-    return RelativeTensorSpace(
-        pair.flavor, inner.plain_dims + (right,), tol=inner.tol,
-        meta={"inner": inner, "pair": pair, "bracket": "left"},
-        factor=factor.reshape(pair.dim, -1),
-    )
+    return _nest(inner, pair, "left", inner.plain_dims + pair.plain_dims[1:])
 
 
 def nest_right(inner: RelativeTensorSpace,
@@ -256,13 +331,7 @@ def nest_right(inner: RelativeTensorSpace,
     the mirror of nest_left, with inner.class_map on the last leg."""
     if len(pair.plain_dims) != 2 or pair.plain_dims[1] != inner.dim:
         raise DimensionError("pair space must have the inner quotient as right leg")
-    left = pair.plain_dims[0]
-    cm = pair.class_map.reshape(pair.dim, left, inner.dim)
-    return RelativeTensorSpace(
-        pair.flavor, (left,) + inner.plain_dims, tol=inner.tol,
-        meta={"inner": inner, "pair": pair, "bracket": "right"},
-        factor=(cm @ inner.class_map).reshape(pair.dim, -1),
-    )
+    return _nest(inner, pair, "right", pair.plain_dims[:1] + inner.plain_dims)
 
 
 def phi_unitary(state_space: RelativeTensorSpace,

@@ -7,7 +7,7 @@ with the star matrix.  Construction certifies closure from that pass, and
 left multiplication and the one *-representation check (rep_report)
 contract it.  A basis is *-closed under its star matrix, the precondition of
 the restricted solve (linalg.intertwiner_rows) that gives commutants; the
-center is the part of the algebra inside the commutant.
+center is read from the structure tensor alone.
 """
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ from .linalg import (
     OperatorSubspace,
     Tolerance,
     dagger,
-    intersect_null_spaces,
     intertwiner_rows,
     mat_norm,
+    null_rows,
     span,
     subspace_equal,
     worst_norm,
@@ -107,11 +107,16 @@ class StarAlgebra:
                            self.tol, certify=False)
 
     def center(self) -> "StarAlgebra":
-        n, flat = self.space_dim, self.subspace.flat()
-        com = self.commutant().subspace.flat()
-        # the part of c . flat outside the commutant must vanish
-        outside = flat - (flat @ com.conj().T) @ com
-        rows = intersect_null_spaces([outside.T], self.dim, self.tol) @ flat
+        return self._center
+
+    @cached_property
+    def _center(self) -> "StarAlgebra":
+        """The elements sum_i x_i b_i that commute with every b_j: the null
+        space of the antisymmetrized structure tensor,
+        sum_i x_i (c[i, j, l] - c[j, i, l]) = 0 for all j and l."""
+        n, c = self.space_dim, self.structure()
+        d = (c - c.transpose(1, 0, 2)).reshape(self.dim, -1)
+        rows = null_rows(d.conj() @ d.T, self.tol) @ self.subspace.flat()
         return StarAlgebra(n, OperatorSubspace(n, n, rows.reshape(-1, n, n)),
                            self.tol, certify=False)
 

@@ -3,7 +3,8 @@ without forming kron products or looping over elements; tests compare the
 library against these."""
 import numpy as np
 
-from qgw.linalg import induced_between
+from qgw.linalg import dagger, induced_between, mat_norm
+from qgw.rtensor import balanced_support, gram_from_r_stacks
 
 
 def mul_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -48,6 +49,20 @@ def svd_quotient(factor, tol):
     n = factor.shape[1]
     keep = s ** 2 > tol.rank_cut(np.max(s, initial=0.0) ** 2, n, n)
     return s[keep, None] * vh[keep], vh[keep].conj().T / s[keep]
+
+
+def balanced_gap(space, central):
+    """(matched pairs, plain dimension, relative gaps) of a space built with
+    its reconstruction stacks kept: the gaps of W G_m W*, from
+    balanced_support under the central actions given, and of the space's
+    class_map* class_map to the full Gram formed on the plain product."""
+    rh, rk = space.meta["r_stacks"]
+    full = gram_from_r_stacks(rh, rk)
+    w, g = balanced_support(rh, rk, *central, space.tol)
+    cm = space.class_map
+    return w.shape[1], len(full), [
+        mat_norm(x - full) / mat_norm(full)
+        for x in (w @ g @ dagger(w), dagger(cm) @ cm)]
 
 
 def kron_connectors(src, dst, left, right):

@@ -407,16 +407,64 @@ def test_bad_blocks_argument_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["gen-groupoid", "--pair", "0"], "--pair"),
+    (["gen-groupoid", "--pair", "-1"], "--pair"),
+    (["gen-group", "--order", "0"], "--order"),
+    (["gen-group", "--order", "-3"], "--order"),
+    (["gen-group", "--order", "2", "--hopf-perturb", "-5"], "--hopf-perturb"),
+    (["gen-random-base", "--blocks", "2,1", "--seed", "-1"], "--seed"),
+    (["gen-random-base", "--blocks", "2,1", "--seed", "1",
+      "--mult-left", "0"], "--mult-left"),
+    (["gen-random-base", "--blocks", "2,1", "--seed", "1",
+      "--mult-right", "-1"], "--mult-right"),
+    (["gen-group", "--order", "2", "--angle", "nan"], "--angle"),
+    (["gen-group", "--order", "2", "--out", "{tmp}/absent/z2.json"],
+     "--out"),
+    (["gen-group", "--order", "2", "--out", "{tmp}"], "--out"),
+    (["gns", "--in", "{pair2}", "--out", "{tmp}"], "--out"),
+    (["gns", "--in", "{tmp}/latin1.json"], "latin1.json"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_bad_argument_exits_2_naming_it(capsys, tmp_path, pair2, argv,
+                                        named):
+    (tmp_path / "latin1.json").write_bytes(b'{"format": "caf\xe9"}')
+    code, out = run(capsys, *[a.format(tmp=tmp_path, pair2=pair2)
+                              for a in argv])
+    assert code == 2
+    assert "ERROR" in out
+    assert len([line for line in out.splitlines() if named in line]) == 1
+
+
+def matrices(node):
+    """Every encoded matrix, an object with rows, cols and data, in node."""
+    if isinstance(node, dict):
+        if {"rows", "cols", "data"} <= set(node):
+            yield node
+        nodes = node.values()
+    else:
+        nodes = node if isinstance(node, list) else []
+    for child in nodes:
+        yield from matrices(child)
+
+
 def mutate(data, doc):
     """Walk into doc along drawn keys, then drop the entry reached, give it
-    a value of another JSON type, or put NaN in its place."""
+    a value of another JSON type, or put NaN in its place; or give one
+    encoded matrix a shape that disagrees with its data, or agrees with it
+    in another shape."""
+    edit = data.draw(st.sampled_from(["drop", "retype", "nan", "reshape"]))
+    if edit == "reshape":
+        mat = data.draw(st.sampled_from(list(matrices(doc))))
+        rows, cols = mat["rows"], mat["cols"]
+        mat["rows"], mat["cols"] = data.draw(st.sampled_from(
+            [(cols, rows), (rows * cols, 1), (rows + 1, cols), (rows, 0)]))
+        return
     holder, key, node = None, None, doc
     while isinstance(node, (dict, list)) and node and (
             holder is None or data.draw(st.booleans())):
         keys = sorted(node) if isinstance(node, dict) else range(len(node))
         key = data.draw(st.sampled_from(list(keys)))
         holder, node = node, node[key]
-    edit = data.draw(st.sampled_from(["drop", "retype", "nan"]))
     if edit == "drop":
         del holder[key]
     elif edit == "retype":
@@ -427,15 +475,17 @@ def mutate(data, doc):
         holder[key] = float("nan")
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+@settings(max_examples=150, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_mutated_bundle_exits_0_1_or_2(pair2, data):
-    # whatever one edit does to a valid bundle, every command ends in a
-    # verdict or an input error, never in an escaping exception
-    doc = json.loads(Path(pair2).read_text())
+def test_mutated_bundle_exits_0_1_or_2(pair2, linked, data):
+    # whatever one edit does to a valid bundle, a groupoid's or a random
+    # base's, every command ends in a verdict or an input error, never in
+    # an escaping exception
+    source = data.draw(st.sampled_from([pair2, linked]))
+    doc = json.loads(Path(source).read_text())
     mutate(data, doc)
-    bundle = Path(pair2).with_name("mutated.json")
+    bundle = Path(source).with_name("mutated.json")
     bundle.write_text(json.dumps(doc))
     command = data.draw(st.sampled_from(CHECK_COMMANDS))
     with contextlib.redirect_stdout(io.StringIO()):

@@ -211,14 +211,21 @@ def test_intersect_null_spaces_no_constraints_is_everything():
     assert intersect_null_spaces([], 4).shape == (4, 4)
 
 
+def as_factor(c):
+    """A factor matrix C as QuotientRealization takes it: (C C*, x -> x C,
+    N)."""
+    c = np.asarray(c, dtype=complex)
+    return c @ dagger(c), c.__rmatmul__, c.shape[1]
+
+
 def test_quotient_normalization_invariants():
     gen = rng(8)
     a = random_mat(gen, 6, 4)
     gram = dagger(a) @ a  # PSD, rank 4
     q = QuotientRealization(gram)
     assert q.dim == 4
-    # the stored co-isometry satisfies q G q* = 1
-    assert mat_norm(q.co_isometry @ gram @ dagger(q.co_isometry) - np.eye(4)) < 1e-9
+    # the section's adjoint is a co-isometry: q G q* = 1
+    assert mat_norm(dagger(q.section) @ gram @ q.section - np.eye(4)) < 1e-9
     # class map preserves the semi-inner product
     w1, w2 = random_mat(gen, 4, 1), random_mat(gen, 4, 1)
     lhs = (dagger(q.class_map @ w1) @ (q.class_map @ w2))[0, 0]
@@ -239,13 +246,13 @@ def test_quotient_from_factor_matches_gram():
     gen = rng(9)
     c = random_mat(gen, 3, 5) @ random_mat(gen, 5, 7)  # rank 3 of 7
     c = np.vstack([c, c[:1] - 2j * c[1:2]])
-    by_factor = QuotientRealization(factor=c)
+    by_factor = QuotientRealization(factor=as_factor(c))
     by_gram = QuotientRealization(dagger(c) @ c)
     assert by_factor.dim == by_gram.dim == 3
     assert by_factor.plain_dim == 7
     assert mat_norm(by_factor.gram - dagger(c) @ c) == 0.0
     for q in (by_factor, by_gram):
-        assert mat_norm(q.co_isometry @ (dagger(c) @ c) @ dagger(q.co_isometry)
+        assert mat_norm(dagger(q.section) @ (dagger(c) @ c) @ q.section
                         - np.eye(3)) < 1e-9
     proj = [q.section @ q.class_map for q in (by_factor, by_gram)]
     assert mat_norm(proj[0] - proj[1]) < 1e-10
@@ -255,7 +262,7 @@ def test_quotient_from_factor_matches_gram():
     with pytest.raises(DimensionError):
         QuotientRealization()
     with pytest.raises(DimensionError):
-        QuotientRealization(dagger(c) @ c, factor=c)
+        QuotientRealization(dagger(c) @ c, factor=as_factor(c))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e4])
@@ -271,7 +278,7 @@ def test_factor_rank_flips_at_the_cut_on_sigma_squared(scale, times_cut,
     s = scale * np.array([1.0, 0.7, 0.4, np.sqrt(times_cut * cut)])
     vh = random_unitary(n, gen)[:4]
     c = random_unitary(4, gen) @ (s[:, None] * vh)
-    by_factor = QuotientRealization(factor=c)
+    by_factor = QuotientRealization(factor=as_factor(c))
     by_gram = QuotientRealization(dagger(c) @ c)
     assert by_factor.dim == by_gram.dim == kept
     # a kept direction at 10x the cut is resolved to about 4e-16 lam_max /
@@ -314,7 +321,7 @@ def test_quotient_keeps_the_guard_readings():
     assert q.psd_defect == pytest.approx(5e-10)
     assert q.hermitian_defect == 0.0
     c = np.array([[1.0, 2.0, 0.0]])
-    q = QuotientRealization(factor=c)
+    q = QuotientRealization(factor=as_factor(c))
     assert q.hermitian_defect == 0.0 and q.psd_defect == 0.0
 
 

@@ -14,6 +14,7 @@ from qgw.linalg import (
 )
 from qgw.pmu import (
     EXCHANGES,
+    VERTICES,
     PmuCandidate,
     check_pmu_cstar,
     check_pmu_state,
@@ -27,7 +28,9 @@ from qgw.pmu import (
     swap_matrix,
     swapped_candidate,
 )
-from kron_reference import kron_nested_factor, kron_nested_gram, svd_quotient
+from qgw.rtensor import central_actions
+from kron_reference import balanced_gap, kron_nested_factor, \
+    kron_nested_gram, svd_quotient
 
 
 def test_swap_matrix_exchanges_legs():
@@ -83,6 +86,26 @@ def pentagon_vertex_cases():
             cases += [(flavor, name, space) for name, space
                       in pentagon_vertices(squares, pair).items()]
     return cases
+
+
+@pytest.mark.parametrize("gpd, units", [
+    (FiniteGroupoid.pair(2), 2), (FiniteGroupoid.pair(3), 3),
+    (FiniteGroupoid.cyclic(3), 1)], ids=["pair2", "pair3", "z3"])
+def test_pentagon_pair_squares_live_on_the_balanced_support(gpd, units):
+    # the base C^units has a central z with units distinct eigenvalues, so
+    # 1/units of the plain pairs match (81 of 243 on pair(3)) and carry the
+    # whole Gram; a group's base C matches every pair
+    pmu = groupoid_pmu(gpd)
+    flavors = [state_legs(pmu["candidate"]), operator_legs(
+        pmu["beta_hat"], pmu["alpha_flipped"], pmu["alpha"], pmu["beta"],
+        DEFAULT_TOL)]
+    for _, _, pair in flavors:
+        for name, (bracket, leg, kind) in VERTICES.items():
+            space = pair(kind, int(bracket == "right"), leg)
+            matched, n, gaps = balanced_gap(
+                space, central_actions(space.flavor, space.meta))
+            assert matched * units == n, (space.flavor, name)
+            assert max(gaps) < 1e-12, (space.flavor, name, gaps)
 
 
 def test_nested_vertices_match_kron_grams():

@@ -7,7 +7,7 @@ from qgw.cbase import cbase_from_state
 from qgw.cfact import Factorization
 from qgw.errors import DimensionError, NotWellDefinedError, PreconditionError
 from qgw.gns import State, gns
-from qgw.fixtures import FiniteGroupoid, groupoid_bundle
+from qgw.fixtures import FiniteGroupoid, groupoid_bundle, linked_bundle
 from qgw.linalg import (
     QuotientRealization,
     dagger,
@@ -18,6 +18,7 @@ from qgw.linalg import (
 )
 from qgw.rtensor import (
     RelativeTensorSpace,
+    central_actions,
     gram_from_r_stacks,
     insertions,
     nest_left,
@@ -32,7 +33,7 @@ from qgw.staralg import (
     rep_value,
 )
 from qgw.linalg import span as _span
-from kron_reference import kron_nested_gram
+from kron_reference import balanced_gap, kron_nested_gram
 from small_fixtures import full_matrix_algebra
 
 
@@ -435,3 +436,21 @@ def test_induced_gap_matches_complement_of_support():
         assert (res < 1e-10) == descends
         if not descends:
             assert res > 1e-3
+
+
+def test_random_base_square_lives_on_the_balanced_support():
+    # base M3 + M2 + M1 under a non-tracial state: a central z balances the
+    # relative inner product on both flavors, so 56 of 144 plain pairs carry
+    # the Gram; a Hermitian z drawn from the whole algebra does not, and
+    # leaves a sizable part of the Gram off the pairs it matches
+    data = linked_bundle([3, 2, 1], 2, 2, 5)
+    vn = rtp_state(data["triple"], data["rho"], data["sigma"], balanced=True)
+    cs = rtp_cstar(data["alpha"], data["beta"], balanced=True)
+    for space in (vn, cs):
+        matched, n, gaps = balanced_gap(
+            space, central_actions(space.flavor, space.meta))
+        assert (matched, n) == (56, 144)
+        assert max(gaps) < 1e-12, (space.flavor, gaps)
+    star = data["triple"].algebra.star_matrix()
+    _, _, (off, _) = balanced_gap(vn, (data["rho"], data["sigma"], star))
+    assert off > 0.1

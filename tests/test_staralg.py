@@ -103,6 +103,30 @@ def test_center_of_block_algebra():
     assert commute_residual(z.basis(), alg.basis()) < 1e-10
 
 
+def commutant_route_center(alg):
+    """The center as first read: the part of the algebra inside its
+    commutant, through intersect_null_spaces."""
+    n, flat = alg.space_dim, alg.subspace.flat()
+    com = alg.commutant().subspace.flat()
+    outside = flat - (flat @ com.conj().T) @ com
+    rows = intersect_null_spaces([outside.T], alg.dim, alg.tol) @ flat
+    return span(rows.reshape(-1, n, n), n, n)
+
+
+@pytest.mark.parametrize("make, dim", [
+    (lambda: diag_algebra(3), 3),
+    (lambda: full_matrix_algebra(2), 1),
+    (lambda: block_algebra([3, 2, 1]), 3),
+    (lambda: random_standard_base([2, 2, 1], 7)[1].algebra, 3),
+], ids=["C3", "M2", "M3+M2+M1", "random-2,2,1"])
+def test_center_from_structure_tensor_matches_commutant_route(make, dim):
+    alg = make()
+    z = alg.center()
+    assert z.dim == dim
+    assert subspace_equal(z.subspace, commutant_route_center(alg), 1e-10)
+    assert commute_residual(z.basis(), alg.basis()) < 1e-10
+
+
 def kron_block_reference(blocks, rows: int, cols: int):
     """Span of the common null space of per-element constraint blocks."""
     null = intersect_null_spaces(blocks, rows * cols)
