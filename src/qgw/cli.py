@@ -26,7 +26,7 @@ from .fiber import fiber_equivalence, fiber_spatial, is_morphism
 from .fixtures import FiniteGroupoid, linked_bundle
 from .gns import gns
 from .hopf import groupoid_hopf, hopf_equivalence, perturbed_hopf
-from .linalg import Tolerance
+from .linalg import Tolerance, dagger, unitary_residual
 from .pmu import PmuCandidate, groupoid_pmu, phase_perturbed_candidate, \
     pmu_equivalence, swapped_candidate
 from .report import Certificate, Check, Report, checks_from_residuals
@@ -77,6 +77,7 @@ def groupoid_bundle_json(gpd: FiniteGroupoid, source: dict,
         cand = phase_perturbed_candidate(pmu_data, source["angle"])
     triple = hopf_data["triple"]
     arrow_alg = hopf_data["algebra"]
+    vn, cs = hopf_data["state_space"], hopf_data["cstar_space"]
     out = serialize.bundle_skeleton("groupoid", source, tol)
     out["state"] = serialize.encode_state(triple.state)
     out["arrow_algebra"] = serialize.encode_algebra(arrow_alg)
@@ -102,6 +103,7 @@ def groupoid_bundle_json(gpd: FiniteGroupoid, source: dict,
             "Delta": serialize.encode_morphism(
                 hopf_data["delta_state"], "arrow_algebra", "fiber-state"
             ),
+            "classes": serialize.encode_matrix(vn.class_map),
             "legs": {"rho": "reps.rho", "sigma": "reps.sigma"},
         },
         "operator": {
@@ -110,6 +112,7 @@ def groupoid_bundle_json(gpd: FiniteGroupoid, source: dict,
             "Delta": serialize.encode_morphism(
                 hopf_data["delta_cstar"], "arrow_algebra", "fiber-operator"
             ),
+            "classes": serialize.encode_matrix(cs.class_map),
             "legs": {
                 "alpha": "factorizations.alpha",
                 "beta": "factorizations.beta",
@@ -260,20 +263,33 @@ class BundleContext:
     @kept
     def delta(self, flavor: str) -> np.ndarray:
         """Comultiplication of the hopf section's "state" or "operator"
-        flavor: its image stack aligned with the arrow algebra's basis,
-        each image an operator on that flavor's square."""
-        where = f"hopf.{flavor}.Delta"
+        flavor: its image stack aligned with the arrow algebra's basis, each
+        image an operator on that flavor's square.  The images are stored in
+        the coordinates of the class map "classes"; the unitary T = class_map
+        . pinv(classes) moves them into this square's."""
+        where, sec = f"hopf.{flavor}", self.section("hopf", flavor)
         images = serialize.decode_morphism(
-            self.entry("hopf", flavor, "Delta"), self.arrow.dim, where
-        )
+            self.entry("hopf", flavor, "Delta"), self.arrow.dim,
+            f"{where}.Delta")
         vn, cs = self.squares
-        q = (cs if flavor == "operator" else vn).dim
-        if images.shape[1:] != (q, q):
-            raise FormatError(
-                f"{where}: images are {images.shape[1:]}, the square is "
-                f"({q}, {q})"
-            )
-        return images
+        square = cs if flavor == "operator" else vn
+        if images.shape[1:] != (square.dim,) * 2:
+            raise FormatError(f"{where}.Delta: images are {images.shape[1:]},"
+                              f" the square is {(square.dim,) * 2}")
+        where += ".classes"
+        if "classes" not in sec:
+            raise FormatError(f"{where}: missing; the bundle predates stored "
+                              "class maps, regenerate it")
+        classes = serialize.decode_matrix(sec["classes"], where)
+        if classes.shape != square.class_map.shape \
+                or not np.all(np.isfinite(classes)):
+            raise FormatError(f"{where}: expected a finite matrix of shape "
+                              f"{square.class_map.shape}, got {classes.shape}")
+        t = square.class_map @ np.linalg.pinv(classes)
+        if not unitary_residual(t) <= self.tol.check:
+            raise FormatError(f"{where}: no class map of the square, off "
+                              f"unitary by {unitary_residual(t):.3e}")
+        return t @ images @ dagger(t)
 
     @property
     @kept

@@ -73,8 +73,7 @@ def _coassociativity_residual(space, algebra, delta) -> float:
     meta = space.meta
     inner_rho, _ = space.lift([None, meta["rho_stack"]], require=False)
     try:
-        pair = rtp_state(meta["triple"], inner_rho, meta["sigma_stack"],
-                         balanced=True)
+        pair = rtp_state(meta["triple"], inner_rho, meta["sigma_stack"])
         # a candidate that is no *-map has no intertwiner solve either
         inter = intertwiner_space(delta, algebra, space.tol)
     except PreconditionError:

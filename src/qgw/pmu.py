@@ -132,7 +132,7 @@ def state_legs(cand: PmuCandidate):
         stacks = list(factors[kind])
         stacks[slot] = leg(*lg)[0]
         return rtp_state(cand.triple, *stacks, tol=cand.tol,
-                         over_opposite=kind == "source", balanced=True)
+                         over_opposite=kind == "source")
 
     return squares, leg, pair
 
@@ -158,7 +158,7 @@ def operator_legs(beta_hat: Factorization, alpha_flipped: Factorization,
         facts, space = list(factors[kind]), squares[lg[0]]
         facts[slot] = Factorization(space.meta["base"], space.dim, leg(*lg),
                                     flipped=slot == 1, tol=tol)
-        return rtp_cstar(*facts, tol=tol, balanced=True)
+        return rtp_cstar(*facts, tol=tol)
 
     return squares, leg, pair
 

@@ -4,11 +4,11 @@ Both flavors produce the same kind of object: a Gram matrix on the plain
 tensor product of the factors, together with the quotient it induces.  The
 state flavor contracts the two actions through a cyclic representation; the
 operator flavor contracts two factorizations through the base cyclic vector.
-Keeping every space realized over the same plain tensor product is what makes
-maps between differently bracketed iterates directly comparable.  Those
-iterates are read through the r x r Gram of their factor, the outer class map
-contracted with the inner one, so no matrix on the threefold plain product is
-formed; the pair spaces they nest live on a balanced support (see below).
+Keeping every space realized over the same plain tensor product, each on the
+balanced support of the base's center (see below), is what makes maps between
+differently bracketed iterates directly comparable.  Those iterates are read
+through the r x r Gram of their factor, the outer class map contracted with
+the inner one, so no matrix on the threefold plain product is formed.
 
 Leg-wise operators reach a quotient through one stacked lift: per-leg stacks
 are zipped and contracted with the class map one leg at a time, so neither
@@ -164,10 +164,7 @@ def central_actions(flavor: str, meta: dict):
 
 
 def _realize(flavor: str, rh: np.ndarray, rk: np.ndarray, tol: Tolerance,
-             meta: dict, balanced: bool) -> RelativeTensorSpace:
-    if not balanced:
-        return RelativeTensorSpace(flavor, (len(rh), len(rk)),
-                                   gram_from_r_stacks(rh, rk), tol, meta)
+             meta: dict) -> RelativeTensorSpace:
     meta["r_stacks"] = (rh, rk)
     support, gram = balanced_support(rh, rk, *central_actions(flavor, meta),
                                      tol)
@@ -176,17 +173,15 @@ def _realize(flavor: str, rh: np.ndarray, rk: np.ndarray, tol: Tolerance,
 
 
 def rtp_state(triple: GnsTriple, rho_stack, sigma_stack, *,
-              over_opposite: bool = False, tol: Tolerance | None = None,
-              balanced: bool = False) -> RelativeTensorSpace:
+              over_opposite: bool = False,
+              tol: Tolerance | None = None) -> RelativeTensorSpace:
     """State-flavor relative tensor product of two represented spaces.
 
     rho_stack gives the right action on the left factor (a representation of
     the opposite algebra, values on underlying basis elements); sigma_stack
     the left action on the right factor.  over_opposite builds instead over
     the opposite algebra with the same cyclic data, so the roles of the two
-    canonical actions swap.  balanced realizes the space on the balanced
-    support of the base's center, in other class coordinates than the full
-    Gram's: for spaces only nested, as bundles store maps in squares' ones.
+    canonical actions swap.
     """
     tol = tol or triple.tol
     rho_stack = np.asarray(rho_stack, dtype=complex)
@@ -213,17 +208,16 @@ def rtp_state(triple: GnsTriple, rho_stack, sigma_stack, *,
     rk = np.einsum("ikb,it->bkt", sigma_stack, z_right_inv)
     meta = {"triple": triple, "rho_stack": rho_stack,
             "sigma_stack": sigma_stack}
-    return _realize("state", rh, rk, tol, meta, balanced)
+    return _realize("state", rh, rk, tol, meta)
 
 
 def rtp_cstar(left_fact: Factorization, right_fact: Factorization,
-              tol: Tolerance | None = None,
-              balanced: bool = False) -> RelativeTensorSpace:
+              tol: Tolerance | None = None) -> RelativeTensorSpace:
     """Operator-flavor relative tensor product of two factorized spaces.
 
     The left factorization's products must land in the base algebra and the
     right one's in the partner; their reconstruction operators contract
-    through the base cyclic vector.  balanced as in rtp_state.
+    through the base cyclic vector.
     """
     tol = tol or left_fact.tol
     if left_fact.base is not right_fact.base:
@@ -242,7 +236,7 @@ def rtp_cstar(left_fact: Factorization, right_fact: Factorization,
     rk = np.stack([right_fact.r_operator(np.eye(nk)[b]) for b in range(nk)])
     meta = {"left_fact": left_fact, "right_fact": right_fact,
             "base": left_fact.base}
-    return _realize("cstar", rh, rk, tol, meta, balanced)
+    return _realize("cstar", rh, rk, tol, meta)
 
 
 def insertions(space: RelativeTensorSpace, elements, leg: int) -> np.ndarray:

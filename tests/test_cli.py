@@ -8,12 +8,15 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qgw import cli
 from qgw.cli import main
+from qgw.linalg import random_unitary, rng
 from qgw.report import Report
+from qgw.serialize import decode_matrix, encode_matrix
 
 CHECK_COMMANDS = [
     "gns", "base-check", "factorize", "rtp", "phi", "fiber",
@@ -206,6 +209,49 @@ def test_retyped_entry_exits_2_naming_it(capsys, tmp_path, pair2, command,
     assert key in out
 
 
+def source_square_classes(classes, doc):
+    """The class map of the pmu's source-type square: the shape and the row
+    Gram of the hopf squares' class maps, but another square's Gram.  (The
+    other flavor's class map would be no edit: both flavors' squares share
+    one Gram and one central decomposition, so the two stored maps are the
+    same matrix.)"""
+    return decode_matrix(doc["pmu"]["coordinate_maps"]["source_classes"])
+
+
+# edits of a stored class map: None deletes it, as in a bundle written
+# before class maps were stored
+CLASS_EDITS = {
+    "deleted": None,
+    "transposed": lambda classes, doc: classes.T,
+    "one_row_short": lambda classes, doc: classes[:-1],
+    "doubled": lambda classes, doc: 2 * classes,
+    "not_finite": lambda classes, doc: np.where(
+        np.eye(*classes.shape, dtype=bool), np.nan, classes),
+    "another_square": source_square_classes,
+}
+
+
+@pytest.mark.parametrize("edit", sorted(CLASS_EDITS))
+@pytest.mark.parametrize("command,flavor", [
+    ("hopf-check", "state"), ("hopf-check", "operator"),
+    ("morphism-check", "operator")])
+def test_bad_stored_class_map_exits_2_naming_it(capsys, tmp_path, pair2,
+                                                command, flavor, edit):
+    doc = json.loads(open(pair2).read())
+    section = doc["hopf"][flavor]
+    if CLASS_EDITS[edit] is None:
+        del section["classes"]
+    else:
+        section["classes"] = encode_matrix(CLASS_EDITS[edit](
+            decode_matrix(section["classes"]), doc))
+    bundle = tmp_path / "classes.json"
+    bundle.write_text(json.dumps(doc))
+    code, out = run(capsys, command, "--in", str(bundle))
+    assert code == 2
+    named = f"hopf.{flavor}.classes"
+    assert len([line for line in out.splitlines() if named in line]) == 1
+
+
 @pytest.mark.parametrize("command", ["rtp", "fiber"])
 @pytest.mark.parametrize("name", ["rho", "sigma"])
 def test_non_square_rep_exits_2_naming_it(capsys, tmp_path, linked, command,
@@ -298,6 +344,55 @@ def test_check_commands_match_benchmark_record(tmp_path):
                 "checks": {c.name: c.passed for c in rep.checks},
             }
             assert got == records[workload][label][command], (label, command)
+
+
+def rotated_eigh(seed):
+    """np.linalg.eigh returning another valid eigenbasis: each cluster of
+    eigenvalues within 1e-10 of the spectral scale of each other is turned
+    by a seeded unitary (orthogonal for real input)."""
+    eigh, gen = np.linalg.eigh, rng(seed)
+
+    def rotated(a, *args, **kwargs):
+        w, v = eigh(a, *args, **kwargs)
+        cut = 1e-10 * np.max(np.abs(w), initial=0.0)
+        starts = np.r_[0, np.nonzero(np.diff(w) > cut)[0] + 1, len(w)]
+        v = v.copy()
+        for i, j in zip(starts[:-1], starts[1:]):
+            if j - i > 1:
+                u = random_unitary(j - i, gen)
+                if v.dtype.kind != "c":
+                    u = np.linalg.qr(u.real)[0]
+                v[:, i:j] = v[:, i:j] @ u
+        return w, v
+
+    return rotated
+
+
+@pytest.mark.parametrize("gen_args", [["gen-groupoid", "--pair", "2"],
+                                      ["gen-group", "--order", "3"]],
+                         ids=["pair2", "z3"])
+def test_verdicts_do_not_depend_on_the_eigenbasis(tmp_path, monkeypatch,
+                                                  gen_args):
+    # a bundle written with one eigensolver is read by another that picks
+    # other eigenvectors inside every degenerate eigenspace: each stored
+    # map is moved by the class maps it carries, so nothing changes
+    bundle = tmp_path / "bundle.json"
+    assert main([*gen_args, "--out", str(bundle)]) == 0
+
+    def verdicts():
+        got = {}
+        for command in ("hopf-check", "morphism-check", "pmu-check",
+                        "equiv-check"):
+            out = tmp_path / f"{command}.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--in", str(bundle), "--out", str(out)])
+            got[command] = (code, {c.name: c.passed
+                                   for c in load_report(out).checks})
+        return got
+
+    plain = verdicts()
+    monkeypatch.setattr(np.linalg, "eigh", rotated_eigh(seed=5))
+    assert verdicts() == plain
 
 
 def test_equiv_check_composes_the_other_commands(pair2, tmp_path):

@@ -2,8 +2,8 @@
 product and comultiplication residuals.
 
 Every residual that rep_report (both orientations), hom_report,
-Factorization.rho_report and fiber_equivalence (as the fiber command
-flattens it) emit, and every hopf_equivalence residual that the image
+Factorization.rho_report, phi_unitary and fiber_equivalence (as the fiber
+command flattens it) emit, and every hopf_equivalence residual that the image
 stacks of a comultiplication drive beyond hom_report's, has a seeded
 perturbation here that drives it over threshold.  The coverage test
 collects the names the reports emit on valid input and fails if one of
@@ -150,19 +150,29 @@ def rho_corner():
     return factorization(cut, base.algebra.subspace.stack).rho_report()
 
 
-# the fiber command's residuals, over the squares of the seeded base
+# the phi and fiber commands' residuals, over the squares of the seeded base
+
+
+def seeded_squares(cstar_seed=SEED, cstar_blocks=(2, 1)):
+    """(data, state square, operator square) of the seeded linked bundle;
+    cstar_seed or cstar_blocks build the operator square over another
+    seeded base instead, on the same plain square."""
+    data = linked_bundle([2, 1], 1, 1, SEED)
+    other = linked_bundle(list(cstar_blocks), 1, 1, cstar_seed)
+    return (data, rtp_state(data["triple"], data["rho"], data["sigma"]),
+            rtp_cstar(other["alpha"], other["beta"]))
+
+
+def phi_residuals(**other):
+    """phi_unitary's residuals on seeded_squares(**other)."""
+    return phi_unitary(*seeded_squares(**other)[1:])[1].residuals
 
 
 def fiber_residuals(cstar_seed=SEED, legs=None, rotate=False):
     """The flattened fiber certificate of the seeded linked bundle; legs
     replaces both leg algebras, cstar_seed builds the operator square over
     another seeded base, rotate moves phi by a seeded Haar unitary."""
-    data = linked_bundle([2, 1], 1, 1, SEED)
-    vn = rtp_state(data["triple"], data["rho"], data["sigma"])
-    cs = rtp_cstar(data["alpha"], data["beta"])
-    if cstar_seed != SEED:
-        other = linked_bundle([2, 1], 1, 1, cstar_seed)
-        cs = rtp_cstar(other["alpha"], other["beta"])
+    data, vn, cs = seeded_squares(cstar_seed)
     phi, _ = phi_unitary(vn, cs)
     if rotate:
         phi = phi @ random_unitary(vn.dim, rng(SEED + 7))
@@ -246,6 +256,11 @@ CONTROLS = {
     ("rho_report", "star"): rho_non_star,
     ("rho_report", "multiplicative"): rho_wrong_side,
     ("rho_report", "exchange_identity"): rho_rotated,
+    # the operator square linked to another seed's actions
+    **{("phi", name): lambda: phi_residuals(cstar_seed=SEED + 6)
+       for name in ("unitary", "transports_classes", "gram_match")},
+    # an operator square over M1 + M1 + M1: three classes against two
+    ("phi", "dimension_defect"): lambda: phi_residuals(cstar_blocks=(1, 1, 1)),
     ("fiber", "classical_lift_well_defined"): fiber_scalar_legs,
     # the spatial product over another seeded base algebra
     ("fiber", "dimension_defect"): lambda: fiber_residuals(cstar_seed=SEED + 6),
@@ -271,6 +286,7 @@ def valid_reports():
         "rho_report": factorization(
             base, base.algebra.subspace.stack
         ).rho_report(),
+        "phi": phi_residuals(),
         "fiber": fiber_residuals(),
         "hopf": hopf_residuals(),
     }

@@ -444,8 +444,8 @@ def test_random_base_square_lives_on_the_balanced_support():
     # the Gram; a Hermitian z drawn from the whole algebra does not, and
     # leaves a sizable part of the Gram off the pairs it matches
     data = linked_bundle([3, 2, 1], 2, 2, 5)
-    vn = rtp_state(data["triple"], data["rho"], data["sigma"], balanced=True)
-    cs = rtp_cstar(data["alpha"], data["beta"], balanced=True)
+    vn = rtp_state(data["triple"], data["rho"], data["sigma"])
+    cs = rtp_cstar(data["alpha"], data["beta"])
     for space in (vn, cs):
         matched, n, gaps = balanced_gap(
             space, central_actions(space.flavor, space.meta))

@@ -1,0 +1,133 @@
+"""Parity of two source trees of qgw on a fixed set of bundles.
+
+    python tools/parity.py OLD_TREE NEW_TREE
+
+Each tree (a directory holding src/qgw) writes the ten bundles of BUNDLES
+with its own gen-* commands and runs the ten check commands on them, except
+equiv-check on pair(3), one process per run.  Prints the exit-code counts of
+each tree, the paths at which each tree's bundles differ, every run whose
+exit code, verdict or check names and pass/fail differ, and the largest
+move of a residual that passes in both trees.  Exits 1 on a difference in
+the runs; bundles that differ in bytes are reported, not counted.
+"""
+import collections
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BUNDLES = {
+    "pair2": ["gen-groupoid", "--pair", "2"],
+    "pair3": ["gen-groupoid", "--pair", "3"],
+    "z3": ["gen-group", "--order", "3"],
+    "z4": ["gen-group", "--order", "4"],
+    "z3-swap": ["gen-group", "--order", "3", "--variant", "swap"],
+    "z4-phase": ["gen-group", "--order", "4", "--variant", "phase"],
+    "z3-hopf-perturb": ["gen-group", "--order", "3", "--hopf-perturb", "7"],
+    "blocks-3,2,1-seed-1": ["gen-random-base", "--blocks", "3,2,1",
+                            "--seed", "1"],
+    "blocks-3,2,1-seed-2-mult-2": ["gen-random-base", "--blocks", "3,2,1",
+                                   "--seed", "2", "--mult-left", "2",
+                                   "--mult-right", "2"],
+    "blocks-4,2,1-seed-3": ["gen-random-base", "--blocks", "4,2,1",
+                            "--seed", "3"],
+}
+COMMANDS = ["gns", "base-check", "factorize", "rtp", "phi", "fiber",
+            "morphism-check", "hopf-check", "pmu-check", "equiv-check"]
+SKIPPED = {("pair3", "equiv-check")}
+
+
+def qgw(tree: Path, argv: list, out: Path) -> int:
+    """Exit code of one qgw command run from tree's sources, writing its
+    bundle or report to out."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "qgw.cli", *argv, "--out", str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def run_tree(tree: Path, work: Path) -> dict:
+    """(bundle, command) -> (exit code, verdict, {check: (passed,
+    residual)}) for one tree; a run that ends in an error writes no
+    report and has no checks."""
+    work.mkdir()
+    runs = {}
+    for label, argv in BUNDLES.items():
+        bundle = work / f"{label}.json"
+        if qgw(tree, argv, bundle) != 0:
+            sys.exit(f"{tree}: {' '.join(argv)} failed")
+        for command in COMMANDS:
+            if (label, command) in SKIPPED:
+                continue
+            report = work / f"{label}.{command}.json"
+            code = qgw(tree, [command, "--in", str(bundle)], report)
+            doc = json.loads(report.read_text()) if report.exists() else {}
+            checks = {c["axiom"]: (c["residual"] is not None
+                                   and c["residual"] <= c["threshold"],
+                                   c["residual"])
+                      for c in doc.get("checks", [])}
+            runs[label, command] = (code, doc.get("verdict", "error"),
+                                    checks)
+    return runs
+
+
+def diff_paths(old, new, path: str = "") -> list:
+    """Paths at which two JSON documents differ; an encoded matrix or a
+    list is one leaf, and a key present on one side only says which."""
+    if not (isinstance(old, dict) and isinstance(new, dict)) \
+            or {"rows", "cols", "data"} <= set(old):
+        return [] if old == new else [path]
+    out = []
+    for key in sorted(set(old) | set(new)):
+        where = f"{path}.{key}" if path else key
+        if key not in old or key not in new:
+            out.append(f"{where} ({'new' if key in new else 'old'} only)")
+        else:
+            out += diff_paths(old[key], new[key], where)
+    return out
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    trees = [Path(arg).resolve() for arg in sys.argv[1:]]
+    with tempfile.TemporaryDirectory() as tmp:
+        works = [Path(tmp) / side for side in ("old", "new")]
+        old, new = (run_tree(tree, work) for tree, work in zip(trees, works))
+        for label in BUNDLES:
+            docs = [json.loads((work / f"{label}.json").read_text())
+                    for work in works]
+            paths = diff_paths(*docs)
+            print(f"bundle {label}: "
+                  + (", ".join(paths) if paths else "identical"))
+    for side, runs in (("old", old), ("new", new)):
+        counts = collections.Counter(code for code, _, _ in runs.values())
+        print(f"exit codes {side}: " + ", ".join(
+            f"{n} x {code}" for code, n in sorted(counts.items())))
+    differences, move, where = 0, 0.0, None
+    for key in old:
+        (code_a, verdict_a, checks_a), (code_b, verdict_b, checks_b) = \
+            old[key], new[key]
+        passed_a = {name: ok for name, (ok, _) in checks_a.items()}
+        passed_b = {name: ok for name, (ok, _) in checks_b.items()}
+        if (code_a, verdict_a, passed_a) != (code_b, verdict_b, passed_b):
+            differences += 1
+            print(f"DIFFERENT {' '.join(key)}: exit {code_a} -> {code_b}, "
+                  f"{verdict_a} -> {verdict_b}, checks "
+                  f"{sorted(set(passed_a.items()) ^ set(passed_b.items()))}")
+            continue
+        for name, (ok, residual) in checks_a.items():
+            if ok and checks_b[name][0]:
+                gap = abs(checks_b[name][1] - residual)
+                if gap > move or where is None:
+                    move, where = gap, f"{' '.join(key)} {name}"
+    print(f"{differences} of {len(old)} runs differ")
+    print(f"largest move of a passing residual: {move:.1e} ({where})")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
