@@ -49,7 +49,7 @@ def resolve_tolerance(value: float | None) -> Tolerance:
 def load_bundle(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_hook=serialize.pack_matrix)
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"{path}: malformed JSON at line {exc.lineno}, "
@@ -75,65 +75,46 @@ def groupoid_bundle_json(gpd: FiniteGroupoid, source: dict,
         cand = swapped_candidate(pmu_data)
     elif source["variant"] == "phase":
         cand = phase_perturbed_candidate(pmu_data, source["angle"])
-    triple = hopf_data["triple"]
-    arrow_alg = hopf_data["algebra"]
-    vn, cs = hopf_data["state_space"], hopf_data["cstar_space"]
     out = serialize.bundle_skeleton("groupoid", source, tol)
-    out["state"] = serialize.encode_state(triple.state)
-    out["arrow_algebra"] = serialize.encode_algebra(arrow_alg)
+    out["state"] = serialize.encode_state(hopf_data["triple"].state)
+    out["arrow_algebra"] = serialize.encode_algebra(hopf_data["algebra"])
     out["reps"] = {
-        "rho": serialize.encode_stack(hopf_data["rho"]),
-        "sigma": serialize.encode_stack(hopf_data["sigma"]),
-        "sigma_hat": serialize.encode_stack(hopf_data["source_stack"]),
+        name: serialize.encode_stack(hopf_data[key]) for name, key in
+        (("rho", "rho"), ("sigma", "sigma"), ("sigma_hat", "source_stack"))
     }
     out["factorizations"] = {
-        "alpha": serialize.encode_factorization(hopf_data["alpha"], "state"),
-        "beta": serialize.encode_factorization(hopf_data["beta"], "state"),
-        "beta_hat": serialize.encode_factorization(
-            pmu_data["beta_hat"], "state"
-        ),
-        "alpha_flipped": serialize.encode_factorization(
-            pmu_data["alpha_flipped"], "state"
-        ),
+        name: serialize.encode_factorization(data[name], "state")
+        for data, names in ((hopf_data, ("alpha", "beta")),
+                            (pmu_data, ("beta_hat", "alpha_flipped")))
+        for name in names
     }
+    # per flavor: Delta's image stack and the class map of its square
     out["hopf"] = {
-        "state": {
-            "side": "state",
+        side: {
+            "side": side,
             "A": "arrow_algebra",
             "Delta": serialize.encode_morphism(
-                hopf_data["delta_state"], "arrow_algebra", "fiber-state"
+                hopf_data[f"delta_{key}"], "arrow_algebra", f"fiber-{side}"
             ),
-            "classes": serialize.encode_matrix(vn.class_map),
-            "legs": {"rho": "reps.rho", "sigma": "reps.sigma"},
-        },
-        "operator": {
-            "side": "operator",
-            "A": "arrow_algebra",
-            "Delta": serialize.encode_morphism(
-                hopf_data["delta_cstar"], "arrow_algebra", "fiber-operator"
-            ),
-            "classes": serialize.encode_matrix(cs.class_map),
-            "legs": {
-                "alpha": "factorizations.alpha",
-                "beta": "factorizations.beta",
-            },
-        },
+            "classes": serialize.encode_matrix(
+                hopf_data[f"{key}_space"].class_map),
+            "legs": {leg: f"{section}.{leg}" for leg in legs},
+        }
+        for side, key, section, legs in (
+            ("state", "state", "reps", ("rho", "sigma")),
+            ("operator", "cstar", "factorizations", ("alpha", "beta")),
+        )
     }
     out["pmu"] = {
         "base": "state",
-        "reps": {
-            "rho": "reps.rho",
-            "sigma": "reps.sigma",
-            "sigma_hat": "reps.sigma_hat",
-        },
+        "reps": {name: f"reps.{name}"
+                 for name in ("rho", "sigma", "sigma_hat")},
         "V": serialize.encode_matrix(cand.v_matrix),
         "coordinate_maps": {
             "source_classes": serialize.encode_matrix(
-                cand.source_space.class_map
-            ),
+                cand.source_space.class_map),
             "target_sections": serialize.encode_matrix(
-                cand.target_space.section
-            ),
+                cand.target_space.section),
         },
     }
     return out
@@ -142,17 +123,14 @@ def groupoid_bundle_json(gpd: FiniteGroupoid, source: dict,
 def linked_bundle_json(source: dict, tol: Tolerance) -> dict:
     data = linked_bundle(source["blocks"], source["mult_left"],
                          source["mult_right"], source["seed"], tol)
-    triple = data["triple"]
     out = serialize.bundle_skeleton("linked", source, tol)
-    out["state"] = serialize.encode_state(triple.state)
+    out["state"] = serialize.encode_state(data["triple"].state)
     out["base"] = serialize.encode_base(data["base"])
-    out["reps"] = {
-        "rho": serialize.encode_stack(data["rho"]),
-        "sigma": serialize.encode_stack(data["sigma"]),
-    }
+    out["reps"] = {name: serialize.encode_stack(data[name])
+                   for name in ("rho", "sigma")}
     out["factorizations"] = {
-        "alpha": serialize.encode_factorization(data["alpha"], "state"),
-        "beta": serialize.encode_factorization(data["beta"], "state"),
+        name: serialize.encode_factorization(data[name], "state")
+        for name in ("alpha", "beta")
     }
     return out
 

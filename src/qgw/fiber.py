@@ -71,16 +71,18 @@ def fiber_classical(space: RelativeTensorSpace, left_alg: StarAlgebra,
 
 
 def _keep_rows(kets: np.ndarray, basis: np.ndarray, a: np.ndarray,
-               b: np.ndarray) -> np.ndarray:
-    """Rows in the unknowns T[a_p, b_p] of (1 - P_S)(T k) over the kets k,
-    S spanned by the orthonormal basis: T[a_p, b_p] sends k to
+               b: np.ndarray):
+    """Rows in the unknowns T[a_p, b_p] of (1 - P_S)(T k), yielded one ket
+    k at a time, S spanned by the orthonormal basis: T[a_p, b_p] sends k to
     e_(a_p) (x) k[b_p], whose part along s_j is <s_j[a_p], k[b_p]>."""
-    p = np.arange(a.size)
-    rows = kets[:, b].transpose(1, 0, 2)
-    along = basis[:, a].conj().transpose(1, 0, 2) @ rows.transpose(0, 2, 1)
-    moved = -np.tensordot(along, basis, axes=(1, 0))
-    moved[p, :, a] += rows
-    return moved.reshape(a.size, -1).T
+    p, flat = np.arange(a.size), basis.reshape(len(basis), -1)
+    picked = basis[:, a].conj()
+    for ket in kets:
+        rows = ket[b]
+        along = np.einsum("jpn,pn->pj", picked, rows)
+        moved = -(along @ flat).reshape((a.size,) + ket.shape)
+        moved[p, a] += rows
+        yield moved.reshape(a.size, -1).T
 
 
 def fiber_spatial(space: RelativeTensorSpace, left_alg: StarAlgebra,
@@ -115,12 +117,14 @@ def fiber_spatial(space: RelativeTensorSpace, left_alg: StarAlgebra,
         return frame, frame
 
     u, _, a, b, _ = eigen_match(frames, tol)
-    rows = []
-    for kets, basis in legs:
-        kets, basis = dagger(u) @ kets, dagger(u) @ basis
-        rows += [_keep_rows(kets, basis, a, b),
-                 _keep_rows(kets, basis, b, a).conj()]
-    stack = from_pairs(intersect_null_spaces(rows, a.size, tol), u, u, a, b)
+
+    def rows():
+        for kets, basis in legs:
+            kets, basis = dagger(u) @ kets, dagger(u) @ basis
+            yield from _keep_rows(kets, basis, a, b)
+            yield from (r.conj() for r in _keep_rows(kets, basis, b, a))
+
+    stack = from_pairs(intersect_null_spaces(rows(), a.size, tol), u, u, a, b)
     algebra = StarAlgebra(q, OperatorSubspace(q, q, stack), tol)
     return algebra, Certificate({}, tol)
 

@@ -72,7 +72,8 @@ def worst_norm(stack: np.ndarray) -> float:
 def stack_norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack, read through a real view so
     that no temporary of the stack's size is formed."""
-    flat = np.ascontiguousarray(stack).view(float).reshape(len(stack), -1)
+    flat = np.ascontiguousarray(stack).view(float)
+    flat = flat.reshape(len(flat), int(np.prod(flat.shape[1:])))
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
@@ -238,8 +239,9 @@ def subspace_equal(
 def intersect_null_spaces(blocks, n_unknowns: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Common null space of a family of (m_i x n) constraint matrices.
 
-    Accumulates M = sum |block|^2 and reads the null space with null_rows.
-    Returns an orthonormal basis as rows (k, n).
+    blocks is any iterable, consumed once, so a generator keeps one block
+    alive at a time.  Accumulates M = sum |block|^2 and reads the null space
+    with null_rows.  Returns an orthonormal basis as rows (k, n).
     """
     m = np.zeros((n_unknowns, n_unknowns), dtype=complex)
     for b in blocks:
@@ -273,9 +275,12 @@ def exchange_gram(t: np.ndarray, s: np.ndarray, a: np.ndarray,
     on the unknowns T[a_p, b_p] alone: entry [p, r] is d(a_p, a_r) B[b_p, b_r]
     + A[a_p, a_r] d(b_p, b_r) - X[p, r] - conj(X[r, p]), d the Kronecker
     delta, A = sum t_i* t_i, B = sum conj(s_i) s_i^T, X[p, r] =
-    sum t_i[a_p, a_r] conj(s_i[b_p, b_r])."""
+    sum t_i[a_p, a_r] conj(s_i[b_p, b_r]), accumulated one member at a
+    time."""
     ai, aj, bi, bj = a[:, None], a[None], b[:, None], b[None]
-    x = np.einsum("ipr,ipr->pr", t[:, ai, aj], s[:, bi, bj].conj())
+    x = np.zeros((a.size, a.size), dtype=complex)
+    for ti, si in zip(t, s):
+        x += ti[ai, aj] * si[bi, bj].conj()
     a_sum = np.einsum("iba,ibc->ac", t.conj(), t)[ai, aj]
     b_sum = np.einsum("iab,icb->ac", s.conj(), s)[bi, bj]
     return (ai == aj) * b_sum + a_sum * (bi == bj) - x - dagger(x)

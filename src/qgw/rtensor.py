@@ -10,9 +10,10 @@ differently bracketed iterates directly comparable.  Those iterates are read
 through the r x r Gram of their factor, the outer class map contracted with
 the inner one, so no matrix on the threefold plain product is formed.
 
-Leg-wise operators reach a quotient through one stacked lift: per-leg stacks
-are zipped and contracted with the class map one leg at a time, so neither
-the plain tensor product of the legs nor a per-element loop is formed.
+Leg-wise operators reach a quotient through one lift: per-leg stacks are
+zipped, and each element is contracted with the class map one leg at a time
+and descended, so the plain tensor product of the legs is never formed and
+one element's contraction is held at a time.
 Insertion maps are the class map contracted with one vector on one leg.
 """
 from __future__ import annotations
@@ -105,11 +106,12 @@ class RelativeTensorSpace(QuotientRealization):
         None for the identity leg; g = d unless into is given, when the g's
         group into's plain dimensions in order, so one leg may fan out into
         several.  The stacks are zipped, so element i lifts the tensor
-        product of the i-th maps.  into.class_map is contracted with each
-        leg in turn, never with the plain tensor product, and descended
-        through this quotient.  Returns (stack of matrices, worst residual);
-        a residual measures failure to preserve the null space, normalized
-        per element by the scale of the lifted map as in induced_between.
+        product of the i-th maps.  One element at a time, into.class_map is
+        contracted with each leg in turn, never with the plain tensor
+        product, and descended through this quotient.  Returns (stack of
+        matrices, worst residual); a residual measures failure to preserve
+        the null space, normalized per element by the scale of the lifted
+        map as in induced_between.
         """
         dst = self if into is None else into
         ops = [None if op is None else np.asarray(op, dtype=complex)
@@ -129,18 +131,20 @@ class RelativeTensorSpace(QuotientRealization):
                 or (into is None and groups != self.plain_dims):
             raise DimensionError(f"leg maps into {groups} do not reach the "
                                  f"plain dimensions {dst.plain_dims}")
-        # top[i, q, j_1, ..., j_L] = sum class_map[q, l_1..l_L] prod x_i[l, j]
-        top = dst.class_map.reshape((1, dst.dim) + groups)
-        for leg, (op, g, d) in enumerate(zip(ops, groups, self.plain_dims)):
-            if op is None:
-                continue
-            moved = np.moveaxis(top, 2 + leg, -1)
-            shape = moved.shape[1:-1] + (d,)
-            moved = moved.reshape(moved.shape[0], -1, g) @ op
-            top = np.moveaxis(moved.reshape((-1,) + shape), -1, 2 + leg)
-        top = top.reshape(-1, dst.dim, self.plain_dim)
-        mats, res = self.descend(top)
-        res = float(np.max(res, initial=0.0))
+        mats = np.empty((sizes.pop(), dst.dim, self.dim), dtype=complex)
+        res = 0.0
+        for i in range(len(mats)):
+            # top[q, j_1, ..., j_L] = sum class_map[q, l_1..l_L] prod x_i[l, j]
+            top = dst.class_map.reshape((dst.dim,) + groups)
+            for leg, (op, g, d) in enumerate(zip(ops, groups,
+                                                 self.plain_dims)):
+                if op is None:
+                    continue
+                moved = np.moveaxis(top, 1 + leg, -1)
+                top = np.moveaxis((moved.reshape(-1, g) @ op[i]).reshape(
+                    moved.shape[:-1] + (d,)), -1, 1 + leg)
+            mats[i], gap = self.descend(top.reshape(dst.dim, self.plain_dim))
+            res = max(res, float(gap))
         if require and res > self.tol.check:
             raise NotWellDefinedError(
                 f"operator does not descend to the quotient: residual {res:.3e}"

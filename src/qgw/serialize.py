@@ -2,7 +2,8 @@
 
 A matrix is {"rows": n, "cols": m, "data": [[re, im], ...]} with the entries
 row-major.  Doubles go through Python's shortest-roundtrip float formatting,
-so decoding returns bit-identical values.  Composite objects reference each
+so decoding returns bit-identical values; a reader may pack the data into a
+float array as it parses (pack_matrix).  Composite objects reference each
 other by section name inside one bundle document rather than by nesting.
 
 Generator lists double as stored bases: every encoder writes an
@@ -29,13 +30,15 @@ FORMAT_VERSION = 1
 
 
 def canonical_dumps(obj) -> str:
-    """Key-sorted, indented JSON with a trailing newline; rejects NaN and
-    infinities so output stays strictly standard."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Key-sorted, compact JSON with a trailing newline; rejects NaN and
+    infinities so output stays strictly standard.  Without indent json
+    writes through its C encoder."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 def encode_matrix(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
+    m = np.ascontiguousarray(m, dtype=complex)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
@@ -43,8 +46,23 @@ def encode_matrix(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(x.real), float(x.imag)] for x in m.reshape(-1)],
+        "data": m.reshape(-1, 1).view(float).tolist(),
     }
+
+
+def pack_matrix(obj: dict) -> dict:
+    """json object_hook: the data of an encoded matrix packed into a float
+    array as it is parsed, when every entry is an [re, im] pair of bools,
+    floats or int64s; other data stays a list for decode_matrix to name."""
+    data = obj.get("data")
+    if {"rows", "cols"} <= obj.keys() and isinstance(data, list):
+        try:
+            pairs = np.array(data) if data else np.zeros((0, 2))
+        except ValueError:  # ragged entries
+            return obj
+        if pairs.shape == (len(data), 2) and pairs.dtype.kind in "bif":
+            obj["data"] = np.asarray(pairs, dtype=float)
+    return obj
 
 
 def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
@@ -57,19 +75,16 @@ def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
     if not isinstance(rows, int) or not isinstance(cols, int) \
             or rows < 0 or cols < 0:
         raise FormatError(f"{where}: rows/cols must be nonnegative integers")
-    if not isinstance(data, list) or len(data) != rows * cols:
+    # a list, or an array that pack_matrix packed
+    sized = isinstance(data, (list, np.ndarray))
+    if not sized or len(data) != rows * cols:
         raise FormatError(
             f"{where}: data must hold {rows * cols} entries, "
-            f"got {len(data) if isinstance(data, list) else 'non-list'}"
+            f"got {len(data) if sized else 'non-list'}"
         )
-    try:
-        pairs = np.array(data) if data else np.zeros((0, 2))
-    except ValueError:  # ragged entries
-        pairs = None
-    if pairs is None or pairs.shape != (len(data), 2) \
-            or pairs.dtype.kind not in "bif":
-        # some entry is no [re, im] pair of bools, floats or int64s: name
-        # the first malformed one (larger ints that fit a double pass)
+    if isinstance(data, list):
+        # not packed: name the first entry that is no [re, im] pair of
+        # bools, floats or ints that fit a double
         for i, entry in enumerate(data):
             if (
                 not isinstance(entry, list) or len(entry) != 2
@@ -82,8 +97,8 @@ def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
                 raise FormatError(
                     f"{where}: data[{i}] is too large for a double"
                 ) from None
-    pairs = np.ascontiguousarray(pairs, dtype=float)
-    return pairs.view(complex).reshape(rows, cols)
+        data = np.array(data, dtype=float).reshape(-1, 2)
+    return data.view(complex).reshape(rows, cols)
 
 
 def decode_vector(obj, where: str = "vector") -> np.ndarray:
@@ -277,8 +292,7 @@ def check_bundle(obj, where: str = "bundle") -> dict:
         raise FormatError(
             f"{where}: format is {obj.get('format')!r}, expected '{FORMAT_NAME}'"
         )
-    if obj.get("version") != FORMAT_VERSION:
-        raise FormatError(
-            f"{where}: version {obj.get('version')!r} not supported"
-        )
+    version = obj.get("version")
+    if version != FORMAT_VERSION or isinstance(version, bool):
+        raise FormatError(f"{where}: version {version!r} not supported")
     return obj

@@ -25,6 +25,7 @@ from .linalg import (
     mat_norm,
     null_rows,
     span,
+    stack_norms,
     subspace_equal,
     worst_norm,
 )
@@ -159,28 +160,38 @@ def rep_report(algebra: StarAlgebra, mats, anti: bool = False) -> dict:
     representation of the opposite algebra read on underlying elements, so
     products reverse.  Images of products and adjoints are read from the
     structure tensor and the star matrix, pi(b_i b_j) = sum_l c[i, j, l]
-    pi(b_l), so the check is a handful of batched products.
+    pi(b_l), one basis row i at a time, so products are held for k
+    matrices at once, not k^2.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[0] != algebra.dim \
             or mats.shape[1] != mats.shape[2]:
         raise DimensionError("one square matrix per basis element required")
-    c = algebra.structure()
+    c, star = algebra.structure(), algebra.star_matrix()
     if anti:
         c = c.transpose(1, 0, 2)
     unit = rep_value(algebra, mats, np.eye(algebra.space_dim))
-    adjoints = np.tensordot(algebra.star_matrix().T, mats, axes=1)
+    star_gap = product_gap = 0.0
+    for i, m in enumerate(mats):
+        star_gap = max(star_gap, mat_norm(
+            dagger(m) - np.tensordot(star[:, i], mats, axes=1)))
+        prods = m @ mats
+        prods -= np.tensordot(c[i], mats, axes=1)
+        product_gap = max(product_gap, np.max(stack_norms(prods)))
     return {
         "unital": mat_norm(unit - np.eye(mats.shape[1])),
-        "star": worst_norm(dagger(mats) - adjoints),
-        "multiplicative": worst_norm(
-            mats[:, None] @ mats[None] - np.tensordot(c, mats, axes=1)
-        ),
+        "star": star_gap,
+        "multiplicative": float(product_gap),
     }
 
 
 def commute_residual(a_mats, b_mats) -> float:
-    """Largest commutator norm between the two families."""
-    a = np.asarray(a_mats, dtype=complex)[:, None]
-    b = np.asarray(b_mats, dtype=complex)[None]
-    return worst_norm(a @ b - b @ a)
+    """Largest commutator norm between the two families, one member of the
+    first at a time."""
+    b = np.asarray(b_mats, dtype=complex)
+    worst = 0.0
+    for a in np.asarray(a_mats, dtype=complex):
+        comm = a @ b
+        comm -= b @ a
+        worst = max(worst, float(np.max(stack_norms(comm), initial=0.0)))
+    return worst

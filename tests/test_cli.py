@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qgw import cli
 from qgw.cli import main
-from qgw.linalg import random_unitary, rng
+from qgw.linalg import DEFAULT_TOL, random_unitary, rng
 from qgw.report import Report
 from qgw.serialize import decode_matrix, encode_matrix
 
@@ -546,20 +546,21 @@ def mutate(data, doc):
     """Walk into doc along drawn keys, then drop the entry reached, give it
     a value of another JSON type, or put NaN in its place; or give one
     encoded matrix a shape that disagrees with its data, or agrees with it
-    in another shape."""
+    in another shape.  Returns the keys walked, None for a reshape."""
     edit = data.draw(st.sampled_from(["drop", "retype", "nan", "reshape"]))
     if edit == "reshape":
         mat = data.draw(st.sampled_from(list(matrices(doc))))
         rows, cols = mat["rows"], mat["cols"]
         mat["rows"], mat["cols"] = data.draw(st.sampled_from(
             [(cols, rows), (rows * cols, 1), (rows + 1, cols), (rows, 0)]))
-        return
-    holder, key, node = None, None, doc
+        return None
+    holder, key, node, path = None, None, doc, []
     while isinstance(node, (dict, list)) and node and (
             holder is None or data.draw(st.booleans())):
         keys = sorted(node) if isinstance(node, dict) else range(len(node))
         key = data.draw(st.sampled_from(list(keys)))
         holder, node = node, node[key]
+        path.append(key)
     if edit == "drop":
         del holder[key]
     elif edit == "retype":
@@ -568,6 +569,7 @@ def mutate(data, doc):
         ).filter(lambda value: type(value) is not type(node)))
     else:
         holder[key] = float("nan")
+    return path
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True,
@@ -576,13 +578,52 @@ def mutate(data, doc):
 def test_mutated_bundle_exits_0_1_or_2(pair2, linked, data):
     # whatever one edit does to a valid bundle, a groupoid's or a random
     # base's, every command ends in a verdict or an input error, never in
-    # an escaping exception
+    # an escaping exception; an edit of the header, or of the whole state
+    # section where the command reads it, is an input error
     source = data.draw(st.sampled_from([pair2, linked]))
     doc = json.loads(Path(source).read_text())
-    mutate(data, doc)
+    path = mutate(data, doc)
     bundle = Path(source).with_name("mutated.json")
     bundle.write_text(json.dumps(doc))
     command = data.draw(st.sampled_from(CHECK_COMMANDS))
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([command, "--in", str(bundle)])
     assert code in (0, 1, 2)
+    # a linked bundle carries its own base, which the state does not feed
+    reads_state = source == pair2 or command not in ("base-check",
+                                                     "factorize")
+    if path in (["format"], ["version"]) or (path == ["state"]
+                                             and reads_state):
+        assert code == 2
+
+
+@pytest.mark.parametrize("bundle", ["pair2", "linked"])
+def test_bundle_matrices_are_packed_as_they_are_parsed(request, bundle):
+    ctx = cli.BundleContext(request.getfixturevalue(bundle), DEFAULT_TOL)
+    found = list(matrices(ctx.doc))
+    assert found
+    for mat in found:
+        assert isinstance(mat["data"], np.ndarray)
+        assert mat["data"].shape == (mat["rows"] * mat["cols"], 2)
+
+
+# the malformed entries of test_serialize, reaching a command from a file
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d[:-1], "data must hold 4 entries, got 3"),
+    (lambda d: d[:-1] + [[1.0]], "data[3] must be [re, im]"),
+    (lambda d: [d[0], ["1.5", 0.0], *d[2:]], "data[1] must be [re, im]"),
+    (lambda d: [d[0], [10 ** 400, 0], *d[2:]],
+     "data[1] is too large for a double"),
+    (lambda d: [d[0], [[1.0], 0.0], *d[2:]], "data[1] must be [re, im]"),
+    (lambda d: [d[0], [1.0, 0.0, 0.0], *d[2:]], "data[1] must be [re, im]"),
+], ids=["short", "ragged", "string", "huge_int", "nested", "three"])
+def test_malformed_matrix_data_in_a_file_exits_2(capsys, tmp_path, pair2,
+                                                 edit, message):
+    doc = json.loads(Path(pair2).read_text())
+    doc["state"]["rho"]["data"] = edit(doc["state"]["rho"]["data"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "gns", "--in", str(path))
+    assert code == 2
+    assert [line.strip() for line in out.splitlines() if "error" in line] \
+        == [f"error: state.rho: {message}"]

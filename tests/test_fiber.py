@@ -459,3 +459,29 @@ def test_eigen_match_margins_are_wide(name, tmp_path, monkeypatch, capsys):
         cli.certify_hopf(ctx)
         cli.certify_morphism(ctx)
     assert margins and min(margins) >= 100
+
+
+def test_spatial_hands_one_kets_rows_per_block(tmp_path, monkeypatch):
+    """fiber_spatial streams its keep rows into intersect_null_spaces one
+    ket at a time: on pair(3) each block holds the rows of one ket, a map
+    from the other plain leg into the q-dimensional square, with one block
+    per ket and family, two families per leg."""
+    shapes = []
+    original = fiber.intersect_null_spaces
+
+    def recording(blocks, *args):
+        def seen():
+            for block in blocks:
+                shapes.append(block.shape)
+                yield block
+        return original(seen(), *args)
+
+    monkeypatch.setattr(fiber, "intersect_null_spaces", recording)
+    path = str(tmp_path / "pair3.json")
+    assert cli.main(["gen-groupoid", "--pair", "3", "--out", path]) == 0
+    ctx = cli.BundleContext(path, DEFAULT_TOL)
+    assert cli.certify_fiber(ctx).ok
+    square = ctx.squares[1]
+    widths = [square.plain_dims[1]] * 2 * ctx.factorization("alpha").dim \
+        + [square.plain_dims[0]] * 2 * ctx.factorization("beta").dim
+    assert [rows for rows, _ in shapes] == [square.dim * w for w in widths]

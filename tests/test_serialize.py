@@ -175,6 +175,20 @@ def test_bundle_header_validation():
     with pytest.raises(FormatError, match="version"):
         serialize.check_bundle({"format": serialize.FORMAT_NAME,
                                 "version": 99})
+    # a JSON true equals 1 in Python but is no format version
+    with pytest.raises(FormatError, match="version True"):
+        serialize.check_bundle({"format": serialize.FORMAT_NAME,
+                                "version": True})
+
+
+def test_encoding_is_compact_and_packs_back_bit_identically():
+    gen = np.random.default_rng(3)
+    m = gen.standard_normal((2, 3)) + 1j * gen.standard_normal((2, 3))
+    text = serialize.canonical_dumps({"m": serialize.encode_matrix(m.T)})
+    assert "\n" not in text[:-1] and ", " not in text
+    doc = json.loads(text, object_hook=serialize.pack_matrix)
+    assert doc["m"]["data"].shape == (6, 2)
+    assert np.array_equal(serialize.decode_matrix(doc["m"]), m.T)
 
 
 def test_canonical_dumps_rejects_non_finite():

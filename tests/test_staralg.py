@@ -1,4 +1,6 @@
 """Algebra layer: closure certification, commutants, centers."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -297,3 +299,24 @@ def test_structure_tensor_matches_per_product_reference(sizes, seed, copies):
             assert list(got) == list(want)
             for name in want:
                 assert abs(got[name] - want[name]) < 1e-12, (anti, name)
+
+
+def test_rep_and_commutator_checks_hold_one_row_of_products():
+    """rep_report and commute_residual form one basis row of products at a
+    time: their traced peak on a blocks 4,2,1 base stays under three
+    stacks of k matrices, where the full k x k table would be k times
+    that."""
+    _, base = random_standard_base([4, 2, 1], seed=2)
+    alg, partner = base.algebra, base.partner
+    stack, k, n = alg.subspace.stack, alg.dim, alg.space_dim
+    alg.structure(), alg.star_matrix()  # the kept tables, built untraced
+    bound = 3 * k * n * n * 16
+    for check in (lambda: rep_report(alg, stack),
+                  lambda: commute_residual(stack, partner.subspace.stack)):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
