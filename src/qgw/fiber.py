@@ -263,7 +263,8 @@ def fiber_morphism(source_space: RelativeTensorSpace,
     legs are zipped leg stacks, lifted into the target as connecting maps
     W_k (RelativeTensorSpace.lift with into; one leg may fan out into
     several).  Z_m W_k = W_k S_m for every k pins Z_m row by row: Z_m =
-    [W_k S_m]_k . pinv([W_k]_k), image by image against one SVD.  Returns
+    [W_k S_m]_k [W_k]_k* H^-1 image by image, against one eigh of H = sum_k
+    W_k W_k* cut at the square of the stack's singular-value cut.  Returns
     (stack of Z_m, worst residual over the connectors' descent and the
     exchange relations); NotWellDefinedError when the stacked connectors
     lack full row rank, so they do not determine the image uniquely.
@@ -271,13 +272,14 @@ def fiber_morphism(source_space: RelativeTensorSpace,
     conn, worst = source_space.lift(legs, require=False, into=target_space)
     k, q_to, q_from = conn.shape
     columns = conn.transpose(1, 0, 2).reshape(q_to, k * q_from)
-    u, sv, vh = np.linalg.svd(columns, full_matrices=False)
-    cut = source_space.tol.rank_cut(np.max(sv, initial=0.0), *columns.shape)
-    if np.sum(sv > cut) != q_to:
+    lam, u = np.linalg.eigh(columns @ dagger(columns))
+    cut = source_space.tol.rank_cut(np.sqrt(np.max(lam, initial=0.0)),
+                                    *columns.shape) ** 2
+    if np.sum(lam > cut) != q_to:
         raise NotWellDefinedError(
             "connecting maps do not determine the image uniquely"
         )
-    pinv = dagger(vh) / sv @ dagger(u)
+    pinv = dagger(columns) @ (u / lam) @ dagger(u)
     z = np.empty((len(images), q_to, q_to), dtype=complex)
     # one image at a time: [W_k S_m]_k, in the layout of the columns, and
     # its gap are never formed for the whole stack

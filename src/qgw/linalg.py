@@ -279,11 +279,14 @@ def exchange_gram(t: np.ndarray, s: np.ndarray, a: np.ndarray,
     time."""
     ai, aj, bi, bj = a[:, None], a[None], b[:, None], b[None]
     x = np.zeros((a.size, a.size), dtype=complex)
+    a_sum = np.zeros(t.shape[1:], dtype=complex)
+    b_sum = np.zeros(s.shape[1:], dtype=complex)
     for ti, si in zip(t, s):
         x += ti[ai, aj] * si[bi, bj].conj()
-    a_sum = np.einsum("iba,ibc->ac", t.conj(), t)[ai, aj]
-    b_sum = np.einsum("iab,icb->ac", s.conj(), s)[bi, bj]
-    return (ai == aj) * b_sum + a_sum * (bi == bj) - x - dagger(x)
+        a_sum += ti.conj().T @ ti
+        b_sum += si.conj() @ si.T
+    return (ai == aj) * b_sum[bi, bj] + a_sum[ai, aj] * (bi == bj) - x \
+        - dagger(x)
 
 
 def eigen_match(hermitian_pair, tol: Tolerance = DEFAULT_TOL):
@@ -378,33 +381,28 @@ class QuotientRealization:
     """Quotient of a semi-inner-product space realized in coordinates.
 
     The PSD Gram G on C^N is read through eigh of h = U diag(w) U*: G itself;
-    or h given on a support W (N x m, orthonormal columns), G = W h W*; or
-    h = C C* for a factor C (r x N) of G = C*C, given as (C C*, x -> x C, N)
-    so that C need not be formed.  All keep G's eigenvalues lam (C's
-    sigma^2) above the cut eps lam_max N; eigh of C C* is accurate to about
-    r 1e-16 lam_max, so it resolves that cut as well as an SVD of C would.
-    A quotient keeps only class_map and lam:
-
-      class_map = sqrt(lam) U_k* (W*), or U_k* C, sends a plain vector to its
-                  class coordinates: (class_map w)* (class_map w') = w* G w'
-                  and class_map class_map* = diag(lam);
-      section   = class_map* / lam, formed when read, is a right inverse of
-                  class_map onto supp(G).
-
-    section . class_map, the projector onto range(G), is not formed (see
-    descend); gram is a Gram given in full, or C*C formed on each read for a
-    factor (on a support, RelativeTensorSpace rebuilds it).  The
-    guards' readings are kept: hermitian_defect is |h - h*| before the
-    Hermitization (0 for a factor), psd_defect is -lam_min / max(1, lam_max)
-    when negative, else 0.
+    h on a support W (N x m, orthonormal columns; N = plain_dim), G = W h W*;
+    or h = C C* for a factor C = C_m W* of G = C*C, given as (C C*, x ->
+    x C_m, N).  W is the identity unless N is given, or the columns cols of
+    a unitary frame of C^N; the caller keeps it.  All keep G's eigenvalues
+    lam (C's sigma^2) above the cut eps lam_max N; eigh of C C* is accurate
+    to about r 1e-16 lam_max, so it resolves that cut as well as an SVD of C
+    would.  A quotient keeps lam and core = sqrt(lam) U_k*, or U_k* C_m, the
+    class map on W: class_map = core W* gives class coordinates, (class_map
+    w)* (class_map w') = w* G w', and section = class_map* / lam, formed
+    when read, is a right inverse of it onto supp(G).  gram is a Gram given
+    in full, else None.  The guards' readings are kept: hermitian_defect is
+    |h - h*| before the Hermitization (0 for a factor), psd_defect is
+    -lam_min / max(1, lam_max) when negative, else 0.
     """
 
     def __init__(self, gram: np.ndarray | None = None,
                  tol: Tolerance = DEFAULT_TOL, *, factor=None,
-                 support: np.ndarray | None = None):
+                 plain_dim: int | None = None,
+                 cols: np.ndarray | None = None):
         if (gram is None) == (factor is None):
             raise DimensionError("give a gram or a factor, not both or neither")
-        self._gram = self._factor = None
+        self._gram = None
         if factor is None:
             gram = as_complex(gram)
             if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
@@ -417,11 +415,10 @@ class QuotientRealization:
             w, u = np.linalg.eigh(gram)
             if w.size and float(w[0]) < -tol.check * max(1.0, float(w[-1])):
                 raise NumericError(f"gram not PSD: min eigenvalue {w[0]:.3e}")
-            if support is None:
-                self._gram = gram
-            n = len(gram if support is None else support)
+            self._gram = gram if plain_dim is None else None
+            n = plain_dim or len(gram)
         else:
-            h, apply, n = self._factor = factor
+            h, apply, n = factor
             w, u = np.linalg.eigh(h)
             herm_defect = 0.0
         self.plain_dim = int(n)
@@ -432,12 +429,13 @@ class QuotientRealization:
         keep = w > max(tol.rank_cut(lam_max, self.plain_dim, self.plain_dim), 0.0)
         self.lam = w[keep]
         self.dim = int(self.lam.size)
-        if factor is not None:  # C = U S V*: U_k* C = S_k V_k*
-            self.class_map = apply(dagger(u[:, keep]))
+        if factor is not None:  # C_m = U S V*: U_k* C_m = S_k V_k*
+            self.core = apply(dagger(u[:, keep]))
         else:
-            self.class_map = (u[:, keep] * np.sqrt(self.lam)).conj().T
-            if support is not None:
-                self.class_map = self.class_map @ dagger(support)
+            self.core = (u[:, keep] * np.sqrt(self.lam)).conj().T
+        self.cols = cols
+        if plain_dim is None and cols is None:
+            self.class_map = self.core
         self.tol = tol
 
     @property
@@ -445,25 +443,27 @@ class QuotientRealization:
         return dagger(self.class_map) / self.lam
 
     @property
-    def gram(self) -> np.ndarray:
-        if self._gram is not None:
-            return self._gram
-        h, apply, _ = self._factor
-        c = apply(np.eye(len(h)))
-        return dagger(c) @ c
+    def gram(self) -> np.ndarray | None:
+        return self._gram
 
     def descend(self, top: np.ndarray):
         """Descend a map whose composite with the destination's class map is
-        top (one (k, N) matrix or a stack of them), out of this quotient.
-
-        Returns (top . section, residuals): a residual is the
-        well-definedness gap top - (top . section) . class_map, failure to
-        annihilate ker(G), normalized by the scale of top.
+        top (k, N), out of this quotient: top in plain coordinates, or in
+        the frame, whose support columns are then overwritten.  Returns
+        (top . section, residual): the well-definedness gap top - (top .
+        section) . class_map, failure to annihilate ker(G), normalized by
+        the scale of top; on a frame, the gap on the support columns
+        together with every column off them, never a difference of squares.
         """
-        mats = top @ self.section
-        gap = np.linalg.norm(top - mats @ self.class_map, axis=(-2, -1))
-        scale = np.maximum(1.0, np.linalg.norm(top, axis=(-2, -1)))
-        return mats, gap / scale
+        scale = max(1.0, mat_norm(top))
+        frame = self.cols is not None
+        on = top[:, self.cols] if frame else top
+        cm = self.core if frame else self.class_map
+        mats = on @ (dagger(cm) / self.lam)
+        gap = on - mats @ cm
+        if frame:
+            top[:, self.cols] = gap
+        return mats, mat_norm(top if frame else gap) / scale
 
 
 def induced_between(

@@ -171,27 +171,19 @@ def pentagon_vertices(squares: dict, pair) -> dict:
 
 
 def pentagon_edge_maps(v_plain: np.ndarray, n: int):
-    """Right multiplication of plain-cube rows (k, n^3) by the pentagon's
-    plain maps kron(v, 1), kron(1, v) and kron(1, swap), applied leg by
-    leg; the swap of the last two legs is an axis transpose."""
-    def v12(rows):
-        moved = np.tensordot(rows.reshape(-1, n * n, n), v_plain, axes=(1, 0))
-        return moved.swapaxes(1, 2).reshape(rows.shape)
-
-    def v23(rows):
-        return (rows.reshape(-1, n * n) @ v_plain).reshape(rows.shape)
-
-    def sw23(rows):
-        return rows.reshape(-1, n, n, n).swapaxes(2, 3).reshape(rows.shape)
-
-    return v12, v23, sw23
+    """The pentagon's plain maps kron(v, 1), kron(1, v) and kron(1, swap),
+    each as its factors on two groups of consecutive legs: legs 1-2 and 3,
+    or 1 and 2-3."""
+    eye = np.eye(n)
+    return (v_plain, eye), (eye, v_plain), (eye, swap_matrix(n, n))
 
 
 def _pentagon_residuals(vertices: dict, v_plain: np.ndarray, n: int) -> dict:
     """Edge maps between the seven vertices and the two-path comparison.
 
-    An edge applies its plain map to the destination's class map and
-    descends the result out of the source quotient."""
+    An edge's plain map X is contracted into the destination's core in the
+    source's frame (pulled) and descended: core_dst (W_dst* X W_src)
+    core_src* / lam, with a gap that holds every column off W_src."""
     v12, v23, sw23 = pentagon_edge_maps(v_plain, n)
     worst = 0.0
 
@@ -200,8 +192,9 @@ def _pentagon_residuals(vertices: dict, v_plain: np.ndarray, n: int) -> dict:
         (plain map, next vertex)."""
         nonlocal worst
         here, mats = vertices["first_then_source"], []
-        for plain, name in hops:
-            mat, res = here.descend(plain(vertices[name].class_map))
+        for maps, name in hops:
+            mat, res = here.descend(
+                vertices[name].pulled(maps, tuple(map(len, maps)), here))
             worst, here = max(worst, float(res)), vertices[name]
             mats.insert(0, mat)
         return functools.reduce(np.matmul, mats)

@@ -6,17 +6,18 @@ state flavor contracts the two actions through a cyclic representation; the
 operator flavor contracts two factorizations through the base cyclic vector.
 Keeping every space realized over the same plain tensor product, each on the
 balanced support of the base's center (see below), is what makes maps between
-differently bracketed iterates directly comparable.  Those iterates are read
-through the r x r Gram of their factor, the outer class map contracted with
-the inner one, so no matrix on the threefold plain product is formed.
+differently bracketed iterates directly comparable.  Those iterates keep
+only a core on their support, in a frame of per-leg unitaries, so neither a
+matrix on the threefold plain product nor their class map is formed.
 
 Leg-wise operators reach a quotient through one lift: per-leg stacks are
-zipped, and each element is contracted with the class map one leg at a time
-and descended, so the plain tensor product of the legs is never formed and
-one element's contraction is held at a time.
+zipped, and each element is contracted with the class map, or the core, one
+group of legs at a time and descended, one element's contraction at a time.
 Insertion maps are the class map contracted with one vector on one leg.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -59,35 +60,78 @@ def gram_from_r_stacks(rh: np.ndarray, rk: np.ndarray) -> np.ndarray:
 def balanced_support(rh: np.ndarray, rk: np.ndarray, left: np.ndarray,
                      right: np.ndarray, star: np.ndarray,
                      tol: Tolerance = DEFAULT_TOL):
-    """(W, G_m) with G = W G_m W* for G = gram_from_r_stacks(rh, rk), read
-    on the columns u_a x v_b of W, eigenvectors of left(z) and right(z)
-    paired where their eigenvalues agree (eigen_match).  left and right act
-    on the legs by the base center's basis, *-closed under star, and a
-    central Hermitian z balances G: G (left(z) x 1) = G (1 x right(z))."""
+    """(u, v, a, b, G_m): G = gram_from_r_stacks(rh, rk) = W G_m W* on the
+    columns u_a x v_b of W, eigenvectors of left(z) and right(z) paired
+    where their eigenvalues agree (eigen_match).  left and right act on the
+    legs by the base center's basis, *-closed under star, and a central
+    Hermitian z balances G: G (left(z) x 1) = G (1 x right(z))."""
     u, v, a, b, _ = eigen_match(star_closed_pair(left, right, star), tol)
     # G = sum_t A_t x B_t, so G_m[p, r] = sum_t X_t[a_p, a_r] Y_t[b_p, b_r]
     x = dagger(u) @ rh.transpose(2, 1, 0) @ u  # X_t = u* A_t u
     y = dagger(v) @ rk.conj().transpose(2, 0, 1) @ v
     ai, aj, bi, bj = a[:, None], a[None], b[:, None], b[None]
     gram = sum(xt[ai, aj] * yt[bi, bj] for xt, yt in zip(x, y))
-    return (u[:, None, a] * v[None, :, b]).reshape(-1, a.size), gram
+    return u, v, a, b, gram
+
+
+def frame_rows(mat: np.ndarray, space, lo: int, hi: int) -> np.ndarray:
+    """(kron of space.legs[lo:hi])* mat, contracted one leg at a time (a leg
+    of None is the identity)."""
+    out = mat.reshape(space.plain_dims[lo:hi] + mat.shape[1:])
+    for axis, u in enumerate(space.legs[lo:hi]):
+        if u is not None:
+            out = np.moveaxis(np.tensordot(dagger(u), out, axes=(1, axis)),
+                              0, axis)
+    return out.reshape(mat.shape)
+
+
+def _contract(core: np.ndarray, index, factors) -> np.ndarray:
+    """sum_p core[:, p] (factors[0][index[0][p]] x factors[1][index[1][p]])
+    as a (len(core), d_0 d_1) matrix, summed per value j of the index with
+    fewer values into parts[:, j] (the first) or parts[j] (the second), so
+    the rows (len(index), d_0 d_1) are never formed."""
+    # bincount, not np.unique: that imports numpy.ma, 1.3 MB resident
+    counts = [np.bincount(i) for i in index]
+    key = int(np.count_nonzero(counts[1]) < np.count_nonzero(counts[0]))
+    vals = np.flatnonzero(counts[key])
+    other = factors[1 - key][index[1 - key]]
+    parts = np.empty((len(vals), len(core), other.shape[1]) if key
+                     else (len(core), len(vals), other.shape[1]), dtype=complex)
+    for j, v in enumerate(vals):
+        sel = index[key] == v
+        np.moveaxis(parts, 1 - key, 0)[j] = core[:, sel] @ other[sel]
+    top = parts.reshape(len(vals), -1).T @ factors[1][vals] if key \
+        else factors[0][vals].T @ parts
+    return top.reshape(len(core), -1)
 
 
 class RelativeTensorSpace(QuotientRealization):
     """Quotient of a plain tensor product of the given leg dimensions, under
-    a relative Gram given in full, on a support or by a factor (see
+    a relative Gram given in full, on the matched pairs (u, v, a, b) of
+    balanced_support, or by a factor on the columns cols of the frame of
+    the unitaries legs, one per leg, None for the identity (see
     QuotientRealization)."""
 
     def __init__(self, flavor: str, plain_dims: tuple,
                  gram: np.ndarray | None = None,
                  tol: Tolerance = DEFAULT_TOL, meta: dict | None = None, *,
-                 factor=None, support: np.ndarray | None = None):
-        super().__init__(gram, tol, factor=factor, support=support)
-        if self.plain_dim != int(np.prod(plain_dims)):
+                 pairs=None, factor=None, legs=None, cols=None):
+        dims = tuple(int(d) for d in plain_dims)
+        super().__init__(gram, tol, factor=factor, cols=cols,
+                         plain_dim=None if pairs is None else np.prod(dims))
+        if self.plain_dim != int(np.prod(dims)):
             raise DimensionError("gram does not match the plain dimensions")
         self.flavor = flavor
-        self.plain_dims = tuple(int(d) for d in plain_dims)
+        self.plain_dims = dims
+        self.pairs, self.legs = pairs, legs
         self.meta = meta or {}
+
+    @functools.cached_property
+    def class_map(self) -> np.ndarray:
+        """core W* on the matched pairs, formed when first read."""
+        u, v, a, b = self.pairs
+        return self.core @ dagger(
+            (u[:, None, a] * v[None, :, b]).reshape(-1, a.size))
 
     @property
     def gram(self) -> np.ndarray:
@@ -99,19 +143,17 @@ class RelativeTensorSpace(QuotientRealization):
 
     def lift(self, ops, require: bool = True,
              into: "RelativeTensorSpace | None" = None):
-        """Descend leg-wise operator stacks from this quotient to into
-        (default: this quotient itself).
+        """Descend leg-wise operator stacks from this quotient, whose class
+        map must be formed, to into (default: this quotient itself).
 
         ops has one stack (k, g, d) per plain factor of dimension d here, or
         None for the identity leg; g = d unless into is given, when the g's
         group into's plain dimensions in order, so one leg may fan out into
-        several.  The stacks are zipped, so element i lifts the tensor
-        product of the i-th maps.  One element at a time, into.class_map is
-        contracted with each leg in turn, never with the plain tensor
-        product, and descended through this quotient.  Returns (stack of
-        matrices, worst residual); a residual measures failure to preserve
-        the null space, normalized per element by the scale of the lifted
-        map as in induced_between.
+        several.  Element i, the tensor product of the i-th maps, is
+        contracted into into (pulled) and descended, one at a time.
+        Returns (stack of matrices, worst residual); a residual measures
+        failure to preserve the null space, normalized per element by the
+        scale of the lifted map as in induced_between.
         """
         dst = self if into is None else into
         ops = [None if op is None else np.asarray(op, dtype=complex)
@@ -122,6 +164,9 @@ class RelativeTensorSpace(QuotientRealization):
         ):
             raise DimensionError("one operator stack (k, g, d) per tensor leg "
                                  f"of dimension d in {self.plain_dims} required")
+        if self.cols is not None:
+            raise PreconditionError("operators descend only out of a space "
+                                    "whose class map is formed")
         sizes = {op.shape[0] for op in ops if op is not None} or {1}
         if len(sizes) != 1:
             raise DimensionError(f"leg stacks of different lengths {sizes}")
@@ -134,22 +179,43 @@ class RelativeTensorSpace(QuotientRealization):
         mats = np.empty((sizes.pop(), dst.dim, self.dim), dtype=complex)
         res = 0.0
         for i in range(len(mats)):
-            # top[q, j_1, ..., j_L] = sum class_map[q, l_1..l_L] prod x_i[l, j]
-            top = dst.class_map.reshape((dst.dim,) + groups)
-            for leg, (op, g, d) in enumerate(zip(ops, groups,
-                                                 self.plain_dims)):
-                if op is None:
-                    continue
-                moved = np.moveaxis(top, 1 + leg, -1)
-                top = np.moveaxis((moved.reshape(-1, g) @ op[i]).reshape(
-                    moved.shape[:-1] + (d,)), -1, 1 + leg)
-            mats[i], gap = self.descend(top.reshape(dst.dim, self.plain_dim))
+            mats[i], gap = self.descend(dst.pulled(
+                [None if op is None else op[i] for op in ops], groups))
             res = max(res, float(gap))
         if require and res > self.tol.check:
             raise NotWellDefinedError(
                 f"operator does not descend to the quotient: residual {res:.3e}"
             )
         return mats, res
+
+    def pulled(self, maps, groups: tuple, src=None) -> np.ndarray:
+        """The class map contracted with one plain map (g, d) per group of
+        g = groups[j] consecutive legs (None: the identity), one at a time:
+        (dim, prod d), in plain coordinates.  On a frame, two groups: the
+        core is contracted with (kron of the group's legs)* map, times the
+        kron of src's legs to give src's frame (_contract)."""
+        if self.cols is None:
+            # top[q, j_1, ..., j_L] = sum class_map[q, l_1..l_L] prod x[l, j]
+            top = self.class_map.reshape((self.dim,) + groups)
+            for leg, (op, g) in enumerate(zip(maps, groups)):
+                if op is None:
+                    continue
+                moved = np.moveaxis(top, 1 + leg, -1)
+                top = np.moveaxis((moved.reshape(-1, g) @ op).reshape(
+                    moved.shape[:-1] + (op.shape[1],)), -1, 1 + leg)
+            return top.reshape(self.dim, -1)
+        split = 1 + int(groups[0] != self.plain_dims[0])
+        spans = [(0, split), (split, len(self.legs))]
+        if groups != tuple(np.prod(self.plain_dims[lo:hi]) for lo, hi in spans):
+            raise DimensionError(f"{groups} do not split {self.plain_dims} in two")
+        factors = [frame_rows(np.eye(g) if m is None else m, self, *span)
+                   for m, g, span in zip(maps, groups, spans)]
+        if src is not None:
+            factors = [dagger(frame_rows(dagger(f), src, *span))
+                       for f, span in zip(factors, spans)]
+        index = [self.cols // int(np.prod(self.plain_dims[hi:])) % g
+                 for g, (_, hi) in zip(groups, spans)]
+        return _contract(self.core, index, factors)
 
 
 def central_actions(flavor: str, meta: dict):
@@ -170,10 +236,10 @@ def central_actions(flavor: str, meta: dict):
 def _realize(flavor: str, rh: np.ndarray, rk: np.ndarray, tol: Tolerance,
              meta: dict) -> RelativeTensorSpace:
     meta["r_stacks"] = (rh, rk)
-    support, gram = balanced_support(rh, rk, *central_actions(flavor, meta),
-                                     tol)
+    *pairs, gram = balanced_support(rh, rk, *central_actions(flavor, meta),
+                                    tol)
     return RelativeTensorSpace(flavor, (len(rh), len(rk)), gram, tol, meta,
-                               support=support)
+                               pairs=pairs)
 
 
 def rtp_state(triple: GnsTriple, rho_stack, sigma_stack, *,
@@ -204,8 +270,6 @@ def rtp_state(triple: GnsTriple, rho_stack, sigma_stack, *,
     z_right = cols_op if over_opposite else cols_rep
     z_left_inv = np.linalg.inv(z_left)
     z_right_inv = np.linalg.inv(z_right)
-    nh = rho_stack.shape[1]
-    nk = sigma_stack.shape[1]
     # reconstruction operators of the basis vectors of each factor
     # rh[c] maps the cyclic representation into the left factor
     rh = np.einsum("ihc,it->cht", rho_stack, z_left_inv)
@@ -286,26 +350,33 @@ def ket_factorization(space: RelativeTensorSpace, ket_fact: Factorization,
 
 def _nest(inner: RelativeTensorSpace, pair: RelativeTensorSpace,
           bracket: str, plain_dims: tuple) -> RelativeTensorSpace:
-    """The nested space, read through the r x r Gram of its factor C:
-    C C* = P (Lambda x 1) P* with P = pair.class_map and Lambda =
-    inner.class_map inner.class_map* = diag(inner.lam); x C contracts x P
-    with inner.class_map on its leg."""
+    """The nested space, read through the r x r Gram of its factor C =
+    pair.class_map (inner.class_map on the leg over inner) on its support:
+    in the frame of inner's plain legs and pair's eigenvectors new_p on the
+    new leg, column (l, c) of C sums core_p[:, p] (w_p* inner.class_map)[l]
+    over the matched pairs (w_p, new_p = c) of pair.  Columns under the
+    round-off floor (N eps)^2 |core_p|^2 |inner.class_map|^2 of that
+    product are left out: dim of the plain columns on a groupoid base."""
     left = bracket == "left"
-    p = pair.class_map.reshape((pair.dim,) + pair.plain_dims)
-    h = (p * (inner.lam[:, None] if left else inner.lam)).reshape(
-        pair.dim, -1) @ dagger(pair.class_map)
+    u, v, a, b = pair.pairs
+    w, new, slot, key = (u, v, a, b) if left else (v, u, b, a)
     n = int(np.prod(plain_dims))
-
-    def rows(x):
-        top = (x @ pair.class_map).reshape((len(x),) + pair.plain_dims)
-        if left:
-            return np.tensordot(top, inner.class_map, axes=(1, 0)).swapaxes(
-                1, 2).reshape(len(x), n)
-        return (top @ inner.class_map).reshape(len(x), n)
-
-    meta = {"inner": inner, "pair": pair, "bracket": bracket}
-    return RelativeTensorSpace(pair.flavor, plain_dims, tol=inner.tol,
-                               meta=meta, factor=(h, rows, n))
+    floor = (n * np.finfo(float).eps) ** 2 * np.max(pair.lam, initial=0.0) \
+        * np.max(inner.lam, initial=0.0)
+    blocks, cols = [], []
+    for c in np.flatnonzero(np.bincount(key)):
+        block = pair.core[:, key == c] @ (dagger(w[:, slot[key == c]])
+                                          @ inner.class_map)
+        kept = np.flatnonzero(np.sum(np.abs(block) ** 2, axis=0) > floor)
+        blocks.append(block[:, kept])
+        cols.append(kept * len(new) + c if left else c * inner.plain_dim + kept)
+    core = np.concatenate(blocks, axis=1)
+    legs = [None] * len(inner.plain_dims)
+    legs.insert(len(legs) if left else 0, new)
+    return RelativeTensorSpace(
+        pair.flavor, plain_dims, tol=inner.tol, legs=legs,
+        factor=(core @ dagger(core), core.__rmatmul__, n),
+        cols=np.concatenate(cols))
 
 
 def nest_left(inner: RelativeTensorSpace,
@@ -315,8 +386,7 @@ def nest_left(inner: RelativeTensorSpace,
     pair must be built over (inner's quotient, new leg); the result is
     realized over the full plain tensor product of all three factors.  Its
     Gram is m* G_pair m with m = inner.class_map on the first leg, read
-    through the factor pair.class_map . m (see _nest), so no matrix on the
-    plain product is formed.
+    through the factor pair.class_map . m on its support (see _nest).
     """
     if len(pair.plain_dims) != 2 or pair.plain_dims[0] != inner.dim:
         raise DimensionError("pair space must have the inner quotient as left leg")

@@ -3,8 +3,62 @@ without forming kron products or looping over elements; tests compare the
 library against these."""
 import numpy as np
 
-from qgw.linalg import dagger, induced_between, mat_norm
+from qgw.linalg import QuotientRealization, dagger, mat_norm
 from qgw.rtensor import balanced_support, gram_from_r_stacks
+
+
+def frame_unitary(space) -> np.ndarray:
+    """The kron of a framed space's leg unitaries (None: the identity): its
+    frame, formed on the plain product."""
+    out = np.eye(1)
+    for u, d in zip(space.legs, space.plain_dims):
+        out = np.kron(out, np.eye(d) if u is None else u)
+    return out
+
+
+def frame_matrix(space) -> np.ndarray:
+    """The support W of a framed space, formed on the plain product."""
+    return frame_unitary(space)[:, space.cols]
+
+
+def plain_class_map(space) -> np.ndarray:
+    """A space's class map on the plain product: formed, or core W* with W
+    from frame_matrix."""
+    if space.cols is None:
+        return space.class_map
+    return space.core @ dagger(frame_matrix(space))
+
+
+def rows_class_map(inner, pair, bracket):
+    """(class_map, lam) of nest_left(inner, pair) or nest_right by the
+    dense route first taken: eigh of the r x r Gram C C* = P (Lambda x 1)
+    P* of the factor C = P m (P = pair.class_map, m = the inner class map
+    on its leg, Lambda = diag(inner.lam)), the kept eigenvectors mapped
+    through C row by row on the whole plain cube."""
+    left = bracket == "left"
+    p = pair.class_map.reshape((pair.dim,) + pair.plain_dims)
+    h = (p * (inner.lam[:, None] if left else inner.lam)).reshape(
+        pair.dim, -1) @ dagger(pair.class_map)
+    n = inner.plain_dim * pair.plain_dims[int(left)]
+
+    def rows(x):
+        top = (x @ pair.class_map).reshape((len(x),) + pair.plain_dims)
+        if left:
+            return np.tensordot(top, inner.class_map, axes=(1, 0)).swapaxes(
+                1, 2).reshape(len(x), n)
+        return (top @ inner.class_map).reshape(len(x), n)
+
+    ref = QuotientRealization(factor=(h, rows, n), tol=inner.tol)
+    return ref.class_map, ref.lam
+
+
+def unitary_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """How far two class maps of one quotient are from a = T b for the
+    unitary T = a b* / lam_b that eigenspaces of equal lam leave free: the
+    larger of |T* T - 1| and |T b - a|."""
+    t = a @ dagger(b) / np.linalg.norm(b, axis=1) ** 2
+    return max(mat_norm(dagger(t) @ t - np.eye(len(t))),
+               mat_norm(t @ b - a))
 
 
 def mul_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -19,26 +73,25 @@ def commutator_operator(x: np.ndarray) -> np.ndarray:
     return np.kron(x, eye) - np.kron(eye, x.T)
 
 
-def kron_inner_map(space) -> np.ndarray:
-    """The inner class map of a nest_left/nest_right space kron'd onto its
-    leg of the pair space."""
-    inner, pair = space.meta["inner"], space.meta["pair"]
-    if space.meta["bracket"] == "left":
+def kron_inner_map(inner, pair, bracket) -> np.ndarray:
+    """The inner class map of nest_left(inner, pair) or nest_right kron'd
+    onto its leg of the pair space."""
+    if bracket == "left":
         return np.kron(inner.class_map, np.eye(pair.plain_dims[1]))
     return np.kron(np.eye(pair.plain_dims[0]), inner.class_map)
 
 
-def kron_nested_gram(space) -> np.ndarray:
-    """Gram of a nest_left/nest_right space formed on the plain product as
-    m* G_pair m, with m from kron_inner_map."""
-    m = kron_inner_map(space)
-    return m.conj().T @ space.meta["pair"].gram @ m
+def kron_nested_gram(inner, pair, bracket) -> np.ndarray:
+    """Gram of nest_left(inner, pair) or nest_right formed on the plain
+    product as m* G_pair m, with m from kron_inner_map."""
+    m = kron_inner_map(inner, pair, bracket)
+    return m.conj().T @ pair.gram @ m
 
 
-def kron_nested_factor(space) -> np.ndarray:
-    """Factor pair.class_map . m of a nest_left/nest_right space, with m
-    from kron_inner_map."""
-    return space.meta["pair"].class_map @ kron_inner_map(space)
+def kron_nested_factor(inner, pair, bracket) -> np.ndarray:
+    """Factor pair.class_map . m of nest_left(inner, pair) or nest_right,
+    with m from kron_inner_map."""
+    return pair.class_map @ kron_inner_map(inner, pair, bracket)
 
 
 def svd_quotient(factor, tol):
@@ -58,7 +111,8 @@ def balanced_gap(space, central):
     class_map* class_map to the full Gram formed on the plain product."""
     rh, rk = space.meta["r_stacks"]
     full = gram_from_r_stacks(rh, rk)
-    w, g = balanced_support(rh, rk, *central, space.tol)
+    u, v, a, b, g = balanced_support(rh, rk, *central, space.tol)
+    w = (u[:, None, a] * v[None, :, b]).reshape(-1, a.size)
     cm = space.class_map
     return w.shape[1], len(full), [
         mat_norm(x - full) / mat_norm(full)
@@ -67,12 +121,13 @@ def balanced_gap(space, central):
 
 def kron_connectors(src, dst, left, right):
     """Connecting maps as first built: the plain tensor product of every
-    pair of leg maps, descended by induced_between one pair at a time.
-    Returns (stack, worst residual)."""
+    pair of leg maps, after dst's class map on the plain product, descended
+    one pair at a time.  Returns (stack, worst residual)."""
     mats, worst = [], 0.0
+    cm = plain_class_map(dst)
     for x in left:
         for y in right:
-            mat, res = induced_between(src, dst, np.kron(x, y))
+            mat, res = src.descend(cm @ np.kron(x, y))
             mats.append(mat)
             worst = max(worst, res)
     return np.stack(mats), worst

@@ -299,6 +299,22 @@ def test_fiber_morphism_degenerate_connectors_raise():
                        np.eye(vn.dim)[None])
 
 
+def test_fiber_morphism_rank_deficient_connectors_raise():
+    # a rank-one projector on the left leg, alone or twice, lifts to
+    # connectors that are not zero but lack full row rank together
+    bundle = two_point_bundle()
+    vn, _ = spaces(bundle)
+    nh = bundle["rho"].shape[1]
+    e00 = np.zeros((nh, nh))
+    e00[0, 0] = 1.0
+    for legs in ([e00[None], None], [np.stack([e00, 2j * e00]), None]):
+        conn, _ = vn.lift(legs, require=False)
+        assert 0 < np.linalg.matrix_rank(np.concatenate(list(conn), 1)) \
+            < vn.dim
+        with pytest.raises(NotWellDefinedError):
+            fiber_morphism(vn, vn, legs, np.eye(vn.dim)[None])
+
+
 def test_fiber_morphism_reports_non_descending_legs():
     """An off-diagonal matrix unit on the left leg does not descend; next
     to the identity connector the image is still unique, and the residual
@@ -367,6 +383,18 @@ def test_batched_connectors_and_images_match_kron_reference(case):
         ref_z, ref_res = pinv_images(ref, images)
         assert mat_norm(z - ref_z) <= 1e-10 * max(1.0, mat_norm(ref_z))
         assert abs(res - max(ref_worst, ref_res)) <= 1e-10
+
+
+@pytest.mark.parametrize("case", sorted(CONNECTOR_CASES))
+def test_connector_gram_solve_matches_the_svd_pseudo_inverse(case):
+    # Z from eigh of the q_to x q_to Gram of the connectors is Z from the
+    # SVD pseudo-inverse of their stack
+    src, dst, left, right, images = CONNECTOR_CASES[case]()
+    for legs in ([left, None], [None, right]):
+        conn, _ = src.lift(legs, require=False, into=dst)
+        z, _ = fiber_morphism(src, dst, legs, images)
+        ref, _ = pinv_images(conn, images)
+        assert mat_norm(z - ref) <= 1e-12 * max(1.0, mat_norm(ref))
 
 
 def kron_block_spatial(space, left_alg, right_alg):

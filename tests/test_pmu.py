@@ -1,8 +1,11 @@
 """Pseudo-multiplicative unitary checks on groupoid fixtures."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qgw.fixtures import FiniteGroupoid, groupoid_pentagon_unitary
+from qgw.hopf import groupoid_hopf
 from qgw.linalg import (
     DEFAULT_TOL,
     QuotientRealization,
@@ -28,9 +31,10 @@ from qgw.pmu import (
     swap_matrix,
     swapped_candidate,
 )
-from qgw.rtensor import central_actions
-from kron_reference import balanced_gap, kron_nested_factor, \
-    kron_nested_gram, svd_quotient
+from qgw.rtensor import central_actions, nest_left, nest_right, rtp_state
+from kron_reference import balanced_gap, frame_unitary, \
+    kron_nested_factor, kron_nested_gram, plain_class_map, rows_class_map, \
+    svd_quotient, unitary_gap
 
 
 def test_swap_matrix_exchanges_legs():
@@ -59,33 +63,52 @@ def test_plain_pentagon_identity_of_composition():
 
 
 def test_leg_wise_edges_match_kron_matrices():
+    # an edge contracted into the destination's core through the factors of
+    # its plain map, in the source's frame, is the destination's class map
+    # after the kron matrix, read in that frame
     gen = rng(5)
-    n = 3
-    rows = gen.standard_normal((4, n ** 3)) + 1j * gen.standard_normal((4, n ** 3))
+    n = 4
     v = random_unitary(n * n, gen)
     eye = np.eye(n)
-    v12, v23, sw23 = pentagon_edge_maps(v, n)
-    assert mat_norm(v12(rows) - rows @ np.kron(v, eye)) < 1e-12
-    assert mat_norm(v23(rows) - rows @ np.kron(eye, v)) < 1e-12
-    assert mat_norm(sw23(rows) - rows @ np.kron(eye, swap_matrix(n, n))) == 0.0
+    kron = [np.kron(v, eye), np.kron(eye, v),
+            np.kron(eye, swap_matrix(n, n))]
+    pmu = groupoid_pmu(FiniteGroupoid.pair(2))
+    squares, _, pair = state_legs(pmu["candidate"])
+    vertices = list(pentagon_vertices(squares, pair).values())
+    for maps, plain in zip(pentagon_edge_maps(v, n), kron):
+        assert mat_norm(np.kron(*maps) - plain) == 0.0
+        for src, dst in zip(vertices, vertices[1:] + vertices[:1]):
+            top = dst.pulled(maps, tuple(map(len, maps)), src)
+            ref = plain_class_map(dst) @ plain @ frame_unitary(src)
+            assert mat_norm(top - ref) < 1e-12 * max(1.0, mat_norm(ref))
+
+
+def vertex_cases(gpd):
+    """(flavor, name, space, nest) for the seven vertices of both flavors
+    of the canonical candidate on one groupoid, built as pentagon_vertices
+    does; nest = (inner, pair, bracket) holds what the space nests."""
+    pmu = groupoid_pmu(gpd)
+    flavors = {
+        "state": state_legs(pmu["candidate"]),
+        "operator": operator_legs(
+            pmu["beta_hat"], pmu["alpha_flipped"], pmu["alpha"],
+            pmu["beta"], DEFAULT_TOL),
+    }
+    cases = []
+    for flavor, (squares, _, pair) in flavors.items():
+        for name, (bracket, leg, kind) in VERTICES.items():
+            nest = (squares[leg[0]],
+                    pair(kind, int(bracket == "right"), leg), bracket)
+            space = (nest_left if bracket == "left" else nest_right)(
+                *nest[:2])
+            cases.append((flavor, name, space, nest))
+    return cases
 
 
 def pentagon_vertex_cases():
-    """(flavor, name, space) for the seven vertices of both flavors of the
-    canonical candidate on pair(2) and Z/3."""
-    cases = []
-    for gpd in [FiniteGroupoid.pair(2), FiniteGroupoid.cyclic(3)]:
-        pmu = groupoid_pmu(gpd)
-        flavors = {
-            "state": state_legs(pmu["candidate"]),
-            "operator": operator_legs(
-                pmu["beta_hat"], pmu["alpha_flipped"], pmu["alpha"],
-                pmu["beta"], DEFAULT_TOL),
-        }
-        for flavor, (squares, _, pair) in flavors.items():
-            cases += [(flavor, name, space) for name, space
-                      in pentagon_vertices(squares, pair).items()]
-    return cases
+    """vertex_cases on pair(2) and Z/3."""
+    return [case for gpd in [FiniteGroupoid.pair(2), FiniteGroupoid.cyclic(3)]
+            for case in vertex_cases(gpd)]
 
 
 @pytest.mark.parametrize("gpd, units", [
@@ -111,11 +134,12 @@ def test_pentagon_pair_squares_live_on_the_balanced_support(gpd, units):
 def test_nested_vertices_match_kron_grams():
     cases = pentagon_vertex_cases()
     assert len(cases) == 28
-    for flavor, name, space in cases:
-        ref = QuotientRealization(kron_nested_gram(space))
+    for flavor, name, space, nest in cases:
+        ref = QuotientRealization(kron_nested_gram(*nest))
+        cm = plain_class_map(space)
         assert space.dim == ref.dim, (flavor, name)
-        assert mat_norm(space.gram - ref.gram) < 1e-12, (flavor, name)
-        proj = space.section @ space.class_map
+        assert mat_norm(dagger(cm) @ cm - ref.gram) < 1e-12, (flavor, name)
+        proj = dagger(cm) / space.lam @ cm
         assert mat_norm(proj - ref.section @ ref.class_map) < 1e-10, (flavor, name)
 
 
@@ -125,16 +149,62 @@ def test_nested_vertices_match_the_thin_svd():
     # to the class map
     cases = pentagon_vertex_cases()
     assert len(cases) == 28
-    for flavor, name, space in cases:
-        factor = kron_nested_factor(space)
+    for flavor, name, space, nest in cases:
+        factor = kron_nested_factor(*nest)
         class_map, section = svd_quotient(factor, space.tol)
+        cm = plain_class_map(space)
         assert space.dim == len(class_map), (flavor, name)
-        assert mat_norm(dagger(space.class_map) @ space.class_map
+        assert mat_norm(dagger(cm) @ cm
                         - dagger(class_map) @ class_map) < 1e-10, (flavor, name)
-        assert mat_norm(space.section @ space.class_map
+        assert mat_norm(dagger(cm) / space.lam @ cm
                         - section @ class_map) < 1e-10, (flavor, name)
-        assert mat_norm(space.class_map @ space.section
+        assert mat_norm(cm @ dagger(cm) / space.lam
                         - np.eye(space.dim)) < 1e-12, (flavor, name)
+
+
+def nested_spaces(gpd):
+    """(label, space, nest) for the seven vertices of both flavors and
+    hopf's three-factor space on one groupoid."""
+    out = [(f"{flavor} {name}", space, nest) for flavor, name, space, nest
+           in vertex_cases(gpd)]
+    space = groupoid_hopf(gpd)["state_space"]
+    inner_rho, _ = space.lift([None, space.meta["rho_stack"]])
+    pair = rtp_state(space.meta["triple"], inner_rho,
+                     space.meta["sigma_stack"])
+    return out + [("hopf big", nest_left(space, pair), (space, pair, "left"))]
+
+
+@pytest.mark.parametrize("gpd, support", [
+    (FiniteGroupoid.pair(2), 16), (FiniteGroupoid.pair(3), 81),
+    (FiniteGroupoid.cyclic(3), 27)], ids=["pair2", "pair3", "z3"])
+def test_nested_core_on_support_matches_the_dense_rows_route(gpd, support):
+    # core W* is the class map of the dense route, up to the unitary that
+    # eigenspaces of equal lam leave free, on dim of the n^6 plain-cube
+    # columns for a groupoid base (all of them for a group)
+    for label, space, nest in nested_spaces(gpd):
+        ref, lam = rows_class_map(*nest)
+        cm = plain_class_map(space)
+        assert space.core.shape == (space.dim, support) == ref.shape[:1] \
+            + (support,), label
+        weights = np.linalg.norm(ref, axis=0)
+        assert np.sum(weights > 1e-12 * weights.max()) == support, label
+        assert unitary_gap(cm, ref) < 1e-12, label
+        assert mat_norm(np.sort(space.lam) - np.sort(lam)) \
+            < 1e-12 * lam.max(), label
+
+
+def test_state_pentagon_holds_under_8_mb_on_pair3():
+    # the seven vertices keep dim x dim cores, not dim x n^6 class maps
+    # (13.9 MB peak with them)
+    cand = groupoid_pmu(FiniteGroupoid.pair(3))["candidate"]
+    tracemalloc.start()
+    try:
+        report = check_pmu_state(cand)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 8e6, peak
 
 
 def test_pentagon_vertices_keep_a_wide_rank_margin():
@@ -142,8 +212,8 @@ def test_pentagon_vertices_keep_a_wide_rank_margin():
     # r 1e-16 lam_max / lam_k, so a vertex whose smallest kept eigenvalue
     # drifts toward the cut could report a descent residual from round-off
     # alone; every vertex sits above 1e6x the cut today
-    for flavor, name, space in pentagon_vertex_cases():
-        lam = np.linalg.norm(space.class_map, axis=1) ** 2
+    for flavor, name, space, _ in pentagon_vertex_cases():
+        lam = np.linalg.norm(space.core, axis=1) ** 2
         n = space.plain_dim
         cut = space.tol.rank_cut(lam.max(), n, n)
         assert lam.min() >= 1e4 * cut, (flavor, name, lam.min() / cut)

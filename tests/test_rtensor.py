@@ -6,8 +6,10 @@ import pytest
 from qgw.cbase import cbase_from_state
 from qgw.cfact import Factorization
 from qgw.errors import DimensionError, NotWellDefinedError, PreconditionError
+from qgw.fiber import intertwiner_space
 from qgw.gns import State, gns
 from qgw.fixtures import FiniteGroupoid, groupoid_bundle, linked_bundle
+from qgw.hopf import groupoid_hopf
 from qgw.linalg import (
     QuotientRealization,
     dagger,
@@ -16,6 +18,7 @@ from qgw.linalg import (
     rng,
     span,
 )
+from qgw.pmu import groupoid_pmu, pentagon_vertices, state_legs
 from qgw.rtensor import (
     RelativeTensorSpace,
     central_actions,
@@ -33,7 +36,8 @@ from qgw.staralg import (
     rep_value,
 )
 from qgw.linalg import span as _span
-from kron_reference import balanced_gap, kron_nested_gram
+from kron_reference import balanced_gap, frame_unitary, kron_nested_gram, \
+    plain_class_map, rows_class_map, unitary_gap
 from small_fixtures import full_matrix_algebra
 
 
@@ -274,10 +278,12 @@ def test_nested_brackets_agree_for_commutative_case():
     assert max(r1, r2) < 1e-10
     assert left_space.plain_dims == right_space.plain_dims == (2, 2, 2)
     assert left_space.dim == right_space.dim == 2
-    assert mat_norm(left_space.gram - right_space.gram) < 1e-9
+    left_gram, right_gram = (dagger(cm) @ cm for cm in map(
+        plain_class_map, (left_space, right_space)))
+    assert mat_norm(left_gram - right_gram) < 1e-9
     # only the fully matched plain tensors survive, with weight 1/mu^2
     v = np.kron(np.eye(2)[0], np.kron(np.eye(2)[0], np.eye(2)[0]))
-    assert np.vdot(v, left_space.gram @ v) == pytest.approx(4.0)
+    assert np.vdot(v, left_gram @ v) == pytest.approx(4.0)
 
 
 def test_descend_identity_between_equal_spaces():
@@ -304,16 +310,18 @@ def test_gram_kernel_shape_and_symmetry():
     assert g[a * 2 + b, ap * 2 + bp] == pytest.approx(expect)
 
 
-def kron_lift(space, ops):
+def kron_lift(space, ops, into=None):
     """Per-element reference: the plain tensor product of the i-th leg
-    operators, descended by induced_between."""
+    operators after into's class map on the plain product, descended out
+    of space."""
     k = max((len(op) for op in ops if op is not None), default=1)
+    cm = plain_class_map(space if into is None else into)
     mats, worst = [], 0.0
     for i in range(k):
         plain = np.eye(1)
         for op, d in zip(ops, space.plain_dims):
             plain = np.kron(plain, np.eye(d) if op is None else op[i])
-        mat, res = induced_between(space, space, plain)
+        mat, res = space.descend(cm @ plain)
         mats.append(mat)
         worst = max(worst, res)
     return np.stack(mats), worst
@@ -331,38 +339,45 @@ def commutant_stack(gen, k, stack):
 
 
 def lift_cases():
-    """(space, leg stacks, whether they descend) on a one-leg space, a
-    two-leg square and a three-leg nesting of it."""
+    """(space, leg stacks, whether they descend, into) on a one-leg space,
+    a two-leg square, and from the square into a three-leg nesting of it
+    kept on its support: the intertwiners of the diagonal comultiplication
+    on the plain square fill two of its legs, as in the coassociativity
+    check."""
     gen = rng(44)
     x = random_stack(gen, 1, 6)[0][:, :4]
     one = RelativeTensorSpace("state", (6,), x @ dagger(x))
     # the range actions of a groupoid: rho also acts on the right leg,
     # where it commutes with sigma, so the square nests
-    data = groupoid_bundle(FiniteGroupoid.pair(2))
+    data = groupoid_hopf(FiniteGroupoid.pair(2))
     triple, rho, sigma = data["triple"], data["rho"], data["sigma"]
-    two = rtp_state(triple, rho, sigma)
+    two = data["state_space"]
     inner_rho, _ = two.lift([None, rho])
     three = nest_left(two, rtp_state(triple, inner_rho, sigma))
+    plain = two.section @ intertwiner_space(data["delta_state"],
+                                            data["algebra"])
     c_rho = commutant_stack(gen, 3, rho)
     c_sigma = commutant_stack(gen, 3, sigma)
+    fan_out = gen.standard_normal((2, 16, 4)) + 0j
     return [
-        (one, [random_stack(gen, 3, 6)], False),
-        (one, [np.stack([np.eye(6), 2j * np.eye(6)])], True),
-        (two, [c_rho, None], True),
-        (two, [c_rho, c_sigma], True),
-        (two, [random_stack(gen, 3, 4), random_stack(gen, 3, 4)], False),
-        (two, [None, None], True),
-        (three, [c_rho, None, c_sigma], True),
-        (three, [None, random_stack(gen, 2, 4), None], False),
-        (three, [random_stack(gen, 2, 4)] * 3, False),
+        (one, [random_stack(gen, 3, 6)], False, None),
+        (one, [np.stack([np.eye(6), 2j * np.eye(6)])], True, None),
+        (two, [c_rho, None], True, None),
+        (two, [c_rho, c_sigma], True, None),
+        (two, [random_stack(gen, 3, 4), random_stack(gen, 3, 4)], False,
+         None),
+        (two, [None, None], True, None),
+        (two, [plain, None], True, three),
+        (two, [None, plain], True, three),
+        (two, [fan_out, random_stack(gen, 2, 4)], False, three),
     ]
 
 
 @pytest.mark.parametrize("case", range(9))
 def test_stacked_lift_matches_kron_per_element(case):
-    space, ops, descends = lift_cases()[case]
-    mats, worst = space.lift(ops, require=False)
-    ref, ref_worst = kron_lift(space, ops)
+    space, ops, descends, into = lift_cases()[case]
+    mats, worst = space.lift(ops, require=False, into=into)
+    ref, ref_worst = kron_lift(space, ops, into)
     assert mats.shape == ref.shape
     assert mat_norm(mats - ref) < 1e-10 * max(1.0, mat_norm(ref))
     assert abs(worst - ref_worst) < 1e-10
@@ -371,7 +386,7 @@ def test_stacked_lift_matches_kron_per_element(case):
     else:
         assert worst > 1e-3
         with pytest.raises(NotWellDefinedError):
-            space.lift(ops)
+            space.lift(ops, into=into)
 
 
 def test_lift_rejects_mismatched_stacks():
@@ -388,54 +403,72 @@ def test_lift_rejects_mismatched_stacks():
 
 def random_space(gen, plain_dims, rank):
     """A state-flavor space over plain_dims with a random Gram of the given
-    rank, so its kernel and support are in general position."""
+    rank, so its kernel and support are in general position.  Its Gram is
+    given in full, so every pair of coordinates is matched (pairs)."""
     x = gen.standard_normal((rank, int(np.prod(plain_dims))))
     x = x + 1j * gen.standard_normal(x.shape)
-    return RelativeTensorSpace("state", plain_dims, dagger(x) @ x)
+    space = RelativeTensorSpace("state", plain_dims, dagger(x) @ x)
+    space.pairs = (*map(np.eye, plain_dims),
+                   *np.indices(plain_dims).reshape(2, -1))
+    return space
 
 
 def random_nestings():
-    """One space of each bracket over a random rank-deficient inner space."""
+    """(space, (inner, pair, bracket)): one space of each bracket over a
+    random rank-deficient inner space, on random pair spaces given their
+    Gram in full, so the support is the whole cube in a general frame."""
     gen = rng(45)
     inner = random_space(gen, (3, 4), 7)
-    left = nest_left(inner, random_space(gen, (inner.dim, 3), 10))
-    right = nest_right(inner, random_space(gen, (3, inner.dim), 9))
-    return [left, right]
+    left = random_space(gen, (inner.dim, 3), 10)
+    right = random_space(gen, (3, inner.dim), 9)
+    return [(nest_left(inner, left), (inner, left, "left")),
+            (nest_right(inner, right), (inner, right, "right"))]
 
 
 @pytest.mark.parametrize("case", range(2))
 def test_nesting_factor_matches_kron_gram(case):
-    space = random_nestings()[case]
-    ref = QuotientRealization(kron_nested_gram(space))
+    space, nest = random_nestings()[case]
+    ref = QuotientRealization(kron_nested_gram(*nest))
+    cm = plain_class_map(space)
     assert space.plain_dim == ref.plain_dim == 36
     assert space.dim == ref.dim
-    assert mat_norm(space.gram - ref.gram) < 1e-12 * mat_norm(ref.gram)
-    proj = space.section @ space.class_map
+    assert mat_norm(dagger(cm) @ cm - ref.gram) < 1e-12 * mat_norm(ref.gram)
+    proj = dagger(cm) / space.lam @ cm
     assert mat_norm(proj - ref.section @ ref.class_map) < 1e-10
-    # a factor-built quotient still transports the semi-inner product
-    w = np.arange(36.0) - 3j
-    assert abs(np.vdot(space.class_map @ w, space.class_map @ w)
-               - np.vdot(w, space.gram @ w)) < 1e-10 * mat_norm(ref.gram)
+    # core W* is the class map of the dense route, up to the unitary that
+    # eigenspaces of equal lam leave free
+    rows, lam = rows_class_map(*nest)
+    assert unitary_gap(cm, rows) < 1e-12
+    assert mat_norm(np.sort(space.lam) - np.sort(lam)) < 1e-12 * lam.max()
 
 
 def test_induced_gap_matches_complement_of_support():
-    # the gap top - (top section) class_map equals top (1 - support) with
-    # support = section class_map formed on the plain space
-    space = random_nestings()[0]
-    proj = space.section @ space.class_map
-    comp = np.eye(space.plain_dim) - proj
+    # the gap of a top read in the frame equals top (1 - support) with
+    # support = section class_map formed on the plain space: on a random
+    # nesting (the whole cube) and on a pentagon vertex of pair(2), whose
+    # support is 16 of the 64 plain columns
+    pmu = groupoid_pmu(FiniteGroupoid.pair(2))
+    squares, _, pair = state_legs(pmu["candidate"])
+    vertex = pentagon_vertices(squares, pair)["first_then_source"]
     gen = rng(46)
-    x, y = (gen.standard_normal((36, 36)) for _ in range(2))
-    # keeps ker(gram) = range(comp), so it descends; a generic map does not
-    keeping = proj @ x @ proj + comp @ y @ comp
-    for plain, descends in [(keeping, True), (x + 1j * y, False)]:
-        mat, res = induced_between(space, space, plain)
-        top = space.class_map @ plain
-        old = mat_norm(top @ comp) / max(1.0, mat_norm(top))
-        assert abs(res - old) < 1e-12
-        assert (res < 1e-10) == descends
-        if not descends:
-            assert res > 1e-3
+    for space in (random_nestings()[0][0], vertex):
+        cm = plain_class_map(space)
+        proj = dagger(cm) / space.lam @ cm
+        comp = np.eye(space.plain_dim) - proj
+        x, y = (gen.standard_normal((space.plain_dim,) * 2)
+                for _ in range(2))
+        # keeps ker(gram) = range(comp), so it descends; a generic map
+        # does not
+        keeping = proj @ x @ proj + comp @ y @ comp
+        for plain, descends in [(keeping, True), (x + 1j * y, False)]:
+            top = cm @ plain
+            mat, res = space.descend(top @ frame_unitary(space))
+            old = mat_norm(top @ comp) / max(1.0, mat_norm(top))
+            assert abs(res - old) < 1e-12
+            assert mat_norm(mat - top @ dagger(cm) / space.lam) < 1e-12
+            assert (res < 1e-10) == descends
+            if not descends:
+                assert res > 1e-3
 
 
 def test_random_base_square_lives_on_the_balanced_support():

@@ -5,10 +5,12 @@
 Each tree (a directory holding src/qgw) writes the ten bundles of BUNDLES
 with its own gen-* commands and runs the ten check commands on them, except
 equiv-check on pair(3), one process per run.  Prints the exit-code counts of
-each tree, the paths at which each tree's bundles differ, every run whose
-exit code, verdict or check names and pass/fail differ, and the largest
-move of a residual that passes in both trees.  Exits 1 on a difference in
-the runs; bundles that differ in bytes are reported, not counted.
+each tree, each tree's largest peak RSS per command (from os.wait4, so
+memory is read from the same runs as the verdicts), the paths at which each
+tree's bundles differ, every run whose exit code, verdict or check names and
+pass/fail differ, and the largest move of a residual that passes in both
+trees.  Exits 1 on a difference in the runs; bundles that differ in bytes
+are reported, not counted.
 """
 import collections
 import json
@@ -39,38 +41,41 @@ COMMANDS = ["gns", "base-check", "factorize", "rtp", "phi", "fiber",
 SKIPPED = {("pair3", "equiv-check")}
 
 
-def qgw(tree: Path, argv: list, out: Path) -> int:
-    """Exit code of one qgw command run from tree's sources, writing its
-    bundle or report to out."""
+def qgw(tree: Path, argv: list, out: Path):
+    """(exit code, peak RSS in MB) of one qgw command run from tree's
+    sources, writing its bundle or report to out."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    return subprocess.run(
+    child = subprocess.Popen(
         [sys.executable, "-m", "qgw.cli", *argv, "--out", str(out)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    ).returncode
+    )
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, usage.ru_maxrss / 1024
 
 
 def run_tree(tree: Path, work: Path) -> dict:
     """(bundle, command) -> (exit code, verdict, {check: (passed,
-    residual)}) for one tree; a run that ends in an error writes no
-    report and has no checks."""
+    residual)}, peak RSS in MB) for one tree; a run that ends in an error
+    writes no report and has no checks."""
     work.mkdir()
     runs = {}
     for label, argv in BUNDLES.items():
         bundle = work / f"{label}.json"
-        if qgw(tree, argv, bundle) != 0:
+        if qgw(tree, argv, bundle)[0] != 0:
             sys.exit(f"{tree}: {' '.join(argv)} failed")
         for command in COMMANDS:
             if (label, command) in SKIPPED:
                 continue
             report = work / f"{label}.{command}.json"
-            code = qgw(tree, [command, "--in", str(bundle)], report)
+            code, peak = qgw(tree, [command, "--in", str(bundle)], report)
             doc = json.loads(report.read_text()) if report.exists() else {}
             checks = {c["axiom"]: (c["residual"] is not None
                                    and c["residual"] <= c["threshold"],
                                    c["residual"])
                       for c in doc.get("checks", [])}
             runs[label, command] = (code, doc.get("verdict", "error"),
-                                    checks)
+                                    checks, peak)
     return runs
 
 
@@ -104,12 +109,17 @@ def main() -> int:
             print(f"bundle {label}: "
                   + (", ".join(paths) if paths else "identical"))
     for side, runs in (("old", old), ("new", new)):
-        counts = collections.Counter(code for code, _, _ in runs.values())
+        counts = collections.Counter(run[0] for run in runs.values())
         print(f"exit codes {side}: " + ", ".join(
             f"{n} x {code}" for code, n in sorted(counts.items())))
+    for command in COMMANDS:
+        peaks = [max(run[3] for (_, cmd), run in runs.items()
+                     if cmd == command) for runs in (old, new)]
+        print(f"largest peak RSS {command}: old {peaks[0]:.1f} MB, "
+              f"new {peaks[1]:.1f} MB")
     differences, move, where = 0, 0.0, None
     for key in old:
-        (code_a, verdict_a, checks_a), (code_b, verdict_b, checks_b) = \
+        (code_a, verdict_a, checks_a, _), (code_b, verdict_b, checks_b, _) = \
             old[key], new[key]
         passed_a = {name: ok for name, (ok, _) in checks_a.items()}
         passed_b = {name: ok for name, (ok, _) in checks_b.items()}
