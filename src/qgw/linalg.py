@@ -12,6 +12,7 @@ Checks report residual norms; callers compare against explicit thresholds.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -380,48 +381,44 @@ def canonical_rows(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL):
 class QuotientRealization:
     """Quotient of a semi-inner-product space realized in coordinates.
 
-    The PSD Gram G on C^N is read through eigh of h = U diag(w) U*: G itself;
-    h on a support W (N x m, orthonormal columns; N = plain_dim), G = W h W*;
-    or h = C C* for a factor C = C_m W* of G = C*C, given as (C C*, x ->
-    x C_m, N).  W is the identity unless N is given, or the columns cols of
-    a unitary frame of C^N; the caller keeps it.  All keep G's eigenvalues
-    lam (C's sigma^2) above the cut eps lam_max N; eigh of C C* is accurate
-    to about r 1e-16 lam_max, so it resolves that cut as well as an SVD of C
-    would.  A quotient keeps lam and core = sqrt(lam) U_k*, or U_k* C_m, the
-    class map on W: class_map = core W* gives class coordinates, (class_map
-    w)* (class_map w') = w* G w', and section = class_map* / lam, formed
-    when read, is a right inverse of it onto supp(G).  gram is a Gram given
-    in full, else None.  The guards' readings are kept: hermitian_defect is
-    |h - h*| before the Hermitization (0 for a factor), psd_defect is
-    -lam_min / max(1, lam_max) when negative, else 0.
+    C^N, N the product of plain_dims, carries the frame K = kron of the
+    unitaries legs, one per leg; the PSD Gram G lives on its columns cols,
+    W = K[:, cols] (N x m), and is read through eigh of h = U diag(w) U*:
+    G = W h W*, or h = C C* for a factor C = C_m W* of G = C*C, given as
+    (C C*, x -> x C_m).  Both keep G's eigenvalues lam (C's sigma^2) above
+    the cut eps lam_max N; eigh of C C* is accurate to about r 1e-16
+    lam_max, so it resolves that cut as well as an SVD of C would.  A
+    quotient keeps lam and core = sqrt(lam) U_k*, or U_k* C_m, the class map
+    on W; class_map = core W*, (class_map w)* (class_map w') = w* G w', and
+    section = class_map* / lam, its right inverse onto supp(G), are formed
+    when read.  The guards' readings are kept: hermitian_defect is |h - h*|
+    before the Hermitization (0 for a factor), psd_defect is -lam_min /
+    max(1, lam_max) when negative, else 0.
     """
 
     def __init__(self, gram: np.ndarray | None = None,
                  tol: Tolerance = DEFAULT_TOL, *, factor=None,
-                 plain_dim: int | None = None,
-                 cols: np.ndarray | None = None):
+                 plain_dims: tuple, legs: list, cols: np.ndarray):
         if (gram is None) == (factor is None):
             raise DimensionError("give a gram or a factor, not both or neither")
-        self._gram = None
         if factor is None:
             gram = as_complex(gram)
-            if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-                raise DimensionError("gram must be square")
+            if gram.shape != (len(cols),) * 2:
+                raise DimensionError("gram must be square on the support")
             herm_defect = mat_norm(gram - dagger(gram))
             scale = max(1.0, mat_norm(gram))
             if herm_defect > tol.eps / 1e-3 * scale:
                 raise NumericError(f"gram not Hermitian: defect {herm_defect:.3e}")
-            gram = 0.5 * (gram + dagger(gram))
-            w, u = np.linalg.eigh(gram)
+            w, u = np.linalg.eigh(0.5 * (gram + dagger(gram)))
             if w.size and float(w[0]) < -tol.check * max(1.0, float(w[-1])):
                 raise NumericError(f"gram not PSD: min eigenvalue {w[0]:.3e}")
-            self._gram = gram if plain_dim is None else None
-            n = plain_dim or len(gram)
         else:
-            h, apply, n = factor
+            h, apply = factor
             w, u = np.linalg.eigh(h)
             herm_defect = 0.0
-        self.plain_dim = int(n)
+        self.plain_dims = tuple(int(d) for d in plain_dims)
+        self.plain_dim = int(np.prod(self.plain_dims))
+        self.legs, self.cols = legs, cols
         lam_max = float(np.max(w, initial=0.0))
         self.hermitian_defect = herm_defect
         self.psd_defect = max(0.0, -float(np.min(w, initial=0.0))) / max(
@@ -433,37 +430,41 @@ class QuotientRealization:
             self.core = apply(dagger(u[:, keep]))
         else:
             self.core = (u[:, keep] * np.sqrt(self.lam)).conj().T
-        self.cols = cols
-        if plain_dim is None and cols is None:
-            self.class_map = self.core
         self.tol = tol
+
+    @functools.cached_property
+    def class_map(self) -> np.ndarray:
+        """core W*, W formed one leg at a time."""
+        m = len(self.cols)
+        w = functools.reduce(lambda w, f: (w[:, None] * f).reshape(-1, m), [
+            u[:, i] for u, i in zip(
+                self.legs, np.unravel_index(self.cols, self.plain_dims))])
+        return self.core @ dagger(w)
 
     @property
     def section(self) -> np.ndarray:
         return dagger(self.class_map) / self.lam
 
-    @property
-    def gram(self) -> np.ndarray | None:
-        return self._gram
+    def frame_rows(self, mat: np.ndarray, lo: int = 0,
+                   hi: int | None = None) -> np.ndarray:
+        """(kron of legs[lo:hi])* mat, applied one leg at a time."""
+        out, pre = mat, 1
+        for d, u in zip(self.plain_dims[lo:hi], self.legs[lo:hi]):
+            out, pre = dagger(u) @ out.reshape(pre, d, -1), pre * d
+        return out.reshape(mat.shape)
 
     def descend(self, top: np.ndarray):
         """Descend a map whose composite with the destination's class map is
-        top (k, N), out of this quotient: top in plain coordinates, or in
-        the frame, whose support columns are then overwritten.  Returns
-        (top . section, residual): the well-definedness gap top - (top .
-        section) . class_map, failure to annihilate ker(G), normalized by
-        the scale of top; on a frame, the gap on the support columns
-        together with every column off them, never a difference of squares.
+        top (k, N), read in this quotient's frame, out of this quotient;
+        top's support columns are overwritten.  Returns (top[:, cols] core*
+        / lam, residual): the well-definedness gap, failure to annihilate
+        ker(G), on the support columns together with every column off them,
+        normalized by the scale of top, never a difference of squares.
         """
         scale = max(1.0, mat_norm(top))
-        frame = self.cols is not None
-        on = top[:, self.cols] if frame else top
-        cm = self.core if frame else self.class_map
-        mats = on @ (dagger(cm) / self.lam)
-        gap = on - mats @ cm
-        if frame:
-            top[:, self.cols] = gap
-        return mats, mat_norm(top if frame else gap) / scale
+        mats = top[:, self.cols] @ (dagger(self.core) / self.lam)
+        top[:, self.cols] -= mats @ self.core
+        return mats, mat_norm(top) / scale
 
 
 def induced_between(
@@ -472,14 +473,15 @@ def induced_between(
     """Descend plain_map: plain(src) -> plain(dst) to class coordinates.
 
     Returns (matrix, residual); residual is the well-definedness defect,
-    failure to annihilate ker(src.gram), normalized by the map's scale.
-    With src = dst this descends an operator on one quotient.
+    failure to annihilate ker(src's Gram), normalized by the map's scale.
+    dst.class_map plain_map is moved into src's frame to descend.  With
+    src = dst this descends an operator on one quotient.
     """
     plain_map = as_complex(plain_map)
     if plain_map.shape != (dst.plain_dim, src.plain_dim):
         raise DimensionError("plain map does not connect the two spaces")
-    mat, res = src.descend(dst.class_map @ plain_map)
-    return mat, float(res)
+    return src.descend(dagger(src.frame_rows(dagger(
+        dst.class_map @ plain_map))))
 
 
 def rng(seed: int) -> np.random.Generator:

@@ -193,8 +193,7 @@ def _pentagon_residuals(vertices: dict, v_plain: np.ndarray, n: int) -> dict:
         nonlocal worst
         here, mats = vertices["first_then_source"], []
         for maps, name in hops:
-            mat, res = here.descend(
-                vertices[name].pulled(maps, tuple(map(len, maps)), here))
+            mat, res = here.descend(vertices[name].pulled(maps, here))
             worst, here = max(worst, float(res)), vertices[name]
             mats.insert(0, mat)
         return functools.reduce(np.matmul, mats)

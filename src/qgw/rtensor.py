@@ -6,13 +6,14 @@ state flavor contracts the two actions through a cyclic representation; the
 operator flavor contracts two factorizations through the base cyclic vector.
 Keeping every space realized over the same plain tensor product, each on the
 balanced support of the base's center (see below), is what makes maps between
-differently bracketed iterates directly comparable.  Those iterates keep
-only a core on their support, in a frame of per-leg unitaries, so neither a
-matrix on the threefold plain product nor their class map is formed.
+differently bracketed iterates directly comparable.  Every space keeps
+only a core on its support, in a frame of per-leg unitaries (a square's
+legs are the eigenvectors its matched pairs join), so no iterate forms a
+matrix on the threefold plain product or its class map.
 
 Leg-wise operators reach a quotient through one lift: per-leg stacks are
-zipped, and each element is contracted with the class map, or the core, one
-group of legs at a time and descended, one element's contraction at a time.
+zipped, and each element is contracted with the core in the frames of both
+spaces, two groups of legs at a time, and descended, one element at a time.
 Insertion maps are the class map contracted with one vector on one leg.
 """
 from __future__ import annotations
@@ -74,15 +75,10 @@ def balanced_support(rh: np.ndarray, rk: np.ndarray, left: np.ndarray,
     return u, v, a, b, gram
 
 
-def frame_rows(mat: np.ndarray, space, lo: int, hi: int) -> np.ndarray:
-    """(kron of space.legs[lo:hi])* mat, contracted one leg at a time (a leg
-    of None is the identity)."""
-    out = mat.reshape(space.plain_dims[lo:hi] + mat.shape[1:])
-    for axis, u in enumerate(space.legs[lo:hi]):
-        if u is not None:
-            out = np.moveaxis(np.tensordot(dagger(u), out, axes=(1, axis)),
-                              0, axis)
-    return out.reshape(mat.shape)
+def _halves(dims: tuple, first: int) -> list:
+    """The spans of legs (lo, hi) of two groups, the first of size first."""
+    split = 1 + int(first != dims[0])
+    return [(0, split), (split, len(dims))]
 
 
 def _contract(core: np.ndarray, index, factors) -> np.ndarray:
@@ -94,66 +90,49 @@ def _contract(core: np.ndarray, index, factors) -> np.ndarray:
     counts = [np.bincount(i) for i in index]
     key = int(np.count_nonzero(counts[1]) < np.count_nonzero(counts[0]))
     vals = np.flatnonzero(counts[key])
-    other = factors[1 - key][index[1 - key]]
+    # each value's p as one run, in order (a numpy sort: +0.2 MB resident)
+    order = np.nonzero(index[key] == vals[:, None])[1]
+    core, other = core[:, order], factors[1 - key][index[1 - key][order]]
     parts = np.empty((len(vals), len(core), other.shape[1]) if key
                      else (len(core), len(vals), other.shape[1]), dtype=complex)
-    for j, v in enumerate(vals):
-        sel = index[key] == v
-        np.moveaxis(parts, 1 - key, 0)[j] = core[:, sel] @ other[sel]
+    ends = np.cumsum(counts[key][vals])
+    for part, lo, hi in zip(np.moveaxis(parts, 1 - key, 0),
+                            ends - counts[key][vals], ends):
+        part[...] = core[:, lo:hi] @ other[lo:hi]
     top = parts.reshape(len(vals), -1).T @ factors[1][vals] if key \
         else factors[0][vals].T @ parts
     return top.reshape(len(core), -1)
 
 
 class RelativeTensorSpace(QuotientRealization):
-    """Quotient of a plain tensor product of the given leg dimensions, under
-    a relative Gram given in full, on the matched pairs (u, v, a, b) of
-    balanced_support, or by a factor on the columns cols of the frame of
-    the unitaries legs, one per leg, None for the identity (see
-    QuotientRealization)."""
+    """Quotient of a plain tensor product of the given leg dimensions under
+    a relative Gram, in a frame of per-leg unitaries (QuotientRealization)."""
 
     def __init__(self, flavor: str, plain_dims: tuple,
                  gram: np.ndarray | None = None,
                  tol: Tolerance = DEFAULT_TOL, meta: dict | None = None, *,
-                 pairs=None, factor=None, legs=None, cols=None):
-        dims = tuple(int(d) for d in plain_dims)
-        super().__init__(gram, tol, factor=factor, cols=cols,
-                         plain_dim=None if pairs is None else np.prod(dims))
-        if self.plain_dim != int(np.prod(dims)):
-            raise DimensionError("gram does not match the plain dimensions")
+                 factor=None, legs: list, cols: np.ndarray):
+        super().__init__(gram, tol, factor=factor, plain_dims=plain_dims,
+                         legs=legs, cols=cols)
         self.flavor = flavor
-        self.plain_dims = dims
-        self.pairs, self.legs = pairs, legs
         self.meta = meta or {}
-
-    @functools.cached_property
-    def class_map(self) -> np.ndarray:
-        """core W* on the matched pairs, formed when first read."""
-        u, v, a, b = self.pairs
-        return self.core @ dagger(
-            (u[:, None, a] * v[None, :, b]).reshape(-1, a.size))
 
     @property
     def gram(self) -> np.ndarray:
-        """Rebuilt from the reconstruction stacks on each read for a space
-        built on its balanced support."""
-        if "r_stacks" in self.meta:
-            return gram_from_r_stacks(*self.meta["r_stacks"])
-        return super().gram
+        """A square's plain Gram, rebuilt from its reconstruction stacks."""
+        return gram_from_r_stacks(*self.meta["r_stacks"])
 
     def lift(self, ops, require: bool = True,
              into: "RelativeTensorSpace | None" = None):
-        """Descend leg-wise operator stacks from this quotient, whose class
-        map must be formed, to into (default: this quotient itself).
-
-        ops has one stack (k, g, d) per plain factor of dimension d here, or
-        None for the identity leg; g = d unless into is given, when the g's
-        group into's plain dimensions in order, so one leg may fan out into
-        several.  Element i, the tensor product of the i-th maps, is
-        contracted into into (pulled) and descended, one at a time.
-        Returns (stack of matrices, worst residual); a residual measures
-        failure to preserve the null space, normalized per element by the
-        scale of the lifted map as in induced_between.
+        """Descend leg-wise operator stacks from this quotient to into
+        (default: this quotient itself): one stack (k, g, d) per plain
+        factor of dimension d here, or None for the identity leg; g = d
+        unless into is given, when the g's group into's plain dimensions in
+        order, so one leg may fan out into several.  Element i, the tensor
+        product of the i-th maps, is contracted with into's core in this
+        frame (pulled) and descended, one at a time.  Returns (stack of
+        matrices, worst failure to preserve the null space), normalized per
+        element by the scale of the lifted map as in induced_between.
         """
         dst = self if into is None else into
         ops = [None if op is None else np.asarray(op, dtype=complex)
@@ -164,9 +143,6 @@ class RelativeTensorSpace(QuotientRealization):
         ):
             raise DimensionError("one operator stack (k, g, d) per tensor leg "
                                  f"of dimension d in {self.plain_dims} required")
-        if self.cols is not None:
-            raise PreconditionError("operators descend only out of a space "
-                                    "whose class map is formed")
         sizes = {op.shape[0] for op in ops if op is not None} or {1}
         if len(sizes) != 1:
             raise DimensionError(f"leg stacks of different lengths {sizes}")
@@ -180,7 +156,8 @@ class RelativeTensorSpace(QuotientRealization):
         res = 0.0
         for i in range(len(mats)):
             mats[i], gap = self.descend(dst.pulled(
-                [None if op is None else op[i] for op in ops], groups))
+                [np.eye(d, dtype=complex) if op is None else op[i]
+                 for op, d in zip(ops, self.plain_dims)], self))
             res = max(res, float(gap))
         if require and res > self.tol.check:
             raise NotWellDefinedError(
@@ -188,33 +165,24 @@ class RelativeTensorSpace(QuotientRealization):
             )
         return mats, res
 
-    def pulled(self, maps, groups: tuple, src=None) -> np.ndarray:
+    def pulled(self, maps, src: QuotientRealization) -> np.ndarray:
         """The class map contracted with one plain map (g, d) per group of
-        g = groups[j] consecutive legs (None: the identity), one at a time:
-        (dim, prod d), in plain coordinates.  On a frame, two groups: the
-        core is contracted with (kron of the group's legs)* map, times the
-        kron of src's legs to give src's frame (_contract)."""
-        if self.cols is None:
-            # top[q, j_1, ..., j_L] = sum class_map[q, l_1..l_L] prod x[l, j]
-            top = self.class_map.reshape((self.dim,) + groups)
-            for leg, (op, g) in enumerate(zip(maps, groups)):
-                if op is None:
-                    continue
-                moved = np.moveaxis(top, 1 + leg, -1)
-                top = np.moveaxis((moved.reshape(-1, g) @ op).reshape(
-                    moved.shape[:-1] + (op.shape[1],)), -1, 1 + leg)
-            return top.reshape(self.dim, -1)
-        split = 1 + int(groups[0] != self.plain_dims[0])
-        spans = [(0, split), (split, len(self.legs))]
-        if groups != tuple(np.prod(self.plain_dims[lo:hi]) for lo, hi in spans):
-            raise DimensionError(f"{groups} do not split {self.plain_dims} in two")
-        factors = [frame_rows(np.eye(g) if m is None else m, self, *span)
-                   for m, g, span in zip(maps, groups, spans)]
-        if src is not None:
-            factors = [dagger(frame_rows(dagger(f), src, *span))
-                       for f, span in zip(factors, spans)]
-        index = [self.cols // int(np.prod(self.plain_dims[hi:])) % g
-                 for g, (_, hi) in zip(groups, spans)]
+        consecutive legs whose dimensions multiply to g, read in src's
+        frame, where the d's group src's legs alike: (dim, prod d).  Maps
+        past the second fold into it (kron); the core is contracted with
+        (kron of each group's legs)* map (kron of src's legs) (_contract)."""
+        maps = [maps[0], functools.reduce(np.kron, maps[1:] or [np.eye(1)])]
+        g0, g1 = map(len, maps)
+        spans = _halves(self.plain_dims, g0)
+        if g0 * g1 != self.plain_dim \
+                or g0 != np.prod(self.plain_dims[:spans[1][0]]):
+            raise DimensionError(f"maps into {(g0, g1)} do not split "
+                                 f"{self.plain_dims} in two")
+        factors = [dagger(src.frame_rows(dagger(self.frame_rows(m, *span)),
+                                         *src_span))
+                   for m, span, src_span in zip(
+                       maps, spans, _halves(src.plain_dims, maps[0].shape[1]))]
+        index = [self.cols // g1 % g0, self.cols % g1]
         return _contract(self.core, index, factors)
 
 
@@ -236,10 +204,11 @@ def central_actions(flavor: str, meta: dict):
 def _realize(flavor: str, rh: np.ndarray, rk: np.ndarray, tol: Tolerance,
              meta: dict) -> RelativeTensorSpace:
     meta["r_stacks"] = (rh, rk)
-    *pairs, gram = balanced_support(rh, rk, *central_actions(flavor, meta),
-                                    tol)
+    u, v, a, b, gram = balanced_support(rh, rk, *central_actions(flavor, meta),
+                                        tol)
+    # the matched pairs u_a x v_b are columns a nk + b of kron(u, v)
     return RelativeTensorSpace(flavor, (len(rh), len(rk)), gram, tol, meta,
-                               pairs=pairs)
+                               legs=[u, v], cols=a * len(rk) + b)
 
 
 def rtp_state(triple: GnsTriple, rho_stack, sigma_stack, *,
@@ -358,7 +327,8 @@ def _nest(inner: RelativeTensorSpace, pair: RelativeTensorSpace,
     round-off floor (N eps)^2 |core_p|^2 |inner.class_map|^2 of that
     product are left out: dim of the plain columns on a groupoid base."""
     left = bracket == "left"
-    u, v, a, b = pair.pairs
+    u, v = pair.legs
+    a, b = np.divmod(pair.cols, len(v))
     w, new, slot, key = (u, v, a, b) if left else (v, u, b, a)
     n = int(np.prod(plain_dims))
     floor = (n * np.finfo(float).eps) ** 2 * np.max(pair.lam, initial=0.0) \
@@ -371,11 +341,11 @@ def _nest(inner: RelativeTensorSpace, pair: RelativeTensorSpace,
         blocks.append(block[:, kept])
         cols.append(kept * len(new) + c if left else c * inner.plain_dim + kept)
     core = np.concatenate(blocks, axis=1)
-    legs = [None] * len(inner.plain_dims)
+    legs = [np.eye(d, dtype=complex) for d in inner.plain_dims]
     legs.insert(len(legs) if left else 0, new)
     return RelativeTensorSpace(
         pair.flavor, plain_dims, tol=inner.tol, legs=legs,
-        factor=(core @ dagger(core), core.__rmatmul__, n),
+        factor=(core @ dagger(core), core.__rmatmul__),
         cols=np.concatenate(cols))
 
 

@@ -65,6 +65,15 @@ def pack_matrix(obj: dict) -> dict:
     return obj
 
 
+def integer(value, where: str, least: int = 0) -> int:
+    """value when it is an integer of at least least; a JSON boolean is
+    none, though Python reads it as one."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise FormatError(f"{where}: expected an integer >= {least}, "
+                          f"got {value!r}")
+    return value
+
+
 def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -72,9 +81,7 @@ def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except KeyError as exc:
         raise FormatError(f"{where}: missing key {exc}") from None
-    if not isinstance(rows, int) or not isinstance(cols, int) \
-            or rows < 0 or cols < 0:
-        raise FormatError(f"{where}: rows/cols must be nonnegative integers")
+    rows, cols = integer(rows, f"{where}.rows"), integer(cols, f"{where}.cols")
     # a list, or an array that pack_matrix packed
     sized = isinstance(data, (list, np.ndarray))
     if not sized or len(data) != rows * cols:
@@ -138,9 +145,7 @@ def decode_algebra(obj, where: str = "algebra",
     for key in ("dim_H", "generators"):
         if key not in obj:
             raise FormatError(f"{where}: missing key '{key}'")
-    n = obj["dim_H"]
-    if not isinstance(n, int) or n <= 0:
-        raise FormatError(f"{where}: dim_H must be a positive integer")
+    n = integer(obj["dim_H"], f"{where}.dim_H", 1)
     gens = decode_stack(obj["generators"], f"{where}.generators")
     if gens.shape[1:] != (n, n):
         raise FormatError(
@@ -195,7 +200,7 @@ def decode_base(obj, where: str = "base",
             raise FormatError(f"{where}: missing key '{key}'")
     alg = decode_algebra(obj["B"], f"{where}.B", tol)
     partner = decode_algebra(obj["B_dag"], f"{where}.B_dag", tol)
-    if alg.space_dim != obj["frak_H_dim"]:
+    if alg.space_dim != integer(obj["frak_H_dim"], f"{where}.frak_H_dim", 1):
         raise FormatError(f"{where}: frak_H_dim disagrees with B")
     zeta = None
     if obj.get("zeta") is not None:
@@ -220,12 +225,11 @@ def decode_factorization(obj, base: CStarBase, where: str = "factorization",
     for key in ("H_dim", "alpha_basis"):
         if key not in obj:
             raise FormatError(f"{where}: missing key '{key}'")
+    n = integer(obj["H_dim"], f"{where}.H_dim", 1)
     mats = decode_stack(obj["alpha_basis"], f"{where}.alpha_basis")
-    if mats.shape[1:] != (obj["H_dim"], base.space_dim):
-        raise FormatError(
-            f"{where}: basis elements are {mats.shape[1:]}, expected "
-            f"({obj['H_dim']}, {base.space_dim})"
-        )
+    if mats.shape[1:] != (n, base.space_dim):
+        raise FormatError(f"{where}: basis elements are {mats.shape[1:]}, "
+                          f"expected ({n}, {base.space_dim})")
     flat = mats.reshape(mats.shape[0], -1)
     gram = flat.conj() @ flat.T
     if mat_norm(gram - np.eye(mats.shape[0])) > tol.check:
@@ -234,9 +238,8 @@ def decode_factorization(obj, base: CStarBase, where: str = "factorization",
     if not isinstance(flipped, bool):
         raise FormatError(f"{where}.flipped: expected true or false, "
                           f"got {flipped!r}")
-    sub = OperatorSubspace(int(obj["H_dim"]), base.space_dim, mats)
-    return Factorization(base, int(obj["H_dim"]), sub, flipped=flipped,
-                         tol=tol, certify=certify)
+    return Factorization(base, n, OperatorSubspace(n, base.space_dim, mats),
+                         flipped=flipped, tol=tol, certify=certify)
 
 
 def encode_morphism(images, source_ref: str, target_ref: str) -> dict:
@@ -262,11 +265,11 @@ def decode_morphism(obj, n_generators: int, where: str = "morphism"):
             raise FormatError(f"{where}: missing key '{key}'")
     mat = decode_matrix(obj["matrix_on_basis"], f"{where}.matrix_on_basis")
     shape = obj["image_shape"]
-    if (
-        not isinstance(shape, list) or len(shape) != 2
-        or not all(isinstance(d, int) and d >= 0 for d in shape)
-        or mat.shape[0] != shape[0] * shape[1]
-    ):
+    if not isinstance(shape, list) or len(shape) != 2:
+        raise FormatError(f"{where}.image_shape: expected two integers")
+    shape = [integer(d, f"{where}.image_shape[{i}]")
+             for i, d in enumerate(shape)]
+    if mat.shape[0] != shape[0] * shape[1]:
         raise FormatError(f"{where}: image_shape disagrees with the matrix")
     if mat.shape[1] != n_generators:
         raise FormatError(

@@ -3,16 +3,39 @@ without forming kron products or looping over elements; tests compare the
 library against these."""
 import numpy as np
 
-from qgw.linalg import QuotientRealization, dagger, mat_norm
+from qgw.linalg import DEFAULT_TOL, QuotientRealization, dagger, mat_norm
 from qgw.rtensor import balanced_support, gram_from_r_stacks
 
 
+def identity_frame(*dims) -> dict:
+    """The frame keywords of a quotient over C^dims whose legs are the
+    identities and whose support is every column."""
+    return {"plain_dims": dims, "legs": [np.eye(d) for d in dims],
+            "cols": np.arange(int(np.prod(dims)))}
+
+
+class GramQuotient:
+    """The quotient of a PSD Gram given in full on C^N, in plain
+    coordinates, as QuotientRealization first realized it: the Gram kept,
+    its eigenvalues lam above the cut eps lam_max N, class_map = sqrt(lam)
+    U_k* and section = class_map* / lam."""
+
+    def __init__(self, gram, tol=DEFAULT_TOL):
+        self.gram = 0.5 * (gram + dagger(gram))
+        w, u = np.linalg.eigh(self.gram)
+        self.plain_dim = n = len(gram)
+        keep = w > max(tol.rank_cut(np.max(w, initial=0.0), n, n), 0.0)
+        self.lam, self.dim = w[keep], int(np.sum(keep))
+        self.class_map = (u[:, keep] * np.sqrt(self.lam)).conj().T
+        self.section = dagger(self.class_map) / self.lam
+
+
 def frame_unitary(space) -> np.ndarray:
-    """The kron of a framed space's leg unitaries (None: the identity): its
-    frame, formed on the plain product."""
+    """The kron of a framed space's leg unitaries: its frame, formed on the
+    plain product."""
     out = np.eye(1)
-    for u, d in zip(space.legs, space.plain_dims):
-        out = np.kron(out, np.eye(d) if u is None else u)
+    for u in space.legs:
+        out = np.kron(out, u)
     return out
 
 
@@ -22,10 +45,8 @@ def frame_matrix(space) -> np.ndarray:
 
 
 def plain_class_map(space) -> np.ndarray:
-    """A space's class map on the plain product: formed, or core W* with W
-    from frame_matrix."""
-    if space.cols is None:
-        return space.class_map
+    """A space's class map on the plain product: core W* with W from
+    frame_matrix."""
     return space.core @ dagger(frame_matrix(space))
 
 
@@ -48,7 +69,8 @@ def rows_class_map(inner, pair, bracket):
                 1, 2).reshape(len(x), n)
         return (top @ inner.class_map).reshape(len(x), n)
 
-    ref = QuotientRealization(factor=(h, rows, n), tol=inner.tol)
+    ref = QuotientRealization(factor=(h, rows), tol=inner.tol,
+                              **identity_frame(n))
     return ref.class_map, ref.lam
 
 
@@ -83,9 +105,11 @@ def kron_inner_map(inner, pair, bracket) -> np.ndarray:
 
 def kron_nested_gram(inner, pair, bracket) -> np.ndarray:
     """Gram of nest_left(inner, pair) or nest_right formed on the plain
-    product as m* G_pair m, with m from kron_inner_map."""
+    product as m* G_pair m, with m from kron_inner_map and G_pair = P* P
+    for P = plain_class_map(pair)."""
     m = kron_inner_map(inner, pair, bracket)
-    return m.conj().T @ pair.gram @ m
+    p = plain_class_map(pair)
+    return m.conj().T @ dagger(p) @ p @ m
 
 
 def kron_nested_factor(inner, pair, bracket) -> np.ndarray:
@@ -121,13 +145,15 @@ def balanced_gap(space, central):
 
 def kron_connectors(src, dst, left, right):
     """Connecting maps as first built: the plain tensor product of every
-    pair of leg maps, after dst's class map on the plain product, descended
-    one pair at a time.  Returns (stack, worst residual)."""
+    pair of leg maps, after dst's class map on the plain product and read
+    in src's frame, descended one pair at a time.  Returns (stack, worst
+    residual)."""
     mats, worst = [], 0.0
     cm = plain_class_map(dst)
+    frame = frame_unitary(src)
     for x in left:
         for y in right:
-            mat, res = src.descend(cm @ np.kron(x, y))
+            mat, res = src.descend(cm @ np.kron(x, y) @ frame)
             mats.append(mat)
             worst = max(worst, res)
     return np.stack(mats), worst

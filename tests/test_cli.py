@@ -48,6 +48,15 @@ def linked(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def unit(tmp_path_factory):
+    """A one-unit group's bundle: its squares are one-dimensional, so a
+    JSON true, which Python reads as 1, fits the shapes of its matrices."""
+    path = tmp_path_factory.mktemp("bundles") / "unit.json"
+    assert main(["gen-group", "--order", "1", "--out", str(path)]) == 0
+    return str(path)
+
+
 def test_gen_writes_bundle_and_prints_report(capsys, tmp_path):
     path = tmp_path / "z2.json"
     code, out = run(capsys, "gen-group", "--order", "2", "--out", str(path))
@@ -207,6 +216,41 @@ def test_retyped_entry_exits_2_naming_it(capsys, tmp_path, pair2, command,
     assert code == 2
     assert f"{command}: ERROR" in out
     assert key in out
+
+
+# integer fields given a JSON boolean or a float, where they would fit:
+# the one-unit bundle's sizes are 1, the linked one's base space has 5
+@pytest.mark.parametrize("bundle, command, path, value, where", [
+    ("unit", "hopf-check", ("arrow_algebra", "generators", 0, "rows"), True,
+     "arrow_algebra.generators[0].rows"),
+    ("unit", "hopf-check", ("arrow_algebra", "generators", 0, "cols"), True,
+     "arrow_algebra.generators[0].cols"),
+    ("unit", "hopf-check", ("arrow_algebra", "dim_H"), True,
+     "arrow_algebra.dim_H"),
+    ("unit", "factorize", ("factorizations", "alpha", "H_dim"), True,
+     "factorizations.alpha.H_dim"),
+    ("unit", "factorize", ("factorizations", "alpha", "H_dim"), 1.0,
+     "factorizations.alpha.H_dim"),
+    ("unit", "hopf-check", ("hopf", "state", "Delta", "image_shape"),
+     [True, True], "hopf.state.Delta.image_shape[0]"),
+    ("linked", "base-check", ("base", "frak_H_dim"), 5.0, "base.frak_H_dim"),
+], ids=["rows", "cols", "dim_H", "H_dim", "H_dim_float", "image_shape",
+        "frak_H_dim_float"])
+def test_non_integer_size_exits_2_naming_it(capsys, request, tmp_path, bundle,
+                                            command, path, value, where):
+    doc = json.loads(Path(request.getfixturevalue(bundle)).read_text())
+    *parents, key = path
+    holder = doc
+    for name in parents:
+        holder = holder[name]
+    assert holder[key] == value  # the edit keeps the value, not its type
+    holder[key] = value
+    bundle = tmp_path / "retyped.json"
+    bundle.write_text(json.dumps(doc))
+    code, out = run(capsys, command, "--in", str(bundle))
+    assert code == 2
+    errors = [line.strip() for line in out.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {where}: ")
 
 
 def source_square_classes(classes, doc):
@@ -575,12 +619,13 @@ def mutate(data, doc):
 @settings(max_examples=150, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_mutated_bundle_exits_0_1_or_2(pair2, linked, data):
-    # whatever one edit does to a valid bundle, a groupoid's or a random
-    # base's, every command ends in a verdict or an input error, never in
-    # an escaping exception; an edit of the header, or of the whole state
+def test_mutated_bundle_exits_0_1_or_2(pair2, linked, unit, data):
+    # whatever one edit does to a valid bundle, a groupoid's, a one-unit
+    # group's (whose 1 x 1 matrices a JSON true fits) or a random base's,
+    # every command ends in a verdict or an input error, never in an
+    # escaping exception; an edit of the header, or of the whole state
     # section where the command reads it, is an input error
-    source = data.draw(st.sampled_from([pair2, linked]))
+    source = data.draw(st.sampled_from([pair2, unit, linked]))
     doc = json.loads(Path(source).read_text())
     path = mutate(data, doc)
     bundle = Path(source).with_name("mutated.json")
@@ -590,8 +635,8 @@ def test_mutated_bundle_exits_0_1_or_2(pair2, linked, data):
         code = main([command, "--in", str(bundle)])
     assert code in (0, 1, 2)
     # a linked bundle carries its own base, which the state does not feed
-    reads_state = source == pair2 or command not in ("base-check",
-                                                     "factorize")
+    reads_state = source != linked or command not in ("base-check",
+                                                      "factorize")
     if path in (["format"], ["version"]) or (path == ["state"]
                                              and reads_state):
         assert code == 2

@@ -49,7 +49,8 @@ from qgw.staralg import (
     commute_residual,
     rep_value,
 )
-from kron_reference import kron_connectors, mul_operator, pinv_images
+from kron_reference import identity_frame, kron_connectors, mul_operator, \
+    pinv_images
 from small_fixtures import full_matrix_algebra, trivial_bundle, two_point_bundle
 
 
@@ -357,7 +358,8 @@ def linked_case():
         return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
 
     x = draw(nh * nh * nk, 2 * vn.dim)
-    big = RelativeTensorSpace("state", (nh, nh, nk), x @ dagger(x))
+    big = RelativeTensorSpace("state", gram=x @ dagger(x),
+                              **identity_frame(nh, nh, nk))
     return (vn, big, draw(3, nh * nh, nh), draw(3, nh * nk, nk),
             draw(4, vn.dim, vn.dim))
 

@@ -13,6 +13,7 @@ from qgw.linalg import (
 )
 from qgw.staralg import StarAlgebra, rep_value
 from qgw.linalg import span
+from kron_reference import identity_frame
 from small_fixtures import full_matrix_algebra
 
 
@@ -84,8 +85,8 @@ def test_input_guards_follow_the_tolerance():
     gram_negative = np.diag([1.0, -1e-7])
     for gram in (gram_skew, gram_negative):
         with pytest.raises(NumericError):
-            QuotientRealization(gram)
-        assert QuotientRealization(gram, loose).dim >= 1
+            QuotientRealization(gram, **identity_frame(2))
+        assert QuotientRealization(gram, loose, **identity_frame(2)).dim >= 1
 
 
 def test_gns_dimension_and_certificates_full_m2():

@@ -27,7 +27,8 @@ from qgw.linalg import (
     subspace_residual,
     unitary_residual,
 )
-from kron_reference import commutator_operator, mul_operator
+from kron_reference import commutator_operator, identity_frame, \
+    mul_operator
 from small_fixtures import full_matrix_algebra
 
 
@@ -212,17 +213,26 @@ def test_intersect_null_spaces_no_constraints_is_everything():
 
 
 def as_factor(c):
-    """A factor matrix C as QuotientRealization takes it: (C C*, x -> x C,
-    N)."""
+    """A factor matrix C as QuotientRealization takes it: (C C*, x -> x
+    C)."""
     c = np.asarray(c, dtype=complex)
-    return c @ dagger(c), c.__rmatmul__, c.shape[1]
+    return c @ dagger(c), c.__rmatmul__
+
+
+def on_identity(gram=None, factor=None):
+    """QuotientRealization of a Gram, or of a factor matrix, over the
+    identity frame of C^N with every column in its support."""
+    if factor is None:
+        return QuotientRealization(gram, **identity_frame(len(gram)))
+    return QuotientRealization(factor=as_factor(factor),
+                               **identity_frame(factor.shape[1]))
 
 
 def test_quotient_normalization_invariants():
     gen = rng(8)
     a = random_mat(gen, 6, 4)
     gram = dagger(a) @ a  # PSD, rank 4
-    q = QuotientRealization(gram)
+    q = on_identity(gram)
     assert q.dim == 4
     # the section's adjoint is a co-isometry: q G q* = 1
     assert mat_norm(dagger(q.section) @ gram @ q.section - np.eye(4)) < 1e-9
@@ -246,12 +256,12 @@ def test_quotient_from_factor_matches_gram():
     gen = rng(9)
     c = random_mat(gen, 3, 5) @ random_mat(gen, 5, 7)  # rank 3 of 7
     c = np.vstack([c, c[:1] - 2j * c[1:2]])
-    by_factor = QuotientRealization(factor=as_factor(c))
-    by_gram = QuotientRealization(dagger(c) @ c)
+    by_factor = on_identity(factor=c)
+    by_gram = on_identity(dagger(c) @ c)
     assert by_factor.dim == by_gram.dim == 3
     assert by_factor.plain_dim == 7
-    # a factor-built quotient keeps no Gram
-    assert by_factor.gram is None
+    # a quotient keeps no Gram
+    assert not hasattr(by_factor, "gram") and not hasattr(by_gram, "gram")
     for q in (by_factor, by_gram):
         assert mat_norm(dagger(q.section) @ (dagger(c) @ c) @ q.section
                         - np.eye(3)) < 1e-9
@@ -261,9 +271,10 @@ def test_quotient_from_factor_matches_gram():
     inner = dagger(by_factor.class_map @ w) @ (by_factor.class_map @ w)
     assert mat_norm(inner - dagger(w) @ dagger(c) @ c @ w) < 1e-8
     with pytest.raises(DimensionError):
-        QuotientRealization()
+        QuotientRealization(**identity_frame(7))
     with pytest.raises(DimensionError):
-        QuotientRealization(dagger(c) @ c, factor=as_factor(c))
+        QuotientRealization(dagger(c) @ c, factor=as_factor(c),
+                            **identity_frame(7))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e4])
@@ -279,8 +290,8 @@ def test_factor_rank_flips_at_the_cut_on_sigma_squared(scale, times_cut,
     s = scale * np.array([1.0, 0.7, 0.4, np.sqrt(times_cut * cut)])
     vh = random_unitary(n, gen)[:4]
     c = random_unitary(4, gen) @ (s[:, None] * vh)
-    by_factor = QuotientRealization(factor=as_factor(c))
-    by_gram = QuotientRealization(dagger(c) @ c)
+    by_factor = on_identity(factor=c)
+    by_gram = on_identity(dagger(c) @ c)
     assert by_factor.dim == by_gram.dim == kept
     # a kept direction at 10x the cut is resolved to about 4e-16 lam_max /
     # lam_k, 5e-9 here, by either eigh
@@ -292,7 +303,7 @@ def test_factor_rank_flips_at_the_cut_on_sigma_squared(scale, times_cut,
 
 def test_quotient_degenerate_directions_are_killed():
     gram = np.diag([2.0, 0.0, 1.0, 0.0])
-    q = QuotientRealization(gram)
+    q = on_identity(gram)
     assert q.dim == 2
     null_vec = np.array([0.0, 3.0, 0.0, -1.0])
     assert np.linalg.norm(q.class_map @ null_vec) < 1e-12
@@ -300,10 +311,10 @@ def test_quotient_degenerate_directions_are_killed():
 
 def test_quotient_rejects_non_psd_and_non_hermitian():
     with pytest.raises(NumericError):
-        QuotientRealization(np.diag([1.0, -1.0]))
+        on_identity(np.diag([1.0, -1.0]))
     bad = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NumericError):
-        QuotientRealization(bad)
+        on_identity(bad)
 
 
 def test_quotient_keeps_the_guard_readings():
@@ -311,24 +322,24 @@ def test_quotient_keeps_the_guard_readings():
     # 1e-8 check threshold that rtp holds it to
     gram = np.diag([2.0, 1.0, 0.0]).astype(complex)
     gram[0, 1] += 1e-7 / np.sqrt(2)
-    q = QuotientRealization(gram)
+    q = on_identity(gram)
     assert q.hermitian_defect == pytest.approx(1e-7)
     assert q.hermitian_defect > DEFAULT_TOL.check
     # a PSD Gram reads +0.0, which reports print as such
     assert q.psd_defect == 0.0 and not np.signbit(q.psd_defect)
     # a slightly negative eigenvalue inside the PSD guard reads as its ratio
     # to the largest one
-    q = QuotientRealization(np.diag([4.0, -2e-9]))
+    q = on_identity(np.diag([4.0, -2e-9]))
     assert q.psd_defect == pytest.approx(5e-10)
     assert q.hermitian_defect == 0.0
     c = np.array([[1.0, 2.0, 0.0]])
-    q = QuotientRealization(factor=as_factor(c))
+    q = on_identity(factor=c)
     assert q.hermitian_defect == 0.0 and q.psd_defect == 0.0
 
 
 def test_induced_operator_well_definedness():
     gram = np.diag([1.0, 1.0, 0.0])
-    q = QuotientRealization(gram)
+    q = on_identity(gram)
     # block-diagonal operator preserves ker(gram): descends
     ok = np.diag([2.0, 3.0, 7.0])
     mat, res = induced_between(q, q, ok)
@@ -345,8 +356,8 @@ def test_induced_operator_well_definedness():
 
 
 def test_induced_between_different_quotients():
-    src = QuotientRealization(np.diag([1.0, 0.0]))
-    dst = QuotientRealization(np.diag([4.0]))
+    src = on_identity(np.diag([1.0, 0.0]))
+    dst = on_identity(np.diag([4.0]))
     plain = np.array([[3.0, 0.0]])
     mat, res = induced_between(src, dst, plain)
     assert res < 1e-12

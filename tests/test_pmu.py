@@ -8,7 +8,6 @@ from qgw.fixtures import FiniteGroupoid, groupoid_pentagon_unitary
 from qgw.hopf import groupoid_hopf
 from qgw.linalg import (
     DEFAULT_TOL,
-    QuotientRealization,
     dagger,
     mat_norm,
     random_unitary,
@@ -32,7 +31,7 @@ from qgw.pmu import (
     swapped_candidate,
 )
 from qgw.rtensor import central_actions, nest_left, nest_right, rtp_state
-from kron_reference import balanced_gap, frame_unitary, \
+from kron_reference import GramQuotient, balanced_gap, frame_unitary, \
     kron_nested_factor, kron_nested_gram, plain_class_map, rows_class_map, \
     svd_quotient, unitary_gap
 
@@ -78,7 +77,7 @@ def test_leg_wise_edges_match_kron_matrices():
     for maps, plain in zip(pentagon_edge_maps(v, n), kron):
         assert mat_norm(np.kron(*maps) - plain) == 0.0
         for src, dst in zip(vertices, vertices[1:] + vertices[:1]):
-            top = dst.pulled(maps, tuple(map(len, maps)), src)
+            top = dst.pulled(maps, src)
             ref = plain_class_map(dst) @ plain @ frame_unitary(src)
             assert mat_norm(top - ref) < 1e-12 * max(1.0, mat_norm(ref))
 
@@ -135,7 +134,7 @@ def test_nested_vertices_match_kron_grams():
     cases = pentagon_vertex_cases()
     assert len(cases) == 28
     for flavor, name, space, nest in cases:
-        ref = QuotientRealization(kron_nested_gram(*nest))
+        ref = GramQuotient(kron_nested_gram(*nest))
         cm = plain_class_map(space)
         assert space.dim == ref.dim, (flavor, name)
         assert mat_norm(dagger(cm) @ cm - ref.gram) < 1e-12, (flavor, name)

@@ -11,7 +11,6 @@ from qgw.gns import State, gns
 from qgw.fixtures import FiniteGroupoid, groupoid_bundle, linked_bundle
 from qgw.hopf import groupoid_hopf
 from qgw.linalg import (
-    QuotientRealization,
     dagger,
     induced_between,
     mat_norm,
@@ -36,8 +35,9 @@ from qgw.staralg import (
     rep_value,
 )
 from qgw.linalg import span as _span
-from kron_reference import balanced_gap, frame_unitary, kron_nested_gram, \
-    plain_class_map, rows_class_map, unitary_gap
+from kron_reference import GramQuotient, balanced_gap, frame_unitary, \
+    identity_frame, kron_nested_gram, plain_class_map, rows_class_map, \
+    unitary_gap
 from small_fixtures import full_matrix_algebra
 
 
@@ -312,16 +312,17 @@ def test_gram_kernel_shape_and_symmetry():
 
 def kron_lift(space, ops, into=None):
     """Per-element reference: the plain tensor product of the i-th leg
-    operators after into's class map on the plain product, descended out
-    of space."""
+    operators after into's class map on the plain product, read in space's
+    frame and descended out of space."""
     k = max((len(op) for op in ops if op is not None), default=1)
     cm = plain_class_map(space if into is None else into)
+    frame = frame_unitary(space)
     mats, worst = [], 0.0
     for i in range(k):
         plain = np.eye(1)
         for op, d in zip(ops, space.plain_dims):
             plain = np.kron(plain, np.eye(d) if op is None else op[i])
-        mat, res = space.descend(cm @ plain)
+        mat, res = space.descend(cm @ plain @ frame)
         mats.append(mat)
         worst = max(worst, res)
     return np.stack(mats), worst
@@ -340,13 +341,15 @@ def commutant_stack(gen, k, stack):
 
 def lift_cases():
     """(space, leg stacks, whether they descend, into) on a one-leg space,
-    a two-leg square, and from the square into a three-leg nesting of it
-    kept on its support: the intertwiners of the diagonal comultiplication
-    on the plain square fill two of its legs, as in the coassociativity
-    check."""
+    a two-leg square, from the square into a three-leg nesting of it kept
+    on its support (the intertwiners of the diagonal comultiplication on
+    the plain square fill two of its legs, as in the coassociativity
+    check), and out of that nesting, where commutant elements of the
+    actions it is balanced over descend."""
     gen = rng(44)
     x = random_stack(gen, 1, 6)[0][:, :4]
-    one = RelativeTensorSpace("state", (6,), x @ dagger(x))
+    one = RelativeTensorSpace("state", gram=x @ dagger(x),
+                              **identity_frame(6))
     # the range actions of a groupoid: rho also acts on the right leg,
     # where it commutes with sigma, so the square nests
     data = groupoid_hopf(FiniteGroupoid.pair(2))
@@ -370,10 +373,12 @@ def lift_cases():
         (two, [plain, None], True, three),
         (two, [None, plain], True, three),
         (two, [fan_out, random_stack(gen, 2, 4)], False, three),
+        (three, [c_rho, None, c_sigma], True, None),
+        (three, [random_stack(gen, 2, 4) for _ in range(3)], False, None),
     ]
 
 
-@pytest.mark.parametrize("case", range(9))
+@pytest.mark.parametrize("case", range(11))
 def test_stacked_lift_matches_kron_per_element(case):
     space, ops, descends, into = lift_cases()[case]
     mats, worst = space.lift(ops, require=False, into=into)
@@ -404,13 +409,12 @@ def test_lift_rejects_mismatched_stacks():
 def random_space(gen, plain_dims, rank):
     """A state-flavor space over plain_dims with a random Gram of the given
     rank, so its kernel and support are in general position.  Its Gram is
-    given in full, so every pair of coordinates is matched (pairs)."""
+    given in full: the legs are identities and every column is in the
+    support."""
     x = gen.standard_normal((rank, int(np.prod(plain_dims))))
     x = x + 1j * gen.standard_normal(x.shape)
-    space = RelativeTensorSpace("state", plain_dims, dagger(x) @ x)
-    space.pairs = (*map(np.eye, plain_dims),
-                   *np.indices(plain_dims).reshape(2, -1))
-    return space
+    return RelativeTensorSpace("state", gram=dagger(x) @ x,
+                               **identity_frame(*plain_dims))
 
 
 def random_nestings():
@@ -428,7 +432,7 @@ def random_nestings():
 @pytest.mark.parametrize("case", range(2))
 def test_nesting_factor_matches_kron_gram(case):
     space, nest = random_nestings()[case]
-    ref = QuotientRealization(kron_nested_gram(*nest))
+    ref = GramQuotient(kron_nested_gram(*nest))
     cm = plain_class_map(space)
     assert space.plain_dim == ref.plain_dim == 36
     assert space.dim == ref.dim
@@ -445,13 +449,13 @@ def test_nesting_factor_matches_kron_gram(case):
 def test_induced_gap_matches_complement_of_support():
     # the gap of a top read in the frame equals top (1 - support) with
     # support = section class_map formed on the plain space: on a random
-    # nesting (the whole cube) and on a pentagon vertex of pair(2), whose
-    # support is 16 of the 64 plain columns
+    # nesting (the whole cube), on a pentagon vertex of pair(2), whose
+    # support is 16 of the 64 plain columns, and on its source square
     pmu = groupoid_pmu(FiniteGroupoid.pair(2))
     squares, _, pair = state_legs(pmu["candidate"])
     vertex = pentagon_vertices(squares, pair)["first_then_source"]
     gen = rng(46)
-    for space in (random_nestings()[0][0], vertex):
+    for space in (random_nestings()[0][0], vertex, squares["source"]):
         cm = plain_class_map(space)
         proj = dagger(cm) / space.lam @ cm
         comp = np.eye(space.plain_dim) - proj

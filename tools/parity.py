@@ -2,9 +2,9 @@
 
     python tools/parity.py OLD_TREE NEW_TREE
 
-Each tree (a directory holding src/qgw) writes the ten bundles of BUNDLES
-with its own gen-* commands and runs the ten check commands on them, except
-equiv-check on pair(3), one process per run.  Prints the exit-code counts of
+Each tree (a directory holding src/qgw) writes the twelve bundles of
+BUNDLES with its own gen-* commands and runs the ten check commands on them,
+except equiv-check on pair(3) and pair(4), one process per run.  Prints the exit-code counts of
 each tree, each tree's largest peak RSS per command (from os.wait4, so
 memory is read from the same runs as the verdicts), the paths at which each
 tree's bundles differ, every run whose exit code, verdict or check names and
@@ -23,6 +23,8 @@ from pathlib import Path
 BUNDLES = {
     "pair2": ["gen-groupoid", "--pair", "2"],
     "pair3": ["gen-groupoid", "--pair", "3"],
+    "pair4": ["gen-groupoid", "--pair", "4"],
+    "z1": ["gen-group", "--order", "1"],
     "z3": ["gen-group", "--order", "3"],
     "z4": ["gen-group", "--order", "4"],
     "z3-swap": ["gen-group", "--order", "3", "--variant", "swap"],
@@ -38,7 +40,7 @@ BUNDLES = {
 }
 COMMANDS = ["gns", "base-check", "factorize", "rtp", "phi", "fiber",
             "morphism-check", "hopf-check", "pmu-check", "equiv-check"]
-SKIPPED = {("pair3", "equiv-check")}
+SKIPPED = {("pair3", "equiv-check"), ("pair4", "equiv-check")}
 
 
 def qgw(tree: Path, argv: list, out: Path):
