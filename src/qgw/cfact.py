@@ -80,16 +80,22 @@ class Factorization:
         prod = self.product_algebra()
         xs = self.subspace.stack
         n = self.base.space_dim
-        # inner products land in and span the product algebra
-        prods = (dagger(xs)[:, None] @ xs[None]).reshape(-1, n, n)
-        out["products_in_algebra"] = prod.residual(prods)
+        # inner products x_i* x_j land in and span the product algebra, and
+        # the module products x_i b stay in the span: formed for blocks of
+        # rows i that hold no more entries than xs (x_i is target x n)
+        in_algebra = closed = 0.0
+        prods = span([], n, n, self.tol)
+        step = max(1, self.target_dim // n)
+        for rows in (xs[i:i + step] for i in range(0, self.dim, step)):
+            block = (dagger(rows)[:, None] @ xs[None]).reshape(-1, n, n)
+            in_algebra = max(in_algebra, prod.residual(block))
+            prods = span(np.concatenate([prods.stack, block]), n, n, self.tol)
+            closed = max(closed, self.subspace.residual(
+                rows[:, None] @ prod.subspace.stack[None]))
+        out["products_in_algebra"] = in_algebra
         out["products_span_algebra"] = subspace_residual(
-            span(prods, n, n, self.tol), prod.subspace,
-        ) if len(prods) else float(prod.dim)
-        # right module over the product algebra
-        out["module_closed"] = self.subspace.residual(
-            xs[:, None] @ prod.subspace.stack[None]
-        )
+            prods, prod.subspace) if self.dim else float(prod.dim)
+        out["module_closed"] = closed
         # ranges fill the target
         cols = xs.transpose(1, 0, 2).reshape(self.target_dim, -1)
         out["spans_target_defect"] = float(
@@ -137,10 +143,9 @@ class Factorization:
             "unital": rep["unital"],
             "multiplicative": rep["multiplicative"],
             "star": rep["star"],
-            "exchange_identity": worst_norm(
-                rhos[:, None] @ fs[None]
-                - fs[None] @ acting.subspace.stack[:, None]
-            ),
+            "exchange_identity": max(
+                (worst_norm(r @ fs - fs @ a) for r, a in
+                 zip(rhos, acting.subspace.stack)), default=0.0),
         }
 
     def r_operator(self, h: np.ndarray) -> np.ndarray:

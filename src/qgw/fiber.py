@@ -33,7 +33,6 @@ from .linalg import (
     from_pairs,
     intersect_null_spaces,
     intertwiner_rows,
-    mat_norm,
     span,
     subspace_residual,
     worst_norm,
@@ -59,10 +58,11 @@ def fiber_classical(space: RelativeTensorSpace, left_alg: StarAlgebra,
         [left_alg.commutant().subspace.stack, None], require=False)
     right, worst_right = space.lift(
         [None, right_alg.commutant().subspace.stack], require=False)
-    lifts = np.concatenate([left, right])
-    family = np.concatenate([lifts, dagger(lifts)])
-    swap = np.roll(np.eye(len(family)), len(lifts), axis=0)
-    q = space.dim
+    m, q = len(left) + len(right), space.dim
+    family = np.concatenate([left, right, left, right])
+    del left, right
+    np.conjugate(family[:m].swapaxes(1, 2), out=family[m:])
+    swap = np.roll(np.eye(2 * m), m, axis=0)
     rows = intertwiner_rows(family, family, swap, space.tol)
     algebra = StarAlgebra(q, OperatorSubspace(q, q, rows.reshape(-1, q, q)),
                           space.tol, certify=False)
@@ -263,29 +263,49 @@ def fiber_morphism(source_space: RelativeTensorSpace,
     legs are zipped leg stacks, lifted into the target as connecting maps
     W_k (RelativeTensorSpace.lift with into; one leg may fan out into
     several).  Z_m W_k = W_k S_m for every k pins Z_m row by row: Z_m =
-    [W_k S_m]_k [W_k]_k* H^-1 image by image, against one eigh of H = sum_k
-    W_k W_k* cut at the square of the stack's singular-value cut.  Returns
+    (sum_k W_k S_m W_k*) H^-1 image by image, against one eigh of H =
+    sum_k W_k W_k* cut at the square of the stack's singular-value cut.
+    The connectors are held side by side in blocks of about q_to / q_from,
+    each about q_to x q_to, so no product spans the whole stack.  Returns
     (stack of Z_m, worst residual over the connectors' descent and the
     exchange relations); NotWellDefinedError when the stacked connectors
     lack full row rank, so they do not determine the image uniquely.
     """
     conn, worst = source_space.lift(legs, require=False, into=target_space)
     k, q_to, q_from = conn.shape
-    columns = conn.transpose(1, 0, 2).reshape(q_to, k * q_from)
-    lam, u = np.linalg.eigh(columns @ dagger(columns))
+    step = -(-q_to // q_from)
+    blocks = [conn[i:i + step].transpose(1, 0, 2).reshape(q_to, -1)
+              for i in range(0, k, step)]
+    del conn
+    lam, u = np.linalg.eigh(sum((c @ dagger(c) for c in blocks),
+                                np.zeros((q_to, q_to), dtype=complex)))
     cut = source_space.tol.rank_cut(np.sqrt(np.max(lam, initial=0.0)),
-                                    *columns.shape) ** 2
+                                    q_to, k * q_from) ** 2
     if np.sum(lam > cut) != q_to:
         raise NotWellDefinedError(
             "connecting maps do not determine the image uniquely"
         )
-    pinv = dagger(columns) @ (u / lam) @ dagger(u)
+    h_inv = (u / lam) @ dagger(u)
+
+    def moved(c, image):
+        """The block's [W_k S_m]_k, in the layout of the block."""
+        return (c.reshape(-1, q_from) @ image).reshape(q_to, -1)
+
     z = np.empty((len(images), q_to, q_to), dtype=complex)
-    # one image at a time: [W_k S_m]_k, in the layout of the columns, and
-    # its gap are never formed for the whole stack
     for m, image in enumerate(images):
-        moved = (columns.reshape(-1, q_from) @ image).reshape(q_to, -1)
-        z[m] = moved @ pinv
-        res = mat_norm(z[m] @ columns - moved) / max(1.0, mat_norm(moved))
-        worst = max(worst, res)
+        # sum_k W_k S_m W_k* = (sum over blocks of c conj([W_k S_m]_k)^T)*
+        acc = np.zeros((q_to, q_to), dtype=complex)
+        for c in blocks:
+            x = moved(c, image)
+            acc += c @ np.conjugate(x, out=x).T
+        z[m] = dagger(acc) @ h_inv
+        # the norm of the difference, block by block: a difference of
+        # squared norms would resolve it only to about sqrt(eps)
+        gap = scale = 0.0
+        for c in blocks:
+            x = moved(c, image)
+            scale += np.vdot(x, x).real
+            x -= z[m] @ c
+            gap += np.vdot(x, x).real
+        worst = max(worst, float(np.sqrt(gap) / max(1.0, np.sqrt(scale))))
     return z, worst

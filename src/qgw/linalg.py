@@ -270,19 +270,21 @@ def null_rows(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return v[:, keep].T
 
 
-def exchange_gram(t: np.ndarray, s: np.ndarray, a: np.ndarray,
-                  b: np.ndarray) -> np.ndarray:
+def exchange_gram(t: np.ndarray, s: np.ndarray, u: np.ndarray, v: np.ndarray,
+                  a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gram sum C_i* C_i of the constraints C_i vec(T) = vec(t_i T - T s_i)
-    on the unknowns T[a_p, b_p] alone: entry [p, r] is d(a_p, a_r) B[b_p, b_r]
-    + A[a_p, a_r] d(b_p, b_r) - X[p, r] - conj(X[r, p]), d the Kronecker
-    delta, A = sum t_i* t_i, B = sum conj(s_i) s_i^T, X[p, r] =
-    sum t_i[a_p, a_r] conj(s_i[b_p, b_r]), accumulated one member at a
-    time."""
+    on the unknowns T[a_p, b_p] alone, t_i and s_i read in the unitary
+    frames u and v (t_i -> u* t_i u, s_i -> v* s_i v): entry [p, r] is
+    d(a_p, a_r) B[b_p, b_r] + A[a_p, a_r] d(b_p, b_r) - X[p, r] -
+    conj(X[r, p]), d the Kronecker delta, A = sum t_i* t_i, B = sum
+    conj(s_i) s_i^T, X[p, r] = sum t_i[a_p, a_r] conj(s_i[b_p, b_r]),
+    accumulated (and rotated) one member at a time."""
     ai, aj, bi, bj = a[:, None], a[None], b[:, None], b[None]
     x = np.zeros((a.size, a.size), dtype=complex)
     a_sum = np.zeros(t.shape[1:], dtype=complex)
     b_sum = np.zeros(s.shape[1:], dtype=complex)
     for ti, si in zip(t, s):
+        ti, si = dagger(u) @ ti @ u, dagger(v) @ si @ v
         x += ti[ai, aj] * si[bi, bj].conj()
         a_sum += ti.conj().T @ ti
         b_sum += si.conj() @ si.T
@@ -354,13 +356,19 @@ def intertwiner_rows(t: np.ndarray, s: np.ndarray, star: np.ndarray,
     same eigenvalue (eigen_match); only those entries are unknowns.
     """
     t, s, star = as_complex(t), as_complex(s), as_complex(star)
-    gap = max(worst_norm(dagger(f) - np.tensordot(star.T, f, axes=1))
-              for f in (t, s))
-    if gap > tol.check * max(1.0, worst_norm(t), worst_norm(s)):
+    gap = scale = 0.0
+    for f in (t, s):
+        # one temporary: conj(sum_j star[j, i] f_j) - f_i^T, whose norm is
+        # that of f_i* - sum_j star[j, i] f_j
+        diff = np.conjugate(np.tensordot(star.T, f, axes=1))
+        diff -= np.swapaxes(f, -1, -2)
+        gap = max(gap, np.max(stack_norms(diff), initial=0.0))
+        scale = max(scale, np.max(stack_norms(f), initial=0.0))
+    if gap > tol.check * max(1.0, scale):
         raise PreconditionError(f"family is not *-closed: residual {gap:.3e}")
 
     u, v, a, b, _ = eigen_match(star_closed_pair(t, s, star), tol)
-    gram = exchange_gram(dagger(u) @ t @ u, dagger(v) @ s @ v, a, b)
+    gram = exchange_gram(t, s, u, v, a, b)
     mats = from_pairs(null_rows(gram, tol), u, v, a, b)
     return mats.reshape(len(mats), u.shape[0] * v.shape[0])
 
@@ -453,18 +461,23 @@ class QuotientRealization:
             out, pre = dagger(u) @ out.reshape(pre, d, -1), pre * d
         return out.reshape(mat.shape)
 
-    def descend(self, top: np.ndarray):
+    def descend(self, tops):
         """Descend a map whose composite with the destination's class map is
         top (k, N), read in this quotient's frame, out of this quotient;
-        top's support columns are overwritten.  Returns (top[:, cols] core*
-        / lam, residual): the well-definedness gap, failure to annihilate
+        tops yields top in blocks of rows, consumed once, and each block's
+        support columns are overwritten.  Returns (top[:, cols] core* /
+        lam, residual): the well-definedness gap, failure to annihilate
         ker(G), on the support columns together with every column off them,
         normalized by the scale of top, never a difference of squares.
         """
-        scale = max(1.0, mat_norm(top))
-        mats = top[:, self.cols] @ (dagger(self.core) / self.lam)
-        top[:, self.cols] -= mats @ self.core
-        return mats, mat_norm(top) / scale
+        inverse = dagger(self.core) / self.lam
+        mats, gap, scale = [], 0.0, 0.0
+        for top in tops:
+            scale += np.vdot(top, top).real
+            mats.append(top[:, self.cols] @ inverse)
+            top[:, self.cols] -= mats[-1] @ self.core
+            gap += np.vdot(top, top).real
+        return np.concatenate(mats), np.sqrt(gap) / max(1.0, np.sqrt(scale))
 
 
 def induced_between(
@@ -480,8 +493,8 @@ def induced_between(
     plain_map = as_complex(plain_map)
     if plain_map.shape != (dst.plain_dim, src.plain_dim):
         raise DimensionError("plain map does not connect the two spaces")
-    return src.descend(dagger(src.frame_rows(dagger(
-        dst.class_map @ plain_map))))
+    return src.descend([dagger(src.frame_rows(dagger(
+        dst.class_map @ plain_map)))])
 
 
 def rng(seed: int) -> np.random.Generator:

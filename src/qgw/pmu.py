@@ -182,8 +182,9 @@ def _pentagon_residuals(vertices: dict, v_plain: np.ndarray, n: int) -> dict:
     """Edge maps between the seven vertices and the two-path comparison.
 
     An edge's plain map X is contracted into the destination's core in the
-    source's frame (pulled) and descended: core_dst (W_dst* X W_src)
-    core_src* / lam, with a gap that holds every column off W_src."""
+    source's frame (pulled) and descended, one block of core rows at a
+    time: core_dst (W_dst* X W_src) core_src* / lam, with a gap that holds
+    every column off W_src."""
     v12, v23, sw23 = pentagon_edge_maps(v_plain, n)
     worst = 0.0
 

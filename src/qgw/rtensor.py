@@ -81,29 +81,6 @@ def _halves(dims: tuple, first: int) -> list:
     return [(0, split), (split, len(dims))]
 
 
-def _contract(core: np.ndarray, index, factors) -> np.ndarray:
-    """sum_p core[:, p] (factors[0][index[0][p]] x factors[1][index[1][p]])
-    as a (len(core), d_0 d_1) matrix, summed per value j of the index with
-    fewer values into parts[:, j] (the first) or parts[j] (the second), so
-    the rows (len(index), d_0 d_1) are never formed."""
-    # bincount, not np.unique: that imports numpy.ma, 1.3 MB resident
-    counts = [np.bincount(i) for i in index]
-    key = int(np.count_nonzero(counts[1]) < np.count_nonzero(counts[0]))
-    vals = np.flatnonzero(counts[key])
-    # each value's p as one run, in order (a numpy sort: +0.2 MB resident)
-    order = np.nonzero(index[key] == vals[:, None])[1]
-    core, other = core[:, order], factors[1 - key][index[1 - key][order]]
-    parts = np.empty((len(vals), len(core), other.shape[1]) if key
-                     else (len(core), len(vals), other.shape[1]), dtype=complex)
-    ends = np.cumsum(counts[key][vals])
-    for part, lo, hi in zip(np.moveaxis(parts, 1 - key, 0),
-                            ends - counts[key][vals], ends):
-        part[...] = core[:, lo:hi] @ other[lo:hi]
-    top = parts.reshape(len(vals), -1).T @ factors[1][vals] if key \
-        else factors[0][vals].T @ parts
-    return top.reshape(len(core), -1)
-
-
 class RelativeTensorSpace(QuotientRealization):
     """Quotient of a plain tensor product of the given leg dimensions under
     a relative Gram, in a frame of per-leg unitaries (QuotientRealization)."""
@@ -152,12 +129,12 @@ class RelativeTensorSpace(QuotientRealization):
                 or (into is None and groups != self.plain_dims):
             raise DimensionError(f"leg maps into {groups} do not reach the "
                                  f"plain dimensions {dst.plain_dims}")
+        pull = dst.puller(self, groups[0], self.plain_dims[0])
         mats = np.empty((sizes.pop(), dst.dim, self.dim), dtype=complex)
         res = 0.0
         for i in range(len(mats)):
-            mats[i], gap = self.descend(dst.pulled(
-                [np.eye(d, dtype=complex) if op is None else op[i]
-                 for op, d in zip(ops, self.plain_dims)], self))
+            mats[i], gap = self.descend(pull(
+                [None if op is None else op[i] for op in ops]))
             res = max(res, float(gap))
         if require and res > self.tol.check:
             raise NotWellDefinedError(
@@ -165,25 +142,73 @@ class RelativeTensorSpace(QuotientRealization):
             )
         return mats, res
 
-    def pulled(self, maps, src: QuotientRealization) -> np.ndarray:
+    def pulled(self, maps, src: QuotientRealization):
         """The class map contracted with one plain map (g, d) per group of
         consecutive legs whose dimensions multiply to g, read in src's
-        frame, where the d's group src's legs alike: (dim, prod d).  Maps
-        past the second fold into it (kron); the core is contracted with
-        (kron of each group's legs)* map (kron of src's legs) (_contract)."""
-        maps = [maps[0], functools.reduce(np.kron, maps[1:] or [np.eye(1)])]
-        g0, g1 = map(len, maps)
-        spans = _halves(self.plain_dims, g0)
+        frame, where the d's group src's legs alike: (dim, prod d), yielded
+        in blocks of rows no larger than the core (puller): an edge between
+        spaces over the plain cube never holds a top of dim x N entries."""
+        return self.puller(src, *maps[0].shape)(
+            maps, max(1, self.core.size // src.plain_dim))
+
+    def puller(self, src: QuotientRealization, g0: int, d0: int):
+        """pull(maps, rows=None) yields pulled(maps, src), for maps[0] (g0,
+        d0), in blocks of rows of the core (default: one block).  Maps past
+        the second fold into it (kron); None is the identity on its leg.
+        The core is contracted with (kron of each group's legs)* map (kron
+        of src's legs), summed per value j of the group index with fewer
+        values into parts[:, j] (the first) or parts[j] (the second), so the
+        rows (len(cols), prod d) are never formed.  That grouping, and the
+        factor of a group whose maps are all None, are made once."""
+        g1 = self.plain_dim // g0
+        spans, src_spans = _halves(self.plain_dims, g0), \
+            _halves(src.plain_dims, d0)
         if g0 * g1 != self.plain_dim \
                 or g0 != np.prod(self.plain_dims[:spans[1][0]]):
             raise DimensionError(f"maps into {(g0, g1)} do not split "
                                  f"{self.plain_dims} in two")
-        factors = [dagger(src.frame_rows(dagger(self.frame_rows(m, *span)),
-                                         *src_span))
-                   for m, span, src_span in zip(
-                       maps, spans, _halves(src.plain_dims, maps[0].shape[1]))]
         index = [self.cols // g1 % g0, self.cols % g1]
-        return _contract(self.core, index, factors)
+        # bincount, not np.unique: that imports numpy.ma, 1.3 MB resident
+        counts = [np.bincount(i) for i in index]
+        key = int(np.count_nonzero(counts[1]) < np.count_nonzero(counts[0]))
+        vals = np.flatnonzero(counts[key])
+        # each value's p as one run, in order (a numpy sort: +0.2 MB resident)
+        order = np.nonzero(index[key] == vals[:, None])[1]
+        core, at = self.core[:, order], index[1 - key][order]
+        ends = np.cumsum(counts[key][vals])
+        runs = list(zip(ends - counts[key][vals], ends))
+        eyes = {}
+
+        def factor(m, i):
+            if m is None:
+                if i not in eyes:
+                    eyes[i] = factor(np.eye((g0, g1)[i], dtype=complex), i)
+                return eyes[i]
+            return dagger(src.frame_rows(dagger(self.frame_rows(
+                m, *spans[i])), *src_spans[i]))
+
+        def pull(maps, rows=None):
+            rest = maps[1:]
+            second = None if all(m is None for m in rest) else \
+                functools.reduce(np.kron, [
+                    np.eye(d) if m is None else m
+                    for m, d in zip(rest, src.plain_dims[src_spans[1][0]:])])
+            factors = [factor(maps[0], 0), factor(second, 1)]
+            other, outer = factors[1 - key][at], factors[key][vals]
+            rows = rows or max(1, len(core))
+            for lo in range(0, max(1, len(core)), rows):
+                block = core[lo:lo + rows]
+                parts = np.empty(
+                    (len(vals), len(block), other.shape[1]) if key
+                    else (len(block), len(vals), other.shape[1]),
+                    dtype=complex)
+                for part, (i, j) in zip(np.moveaxis(parts, 1 - key, 0), runs):
+                    part[...] = block[:, i:j] @ other[i:j]
+                top = parts.reshape(len(vals), -1).T @ outer if key \
+                    else outer.T @ parts
+                yield top.reshape(len(block), -1)
+
+        return pull
 
 
 def central_actions(flavor: str, meta: dict):

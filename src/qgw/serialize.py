@@ -177,6 +177,8 @@ def decode_state(obj, where: str = "state",
         raise FormatError(f"{where}: expected keys 'algebra' and 'rho'")
     alg = decode_algebra(obj["algebra"], f"{where}.algebra", tol)
     density = decode_matrix(obj["rho"], f"{where}.rho")
+    if not np.all(np.isfinite(density)):
+        raise FormatError(f"{where}.rho: expected a finite matrix")
     return State.from_density(alg, density)
 
 

@@ -153,7 +153,7 @@ def kron_connectors(src, dst, left, right):
     frame = frame_unitary(src)
     for x in left:
         for y in right:
-            mat, res = src.descend(cm @ np.kron(x, y) @ frame)
+            mat, res = src.descend([cm @ np.kron(x, y) @ frame])
             mats.append(mat)
             worst = max(worst, res)
     return np.stack(mats), worst
@@ -172,3 +172,22 @@ def pinv_images(connectors, images):
                     / max(1.0, np.linalg.norm(moved)))
         out.append(z)
     return np.stack(out), worst
+
+
+def stacked_fiber_morphism(source_space, target_space, legs, images):
+    """fiber_morphism as solved on the whole connector stack: the columns
+    [W_k]_k (q_to x k q_from), their pseudo-inverse from eigh of the Gram,
+    and a full-width [W_k S_m]_k and residual per image.  Returns (stack of
+    Z_m, worst residual)."""
+    conn, worst = source_space.lift(legs, require=False, into=target_space)
+    k, q_to, q_from = conn.shape
+    columns = conn.transpose(1, 0, 2).reshape(q_to, k * q_from)
+    lam, u = np.linalg.eigh(columns @ dagger(columns))
+    pinv = dagger(columns) @ (u / lam) @ dagger(u)
+    z = np.empty((len(images), q_to, q_to), dtype=complex)
+    for m, image in enumerate(images):
+        moved = (columns.reshape(-1, q_from) @ image).reshape(q_to, -1)
+        z[m] = moved @ pinv
+        res = mat_norm(z[m] @ columns - moved) / max(1.0, mat_norm(moved))
+        worst = max(worst, res)
+    return z, worst

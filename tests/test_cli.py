@@ -616,15 +616,13 @@ def mutate(data, doc):
     return path
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_mutated_bundle_exits_0_1_or_2(pair2, linked, unit, data):
-    # whatever one edit does to a valid bundle, a groupoid's, a one-unit
-    # group's (whose 1 x 1 matrices a JSON true fits) or a random base's,
-    # every command ends in a verdict or an input error, never in an
-    # escaping exception; an edit of the header, or of the whole state
-    # section where the command reads it, is an input error
+def check_mutated_bundle(pair2, linked, unit, data):
+    """Whatever one edit does to a valid bundle, a groupoid's, a one-unit
+    group's (whose 1 x 1 matrices a JSON true fits) or a random base's,
+    every command ends in a verdict or an input error, never in an
+    escaping exception; an edit of the header, of the whole state section
+    or of the size of a state matrix, where the command reads the state,
+    is an input error."""
     source = data.draw(st.sampled_from([pair2, unit, linked]))
     doc = json.loads(Path(source).read_text())
     path = mutate(data, doc)
@@ -637,9 +635,40 @@ def test_mutated_bundle_exits_0_1_or_2(pair2, linked, unit, data):
     # a linked bundle carries its own base, which the state does not feed
     reads_state = source != linked or command not in ("base-check",
                                                       "factorize")
-    if path in (["format"], ["version"]) or (path == ["state"]
-                                             and reads_state):
+    sized = path is not None and path[:1] == ["state"] \
+        and path[-1] in ("rows", "cols")
+    if path in (["format"], ["version"]) or (
+            (path == ["state"] or sized) and reads_state):
         assert code == 2
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_bundle_exits_0_1_or_2(pair2, linked, unit, data):
+    check_mutated_bundle(pair2, linked, unit, data)
+
+
+class Forced:
+    """Stands in for hypothesis' data object, returning the given values
+    in order, one per draw."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
+
+
+@pytest.mark.parametrize("size", ["rows", "cols"])
+@pytest.mark.parametrize("command", CHECK_COMMANDS)
+def test_one_unit_size_retyped_to_true_exits_2(pair2, linked, unit, command,
+                                               size):
+    # the draws: the bundle, the edit, the keys walked to state.rho's size
+    # (each further step a true), the new value and the command; a JSON
+    # true reads as 1 in Python, which the one-unit matrix's size is
+    check_mutated_bundle(pair2, linked, unit, Forced(
+        unit, "retype", "state", True, "rho", True, size, True, command))
 
 
 @pytest.mark.parametrize("bundle", ["pair2", "linked"])
@@ -652,7 +681,8 @@ def test_bundle_matrices_are_packed_as_they_are_parsed(request, bundle):
         assert mat["data"].shape == (mat["rows"] * mat["cols"], 2)
 
 
-# the malformed entries of test_serialize, reaching a command from a file
+# the malformed entries of test_serialize, and a density that decodes but
+# is not finite, reaching a command from a file
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d[:-1], "data must hold 4 entries, got 3"),
     (lambda d: d[:-1] + [[1.0]], "data[3] must be [re, im]"),
@@ -661,7 +691,9 @@ def test_bundle_matrices_are_packed_as_they_are_parsed(request, bundle):
      "data[1] is too large for a double"),
     (lambda d: [d[0], [[1.0], 0.0], *d[2:]], "data[1] must be [re, im]"),
     (lambda d: [d[0], [1.0, 0.0, 0.0], *d[2:]], "data[1] must be [re, im]"),
-], ids=["short", "ragged", "string", "huge_int", "nested", "three"])
+    (lambda d: [d[0], [float("nan"), 0.0], *d[2:]],
+     "expected a finite matrix"),
+], ids=["short", "ragged", "string", "huge_int", "nested", "three", "nan"])
 def test_malformed_matrix_data_in_a_file_exits_2(capsys, tmp_path, pair2,
                                                  edit, message):
     doc = json.loads(Path(pair2).read_text())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ from qgw.staralg import (
     rep_value,
 )
 from kron_reference import identity_frame, kron_connectors, mul_operator, \
-    pinv_images
+    pinv_images, stacked_fiber_morphism
 from small_fixtures import full_matrix_algebra, trivial_bundle, two_point_bundle
 
 
@@ -397,6 +399,40 @@ def test_connector_gram_solve_matches_the_svd_pseudo_inverse(case):
         z, _ = fiber_morphism(src, dst, legs, images)
         ref, _ = pinv_images(conn, images)
         assert mat_norm(z - ref) <= 1e-12 * max(1.0, mat_norm(ref))
+
+
+BLOCKED_CASES = {**CONNECTOR_CASES,
+                 "pair3": lambda: coassociativity_case(FiniteGroupoid.pair(3))}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+def test_blocked_connector_solve_matches_the_stacked_one(case):
+    # blocks of about q_to / q_from connectors give the Z_m and the worst
+    # residual of the solve on the whole stack [W_k]_k; the linked case's
+    # legs do not descend and its images are random, so its residual is
+    # far from zero
+    src, dst, left, right, images = BLOCKED_CASES[case]()
+    for legs in ([left, None], [None, right]):
+        z, worst = fiber_morphism(src, dst, legs, images)
+        ref, ref_worst = stacked_fiber_morphism(src, dst, legs, images)
+        assert mat_norm(z - ref) <= 1e-12 * max(1.0, mat_norm(ref))
+        assert abs(worst - ref_worst) <= 1e-12
+
+
+def test_classical_product_holds_under_2_mb_on_pair3():
+    # the family of lifts and adjoints is built once and rotated member by
+    # member in the exchange Gram (2.3 MB traced peak with the lifts, their
+    # adjoints and the rotated family held together)
+    h = groupoid_hopf(FiniteGroupoid.pair(3))
+    space, algebra = h["state_space"], h["algebra"]
+    tracemalloc.start()
+    try:
+        product, _ = fiber_classical(space, algebra, algebra)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert product.dim == algebra.dim
+    assert peak < 2e6, peak
 
 
 def kron_block_spatial(space, left_alg, right_alg):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,32 @@ def test_coassociativity_residual_is_scale_accurate():
     h = groupoid_hopf(FiniteGroupoid.pair(2))
     rep = check_hopf_state(h["state_space"], h["algebra"], h["delta_state"])
     assert rep.residuals["coassociative"] < 1e-10
+
+
+def test_perturbed_group_control_fails_coassociativity():
+    # the candidate of gen-group --order 3 --hopf-perturb 7 is no *-map,
+    # so the *-closure check of its intertwiner solve refuses it (residual
+    # 1.1e-2) and coassociativity reads infinity
+    h = perturbed_hopf(groupoid_hopf(FiniteGroupoid.cyclic(3)), seed=7)
+    rep = check_hopf_state(h["state_space"], h["algebra"], h["delta_state"])
+    assert rep.residuals["coassociative"] > rep.thresholds["coassociative"]
+
+
+def test_coassociativity_holds_under_5_mb_on_pair3():
+    # the connectors are solved in blocks of about q_to x q_to (7.5 MB
+    # traced peak with the stack, its pseudo-inverse and a full-width
+    # residual per image)
+    h = groupoid_hopf(FiniteGroupoid.pair(3))
+    space = h["state_space"]
+    tracemalloc.start()
+    try:
+        res = hopf._coassociativity_residual(space, h["algebra"],
+                                             h["delta_state"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res < 1e-10
+    assert peak < 5e6, peak
 
 
 def test_intertwiner_solves_follow_the_tolerance(monkeypatch):

@@ -139,15 +139,25 @@ def test_exchange_gram_matches_kron_blocks():
     for ti, si in zip(t, s):
         b = mul_operator(ti, np.eye(n)) - mul_operator(np.eye(m), si)
         ref += dagger(b) @ b
+    eye_m, eye_n = np.eye(m), np.eye(n)
     every = np.indices((m, n)).reshape(2, -1)
-    assert mat_norm(exchange_gram(t, s, *every) - ref) < 1e-12 * mat_norm(ref)
+    assert mat_norm(exchange_gram(t, s, eye_m, eye_n, *every) - ref) \
+        < 1e-12 * mat_norm(ref)
     # on a subset of the unknowns it is the reference's principal block
     a, b = np.array([0, 2, 2, 1]), np.array([4, 0, 3, 3])
     part = ref[np.ix_(a * n + b, a * n + b)]
-    assert mat_norm(exchange_gram(t, s, a, b) - part) < 1e-12 * mat_norm(ref)
+    assert mat_norm(exchange_gram(t, s, eye_m, eye_n, a, b) - part) \
+        < 1e-12 * mat_norm(ref)
+    # members read in unitary frames are the rotated family's Gram
+    u, v = random_unitary(m, gen), random_unitary(n, gen)
+    rotated = exchange_gram(dagger(u) @ t @ u, dagger(v) @ s @ v, eye_m,
+                            eye_n, a, b)
+    assert mat_norm(exchange_gram(t, s, u, v, a, b) - rotated) \
+        < 1e-12 * mat_norm(ref)
     ref = sum(dagger(c) @ c for c in map(commutator_operator, t))
     every = np.indices((m, m)).reshape(2, -1)
-    assert mat_norm(exchange_gram(t, t, *every) - ref) < 1e-12 * mat_norm(ref)
+    assert mat_norm(exchange_gram(t, t, eye_m, eye_m, *every) - ref) \
+        < 1e-12 * mat_norm(ref)
 
 
 def test_intertwiner_rows_of_an_amplification():

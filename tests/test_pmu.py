@@ -77,7 +77,7 @@ def test_leg_wise_edges_match_kron_matrices():
     for maps, plain in zip(pentagon_edge_maps(v, n), kron):
         assert mat_norm(np.kron(*maps) - plain) == 0.0
         for src, dst in zip(vertices, vertices[1:] + vertices[:1]):
-            top = dst.pulled(maps, src)
+            top = np.concatenate(list(dst.pulled(maps, src)))
             ref = plain_class_map(dst) @ plain @ frame_unitary(src)
             assert mat_norm(top - ref) < 1e-12 * max(1.0, mat_norm(ref))
 

@@ -322,7 +322,7 @@ def kron_lift(space, ops, into=None):
         plain = np.eye(1)
         for op, d in zip(ops, space.plain_dims):
             plain = np.kron(plain, np.eye(d) if op is None else op[i])
-        mat, res = space.descend(cm @ plain @ frame)
+        mat, res = space.descend([cm @ plain @ frame])
         mats.append(mat)
         worst = max(worst, res)
     return np.stack(mats), worst
@@ -466,7 +466,7 @@ def test_induced_gap_matches_complement_of_support():
         keeping = proj @ x @ proj + comp @ y @ comp
         for plain, descends in [(keeping, True), (x + 1j * y, False)]:
             top = cm @ plain
-            mat, res = space.descend(top @ frame_unitary(space))
+            mat, res = space.descend([top @ frame_unitary(space)])
             old = mat_norm(top @ comp) / max(1.0, mat_norm(top))
             assert abs(res - old) < 1e-12
             assert mat_norm(mat - top @ dagger(cm) / space.lam) < 1e-12
