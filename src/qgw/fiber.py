@@ -34,6 +34,7 @@ from .linalg import (
     intersect_null_spaces,
     intertwiner_rows,
     span,
+    stack_norms,
     subspace_residual,
     worst_norm,
 )
@@ -80,7 +81,7 @@ def _keep_rows(kets: np.ndarray, basis: np.ndarray, a: np.ndarray,
     for ket in kets:
         rows = ket[b]
         along = np.einsum("jpn,pn->pj", picked, rows)
-        moved = -(along @ flat).reshape((a.size,) + ket.shape)
+        moved = (-along @ flat).reshape((a.size,) + ket.shape)
         moved[p, a] += rows
         yield moved.reshape(a.size, -1).T
 
@@ -187,12 +188,12 @@ def intertwiner_space(images: np.ndarray, source: StarAlgebra,
 
 
 def _kept(sub: OperatorSubspace, mats: np.ndarray, thr: float) -> np.ndarray:
-    """Which matrices of the stack lie in sub, each within thr times its
-    own scale; reduced over the last stack axis."""
-    gap = np.linalg.norm(mats - sub.reconstruct(sub.coefficients(mats)),
-                         axis=(-2, -1))
-    scale = np.maximum(1.0, np.linalg.norm(mats, axis=(-2, -1)))
-    return np.all(gap <= thr * scale, axis=-1)
+    """Which members of the stack (k, l, m, n) have all l matrices in sub,
+    each within thr times its own scale; one member at a time."""
+    def kept(x):
+        gap = stack_norms(sub.reconstruct(sub.coefficients(x)) - x)
+        return np.all(gap <= thr * np.maximum(1.0, stack_norms(x)))
+    return np.array([kept(x) for x in mats], dtype=bool)
 
 
 def is_morphism(images: np.ndarray, source_alg: StarAlgebra,
@@ -256,27 +257,28 @@ def is_morphism(images: np.ndarray, source_alg: StarAlgebra,
 
 
 def fiber_morphism(source_space: RelativeTensorSpace,
-                   target_space: RelativeTensorSpace, legs, images):
-    """Images of a stack of source-quotient operators S_m under the map
-    between fiber products induced by leg maps.
+                   target_space: RelativeTensorSpace, legs):
+    """The map between fiber products induced by leg maps, applied to
+    source-quotient operators S one at a time.
 
     legs are zipped leg stacks, lifted into the target as connecting maps
     W_k (RelativeTensorSpace.lift with into; one leg may fan out into
-    several).  Z_m W_k = W_k S_m for every k pins Z_m row by row: Z_m =
-    (sum_k W_k S_m W_k*) H^-1 image by image, against one eigh of H =
-    sum_k W_k W_k* cut at the square of the stack's singular-value cut.
-    The connectors are held side by side in blocks of about q_to / q_from,
-    each about q_to x q_to, so no product spans the whole stack.  Returns
-    (stack of Z_m, worst residual over the connectors' descent and the
-    exchange relations); NotWellDefinedError when the stacked connectors
-    lack full row rank, so they do not determine the image uniquely.
+    several).  Z W_k = W_k S for every k pins Z row by row: Z = (sum_k W_k
+    S W_k*) H^-1, against one eigh of H = sum_k W_k W_k* cut at the square
+    of the stack's singular-value cut.  The connectors are re-laid inside
+    the lifted stack's memory side by side, in blocks of about q_to /
+    q_from, each about q_to x q_to, so no product spans the whole stack.
+    Returns (image, worst): image(S) is (Z, residual of its exchange
+    relations), worst the connectors' descent residual;
+    NotWellDefinedError when the stacked connectors lack full row rank, so
+    they do not determine the image uniquely.
     """
     conn, worst = source_space.lift(legs, require=False, into=target_space)
     k, q_to, q_from = conn.shape
     step = -(-q_to // q_from)
-    blocks = [conn[i:i + step].transpose(1, 0, 2).reshape(q_to, -1)
-              for i in range(0, k, step)]
-    del conn
+    for i in range(0, k, step):  # [W_k]_k side by side, in place
+        conn[i:i + step].flat = conn[i:i + step].transpose(1, 0, 2).copy()
+    blocks = [conn[i:i + step].reshape(q_to, -1) for i in range(0, k, step)]
     lam, u = np.linalg.eigh(sum((c @ dagger(c) for c in blocks),
                                 np.zeros((q_to, q_to), dtype=complex)))
     cut = source_space.tol.rank_cut(np.sqrt(np.max(lam, initial=0.0)),
@@ -287,25 +289,25 @@ def fiber_morphism(source_space: RelativeTensorSpace,
         )
     h_inv = (u / lam) @ dagger(u)
 
-    def moved(c, image):
-        """The block's [W_k S_m]_k, in the layout of the block."""
-        return (c.reshape(-1, q_from) @ image).reshape(q_to, -1)
+    def moved(c, s):
+        """The block's [W_k S]_k, in the layout of the block."""
+        return (c.reshape(-1, q_from) @ s).reshape(q_to, -1)
 
-    z = np.empty((len(images), q_to, q_to), dtype=complex)
-    for m, image in enumerate(images):
-        # sum_k W_k S_m W_k* = (sum over blocks of c conj([W_k S_m]_k)^T)*
+    def image(s):
+        # sum_k W_k S W_k* = (sum over blocks of c conj([W_k S]_k)^T)*
         acc = np.zeros((q_to, q_to), dtype=complex)
         for c in blocks:
-            x = moved(c, image)
+            x = moved(c, s)
             acc += c @ np.conjugate(x, out=x).T
-        z[m] = dagger(acc) @ h_inv
+        z = dagger(acc) @ h_inv
         # the norm of the difference, block by block: a difference of
         # squared norms would resolve it only to about sqrt(eps)
         gap = scale = 0.0
         for c in blocks:
-            x = moved(c, image)
+            x = moved(c, s)
             scale += np.vdot(x, x).real
-            x -= z[m] @ c
+            x -= z @ c
             gap += np.vdot(x, x).real
-        worst = max(worst, float(np.sqrt(gap) / max(1.0, np.sqrt(scale))))
-    return z, worst
+        return z, float(np.sqrt(gap) / max(1.0, np.sqrt(scale)))
+
+    return image, worst

@@ -358,11 +358,14 @@ def intertwiner_rows(t: np.ndarray, s: np.ndarray, star: np.ndarray,
     t, s, star = as_complex(t), as_complex(s), as_complex(star)
     gap = scale = 0.0
     for f in (t, s):
-        # one temporary: conj(sum_j star[j, i] f_j) - f_i^T, whose norm is
-        # that of f_i* - sum_j star[j, i] f_j
-        diff = np.conjugate(np.tensordot(star.T, f, axes=1))
-        diff -= np.swapaxes(f, -1, -2)
-        gap = max(gap, np.max(stack_norms(diff), initial=0.0))
+        # n members i at a time, conjugated in place: conj(sum_j star[j, i]
+        # f_j) - f_i^T, whose norm is that of f_i* - sum_j star[j, i] f_j
+        step = max(1, f.shape[-1])
+        for i in range(0, len(f), step):
+            diff = np.tensordot(star[:, i:i + step].T, f, axes=1)
+            np.conjugate(diff, out=diff)
+            diff -= np.swapaxes(f[i:i + step], -1, -2)
+            gap = max(gap, np.max(stack_norms(diff), initial=0.0))
         scale = max(scale, np.max(stack_norms(f), initial=0.0))
     if gap > tol.check * max(1.0, scale):
         raise PreconditionError(f"family is not *-closed: residual {gap:.3e}")

@@ -3,8 +3,12 @@ without forming kron products or looping over elements; tests compare the
 library against these."""
 import numpy as np
 
-from qgw.linalg import DEFAULT_TOL, QuotientRealization, dagger, mat_norm
-from qgw.rtensor import balanced_support, gram_from_r_stacks
+from qgw.errors import PreconditionError
+from qgw.fiber import intertwiner_space
+from qgw.linalg import DEFAULT_TOL, QuotientRealization, dagger, mat_norm, \
+    stack_norms
+from qgw.rtensor import balanced_support, gram_from_r_stacks, nest_left, \
+    rtp_state
 
 
 def identity_frame(*dims) -> dict:
@@ -191,3 +195,25 @@ def stacked_fiber_morphism(source_space, target_space, legs, images):
         res = mat_norm(z[m] @ columns - moved) / max(1.0, mat_norm(moved))
         worst = max(worst, res)
     return z, worst
+
+
+def stacked_coassociativity_residual(space, algebra, delta):
+    """hopf._coassociativity_residual as compared on whole image stacks:
+    both extensions solved for every image at once (stacked_fiber_morphism)
+    and their gap read from first - last.  Infinity when no extension
+    exists."""
+    meta = space.meta
+    inner_rho, _ = space.lift([None, meta["rho_stack"]], require=False)
+    try:
+        pair = rtp_state(meta["triple"], inner_rho, meta["sigma_stack"])
+        inter = intertwiner_space(delta, algebra, space.tol)
+    except PreconditionError:
+        return float("inf")
+    if inter.shape[0] == 0:
+        return float("inf")
+    big = nest_left(space, pair)
+    plain = space.section @ inter
+    (first, r1), (last, r2) = (stacked_fiber_morphism(space, big, legs, delta)
+                               for legs in ([plain, None], [None, plain]))
+    gap = stack_norms(first - last) / np.maximum(1.0, stack_norms(first))
+    return max(r1, r2, float(np.max(gap)))

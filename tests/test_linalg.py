@@ -191,6 +191,45 @@ def test_intertwiner_rows_rejects_a_family_that_is_not_star_closed():
     assert intertwiner_rows(s, s, star).shape == (1, 4)
 
 
+def unblocked_star_gap(t, s, star):
+    """(gap of each member, scale) of the *-closure check of
+    intertwiner_rows formed on the whole family at once: |conj(sum_j
+    star[j, i] f_j) - f_i^T| per member i of t and of s, and the largest
+    member norm."""
+    gaps = [np.linalg.norm(np.conjugate(np.tensordot(star.T, f, axes=1))
+                           - np.swapaxes(f, -1, -2), axis=(1, 2))
+            for f in (t, s)]
+    scale = max(np.max(np.linalg.norm(f, axis=(1, 2))) for f in (t, s))
+    return np.maximum(*gaps), scale
+
+
+@pytest.mark.parametrize("side", ["t", "s"])
+def test_star_closure_defect_in_the_last_partial_block_is_caught(side):
+    # a Hermitian basis of M_2 + C on C^3 (star the identity) checks in
+    # blocks of 3 members, the last of 2; only member 4's adjoint is
+    # perturbed, so the defect lies in that partial block alone, on one
+    # side; thresholds just above and below the unblocked gap show that
+    # the blocked check reads that gap to round-off
+    w = random_unitary(3, rng(14))
+    units = np.zeros((5, 3, 3), dtype=complex)
+    units[0, 0, 0] = units[1, 1, 1] = units[4, 2, 2] = 1.0
+    units[2, 0, 1] = units[2, 1, 0] = 1 / np.sqrt(2)
+    units[3, 0, 1], units[3, 1, 0] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+    good = w @ units @ dagger(w)
+    bent = good.copy()
+    bent[4] += 1e-3 * random_mat(rng(15), 3, 3)
+    t, s = (bent, good) if side == "t" else (good, bent)
+    star = np.eye(5)
+    gaps, scale = unblocked_star_gap(t, s, star)
+    assert np.all(gaps[:4] < 1e-15) and gaps[4] > 1e-4
+    check = gaps[4] / (10.0 * max(1.0, scale))
+    with pytest.raises(PreconditionError):
+        intertwiner_rows(t, s, star, Tolerance(eps=check * (1 - 1e-9)))
+    intertwiner_rows(t, s, star, Tolerance(eps=check * (1 + 1e-9)))
+    with pytest.raises(PreconditionError):
+        intertwiner_rows(t, s, star)
+
+
 def test_eigen_match_pairs_eigenvalues_within_the_cut():
     def pair(_draw):
         # a doubly degenerate 1 split by round-off, and a 2 only h_s has

@@ -5,12 +5,14 @@
 Each tree (a directory holding src/qgw) writes the twelve bundles of
 BUNDLES with its own gen-* commands and runs the ten check commands on them,
 except equiv-check on pair(3) and pair(4), one process per run.  Prints the exit-code counts of
-each tree, each tree's largest peak RSS per command (from os.wait4, so
-memory is read from the same runs as the verdicts), the paths at which each
-tree's bundles differ, every run whose exit code, verdict or check names and
-pass/fail differ, and the largest move of a residual that passes in both
-trees.  Exits 1 on a difference in the runs; bundles that differ in bytes
-are reported, not counted.
+each tree, both trees' peak RSS per run with their difference and each
+tree's largest peak per command (from os.wait4, so memory is read from the
+same runs as the verdicts), every run whose peak rose by more than
+PEAK_RISE_MB, the paths at which each tree's bundles differ, every run whose
+exit code, verdict or check names and pass/fail differ, and the largest
+move of a residual that passes in both trees.  Exits 1 on a difference in
+the runs; bundles that differ in bytes and peaks that rose are reported,
+not counted.
 """
 import collections
 import json
@@ -41,6 +43,7 @@ BUNDLES = {
 COMMANDS = ["gns", "base-check", "factorize", "rtp", "phi", "fiber",
             "morphism-check", "hopf-check", "pmu-check", "equiv-check"]
 SKIPPED = {("pair3", "equiv-check"), ("pair4", "equiv-check")}
+PEAK_RISE_MB = 1.0
 
 
 def qgw(tree: Path, argv: list, out: Path):
@@ -114,11 +117,18 @@ def main() -> int:
         counts = collections.Counter(run[0] for run in runs.values())
         print(f"exit codes {side}: " + ", ".join(
             f"{n} x {code}" for code, n in sorted(counts.items())))
+    for key in old:
+        print(f"peak RSS {' '.join(key)}: old {old[key][3]:.2f} MB, new "
+              f"{new[key][3]:.2f} MB, {new[key][3] - old[key][3]:+.2f} MB")
     for command in COMMANDS:
         peaks = [max(run[3] for (_, cmd), run in runs.items()
                      if cmd == command) for runs in (old, new)]
         print(f"largest peak RSS {command}: old {peaks[0]:.1f} MB, "
               f"new {peaks[1]:.1f} MB")
+    rose = [key for key in old if new[key][3] - old[key][3] > PEAK_RISE_MB]
+    print(f"{len(rose)} runs whose peak rose by more than {PEAK_RISE_MB:g} MB"
+          + "".join(f"\n  {' '.join(key)}: {old[key][3]:.2f} -> "
+                    f"{new[key][3]:.2f} MB" for key in rose))
     differences, move, where = 0, 0.0, None
     for key in old:
         (code_a, verdict_a, checks_a, _), (code_b, verdict_b, checks_b, _) = \
