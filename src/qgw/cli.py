@@ -259,9 +259,8 @@ class BundleContext:
             raise FormatError(f"{where}: missing; the bundle predates stored "
                               "class maps, regenerate it")
         classes = serialize.decode_matrix(sec["classes"], where)
-        if classes.shape != square.class_map.shape \
-                or not np.all(np.isfinite(classes)):
-            raise FormatError(f"{where}: expected a finite matrix of shape "
+        if classes.shape != square.class_map.shape:
+            raise FormatError(f"{where}: expected a matrix of shape "
                               f"{square.class_map.shape}, got {classes.shape}")
         t = square.class_map @ np.linalg.pinv(classes)
         if not unitary_residual(t) <= self.tol.check:

@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import FormatError
-
 # stable identifiers for what each named residual certifies; unknown names
 # fall back to themselves
 ANCHORS = {
@@ -85,15 +83,6 @@ class Check:
             "threshold": self.threshold,
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Check":
-        try:
-            return cls(
-                obj["axiom"], obj["residual"], obj["threshold"], obj["anchor"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"check entry malformed: {exc}") from None
-
 
 class Report:
     """Outcome of one command: verdict, check table, tolerance, timing.
@@ -134,20 +123,6 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2,
                           allow_nan=False) + "\n"
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Report":
-        if not isinstance(obj, dict) or "command" not in obj \
-                or "checks" not in obj:
-            raise FormatError("report must carry 'command' and 'checks'")
-        checks = [Check.from_dict(c) for c in obj["checks"]]
-        rep = cls(obj["command"], checks, obj.get("tolerance", 0.0),
-                  error=obj.get("error"))
-        if obj.get("verdict") not in (None, rep.verdict):
-            raise FormatError(
-                f"stored verdict {obj['verdict']!r} disagrees with checks"
-            )
-        return rep
 
     def render_text(self) -> str:
         lines = [f"{self.command}: {self.verdict.upper()}"]

@@ -105,6 +105,8 @@ def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
                     f"{where}: data[{i}] is too large for a double"
                 ) from None
         data = np.array(data, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(data)):
+        raise FormatError(f"{where}: expected a finite matrix")
     return data.view(complex).reshape(rows, cols)
 
 
@@ -176,10 +178,7 @@ def decode_state(obj, where: str = "state",
     if not isinstance(obj, dict) or "rho" not in obj or "algebra" not in obj:
         raise FormatError(f"{where}: expected keys 'algebra' and 'rho'")
     alg = decode_algebra(obj["algebra"], f"{where}.algebra", tol)
-    density = decode_matrix(obj["rho"], f"{where}.rho")
-    if not np.all(np.isfinite(density)):
-        raise FormatError(f"{where}.rho: expected a finite matrix")
-    return State.from_density(alg, density)
+    return State.from_density(alg, decode_matrix(obj["rho"], f"{where}.rho"))
 
 
 def encode_base(base: CStarBase) -> dict:

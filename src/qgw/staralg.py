@@ -138,13 +138,9 @@ def algebra_from_generators(space_dim: int, generators,
         mats.append(dagger(g))
     current = span(mats, space_dim, space_dim, tol)
     while True:
-        stack, k = current.stack, current.dim
-        # the basis and every product b_i b_j, written one row i at a time
-        # into the one stack that is spanned
-        grown = np.empty((k + k * k,) + stack.shape[1:], dtype=complex)
-        grown[:k] = stack
-        for i, b in enumerate(stack):
-            np.matmul(b, stack, out=grown[k * (i + 1):k * (i + 2)])
+        stack = current.stack
+        products = (stack[:, None] @ stack[None]).reshape(-1, *stack.shape[1:])
+        grown = np.concatenate([stack, products])
         nxt = span(grown, space_dim, space_dim, tol)
         if nxt.dim == current.dim:
             return StarAlgebra(space_dim, nxt, tol)

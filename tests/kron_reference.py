@@ -1,14 +1,16 @@
 """Kron-matrix and per-element references for what the library now computes
-without forming kron products or looping over elements; tests compare the
-library against these."""
+without forming kron products or looping over elements, and the solves it
+made before dropping conditions that others imply; tests compare the library
+against these."""
 import numpy as np
 
 from qgw.errors import PreconditionError
-from qgw.fiber import intertwiner_space
-from qgw.linalg import DEFAULT_TOL, QuotientRealization, dagger, mat_norm, \
+from qgw.fiber import _keep_rows, intertwiner_space
+from qgw.linalg import DEFAULT_TOL, OperatorSubspace, QuotientRealization, \
+    dagger, eigen_match, from_pairs, intersect_null_spaces, mat_norm, span, \
     stack_norms
-from qgw.rtensor import balanced_support, gram_from_r_stacks, nest_left, \
-    rtp_state
+from qgw.rtensor import balanced_support, gram_from_r_stacks, insertions, \
+    nest_left, rtp_state
 
 
 def identity_frame(*dims) -> dict:
@@ -217,3 +219,57 @@ def stacked_coassociativity_residual(space, algebra, delta):
                                for legs in ([plain, None], [None, plain]))
     gap = stack_norms(first - last) / np.maximum(1.0, stack_norms(first))
     return max(r1, r2, float(np.max(gap)))
+
+
+def spatial_legs(space, left_alg, right_alg):
+    """(insertion kets, orthonormal basis of S) per leg, as fiber_spatial
+    forms them: S spans the kets composed with the other leg's algebra."""
+    q, legs = space.dim, []
+    for leg, fact, partners in ((0, space.meta["left_fact"], right_alg),
+                                (1, space.meta["right_fact"], left_alg)):
+        kets = insertions(space, fact.subspace.stack, leg)
+        n = kets.shape[2]
+        family = kets[:, None] @ partners.subspace.stack[None]
+        legs.append((kets, span(family.reshape(-1, q, n), q, n,
+                                space.tol).stack))
+    return legs
+
+
+def adjoint_fiber_spatial(space, left_alg, right_alg):
+    """fiber_spatial as solved before the lemma: besides the forward keep
+    rows (1 - P_S) T k = 0, the conjugated rows with the pairs (a, b)
+    swapped, which say that T* keeps k in S; four families in all.
+    Returns the algebra's basis as an OperatorSubspace."""
+    q, tol = space.dim, space.tol
+    legs = spatial_legs(space, left_alg, right_alg)
+
+    def frames(draw):
+        frame = np.zeros((q, q), dtype=complex)
+        for _, basis in legs:
+            z = draw((basis.shape[2],) * 2)
+            frame += np.sum(basis @ (z + dagger(z)) @ dagger(basis), axis=0)
+        return frame, frame
+
+    u, _, a, b, _ = eigen_match(frames, tol)
+
+    def rows():
+        for kets, basis in legs:
+            kets, basis = dagger(u) @ kets, dagger(u) @ basis
+            yield from _keep_rows(kets, basis, a, b)
+            yield from (r.conj() for r in _keep_rows(kets, basis, b, a))
+
+    stack = from_pairs(intersect_null_spaces(rows(), a.size, tol), u, u, a, b)
+    return OperatorSubspace(q, q, stack)
+
+
+def keep_gaps(space, left_alg, right_alg, mats):
+    """(forward, adjoint): the largest |(1 - P_S) T k| and |(1 - P_S) T* k|
+    over the matrices T of a stack and every leg's insertions k."""
+    q, gaps = space.dim, [0.0, 0.0]
+    for kets, basis in spatial_legs(space, left_alg, right_alg):
+        sub = OperatorSubspace(q, kets.shape[2], basis)
+        for i, ts in enumerate((mats, dagger(mats))):
+            moved = ts[:, None] @ kets[None]
+            gaps[i] = max(gaps[i], sub.residual(moved.reshape(-1, q,
+                                                              kets.shape[2])))
+    return tuple(gaps)

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -24,6 +27,7 @@ from qgw.fixtures import (
     FiniteGroupoid,
     groupoid_bundle,
     linked_bundle,
+    linked_data,
 )
 from qgw.linalg import (
     DEFAULT_TOL,
@@ -37,6 +41,7 @@ from qgw.linalg import (
     subspace_residual,
 )
 from qgw.hopf import groupoid_hopf
+from qgw.serialize import decode_matrix, encode_matrix
 from qgw.rtensor import (
     RelativeTensorSpace,
     ket_factorization,
@@ -51,7 +56,8 @@ from qgw.staralg import (
     commute_residual,
     rep_value,
 )
-from kron_reference import identity_frame, kron_connectors, mul_operator, \
+from kron_reference import adjoint_fiber_spatial, identity_frame, \
+    keep_gaps, kron_connectors, mul_operator, \
     pinv_images, stacked_fiber_morphism
 from small_fixtures import full_matrix_algebra, trivial_bundle, two_point_bundle
 
@@ -561,7 +567,7 @@ def test_spatial_hands_one_kets_rows_per_block(tmp_path, monkeypatch):
     """fiber_spatial streams its keep rows into intersect_null_spaces one
     ket at a time: on pair(3) each block holds the rows of one ket, a map
     from the other plain leg into the q-dimensional square, with one block
-    per ket and family, two families per leg."""
+    per ket and one family, the forward one, per leg."""
     shapes = []
     original = fiber.intersect_null_spaces
 
@@ -578,6 +584,175 @@ def test_spatial_hands_one_kets_rows_per_block(tmp_path, monkeypatch):
     ctx = cli.BundleContext(path, DEFAULT_TOL)
     assert cli.certify_fiber(ctx).ok
     square = ctx.squares[1]
-    widths = [square.plain_dims[1]] * 2 * ctx.factorization("alpha").dim \
-        + [square.plain_dims[0]] * 2 * ctx.factorization("beta").dim
+    widths = [square.plain_dims[1]] * ctx.factorization("alpha").dim \
+        + [square.plain_dims[0]] * ctx.factorization("beta").dim
     assert [rows for rows, _ in shapes] == [square.dim * w for w in widths]
+
+
+def fiber_command_case(bundle):
+    """The fiber command's spatial product: the operator square and the
+    algebras generated by the two actions."""
+    _, cs = spaces(bundle)
+    return (cs, *leg_algebras(bundle))
+
+
+def hopf_case(gpd):
+    """hopf-check's and morphism-check's spatial product: the arrow
+    algebra on both legs of the operator square."""
+    h = groupoid_hopf(gpd)
+    return h["cstar_space"], h["algebra"], h["algebra"]
+
+
+def rotated_case(gpd, seed):
+    """A groupoid bundle whose two actions are conjugated by two seeded Haar
+    unitaries, with factorizations linked to them: the same bundle up to
+    unitaries, without the sparsity of the groupoid's basis."""
+    bundle = groupoid_bundle(gpd)
+    gen = rng(seed)
+    w, v = (random_unitary(bundle["rho"].shape[1], gen) for _ in range(2))
+    return fiber_command_case(linked_data(
+        bundle["triple"], w @ bundle["rho"] @ dagger(w),
+        v @ bundle["sigma"] @ dagger(v)))
+
+
+def partner_case(bundle, count):
+    """The operator square with the algebras generated by the last count
+    members of each action."""
+    _, cs = spaces(bundle)
+    return (cs, *(algebra_from_generators(rep.shape[1], rep[len(rep) - count:])
+                  for rep in (bundle["rho"], bundle["sigma"])))
+
+
+GROUPOIDS = {"pair2": lambda: FiniteGroupoid.pair(2),
+             "pair3": lambda: FiniteGroupoid.pair(3),
+             "z3": lambda: FiniteGroupoid.cyclic(3),
+             "z4": lambda: FiniteGroupoid.cyclic(4)}
+LEMMA_CASES = {
+    **{f"{name}-fiber": lambda name=name: fiber_command_case(
+        groupoid_bundle(GROUPOIDS[name]())) for name in GROUPOIDS},
+    **{f"{name}-hopf": lambda name=name: hopf_case(GROUPOIDS[name]())
+       for name in GROUPOIDS},
+    # the random bases of tools/parity.py
+    "blocks-3,2,1-seed-1": lambda: fiber_command_case(
+        linked_bundle([3, 2, 1], 1, 1, 1)),
+    "blocks-3,2,1-seed-2-mult-2": lambda: fiber_command_case(
+        linked_bundle([3, 2, 1], 2, 2, 2)),
+    "blocks-4,2,1-seed-3": lambda: fiber_command_case(
+        linked_bundle([4, 2, 1], 1, 1, 3)),
+    "pair2-rotated": lambda: rotated_case(FiniteGroupoid.pair(2), 41),
+    "z3-rotated": lambda: rotated_case(FiniteGroupoid.cyclic(3), 43),
+    # partner algebras without the base action break the premise S*S in C
+    "pair3-scalar-partners": lambda: partner_case(
+        groupoid_bundle(FiniteGroupoid.pair(3)), 0),
+    "blocks-2,1-mult-2-one-generator": lambda: partner_case(
+        linked_bundle([2, 1], 2, 2, 2), 1),
+    **{f"linked-{blocks}-{ml}x{mr}-seed-{seed}": (
+        lambda blocks=blocks, ml=ml, mr=mr, seed=seed: fiber_command_case(
+            linked_bundle([int(b) for b in blocks.split(",")], ml, mr, seed)))
+       for blocks, ml, mr, seed in [("2,1", 3, 1, 0), ("2,1", 1, 3, 1),
+                                    ("2,1", 3, 3, 2), ("1,1", 3, 2, 3),
+                                    ("2", 3, 2, 4), ("3,1", 2, 3, 5)]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEMMA_CASES))
+def test_forward_keep_rows_give_the_adjoint_solve(case):
+    """The lemma on the spatial product: the forward keep rows alone give
+    the algebra that the forward and adjoint rows gave, and its members'
+    adjoints keep every insertion in S."""
+    space, left, right = LEMMA_CASES[case]()
+    product, _ = fiber_spatial(space, left, right)
+    reference = adjoint_fiber_spatial(space, left, right)
+    assert product.dim == reference.dim
+    assert subspace_residual(product.subspace, reference) <= 1e-12
+    forward, adjoint = keep_gaps(space, left, right, product.subspace.stack)
+    assert forward <= 1e-12 and adjoint <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_kept_intertwiners_carry_the_target_factorization_back(name):
+    """The lemma on criterion two: every intertwiner V that carries the
+    source factorization into the target one has V* carrying the target
+    one back, on both insertion morphisms of hopf-check."""
+    h = groupoid_hopf(GROUPOIDS[name]())
+    space, arrow, delta = h["cstar_space"], h["algebra"], h["delta_cstar"]
+    product, _ = fiber_spatial(space, arrow, arrow)
+    alpha, beta = space.meta["left_fact"], space.meta["right_fact"]
+    inter = intertwiner_space(delta, arrow)
+    for source, target in (
+            (alpha, ket_factorization(space, alpha, alpha, leg=0,
+                                      flipped=False)),
+            (beta, ket_factorization(space, beta, beta, leg=1,
+                                     flipped=True))):
+        assert is_morphism(delta, arrow, source, product, target).ok
+        carried = inter[:, None] @ source.subspace.stack[None]
+        good = fiber._kept(target.subspace, carried, DEFAULT_TOL.check)
+        assert good.any()
+        back = dagger(inter[good])[:, None] @ target.subspace.stack[None]
+        assert source.subspace.residual(
+            back.reshape(-1, *back.shape[2:])) <= 1e-12
+
+
+def conjugated_stack(mats, seed):
+    """Encoded matrices conjugated by one seeded Haar unitary."""
+    u = random_unitary(mats[0]["rows"], rng(seed))
+    return [encode_matrix(u @ decode_matrix(m) @ dagger(u)) for m in mats]
+
+
+# (bundle, conjugated section) -> command -> (exit code, failing checks),
+# as the forward and adjoint conditions together decided them; an input
+# error names its path instead.  The conjugated reps.sigma generates a
+# partner algebra that no longer holds the base action, the conjugated arrow
+# algebra no longer holds Delta's images or the base action.
+PAIR_SIGMA = {"fiber": (1, ["transport"]), "morphism-check": (0, []),
+              "hopf-check": (2, "hopf.state.classes")}
+ARROW = {"fiber": (0, []),
+         "morphism-check": (1, ["is_morphism", "preconditions"])}
+HOPF_ARROW = ["operator_hom_lands_in_target",
+              "operator_left_insertions_morphism",
+              "operator_right_insertions_morphism", "state_coassociative",
+              "state_hom_lands_in_target"]
+PAIR_HOPF_ARROW = sorted(HOPF_ARROW + [
+    "state_actions_inside_algebra", "state_left_action_leg",
+    "state_right_action_leg"])
+# a group's sigma is the one unit's identity, which conjugation keeps
+HAAR_CONJUGATED = {
+    ("pair2", "sigma"): PAIR_SIGMA,
+    ("pair3", "sigma"): PAIR_SIGMA,
+    ("pair2", "arrow"): {**ARROW, "hopf-check": (1, PAIR_HOPF_ARROW)},
+    ("pair3", "arrow"): {**ARROW, "hopf-check": (1, PAIR_HOPF_ARROW)},
+    ("z3", "arrow"): {**ARROW, "hopf-check": (1, HOPF_ARROW)},
+    ("z4", "arrow"): {**ARROW, "hopf-check": (1, HOPF_ARROW)},
+}
+
+
+@pytest.mark.parametrize("name,section", sorted(HAAR_CONJUGATED))
+def test_haar_conjugated_bundles_keep_their_outcomes(tmp_path, name,
+                                                     section):
+    """Bundles that break the lemma's premises: the exit codes and failing
+    checks of fiber, morphism-check and hopf-check are those of the solve
+    with the adjoint conditions."""
+    path = tmp_path / "bundle.json"
+    args = ["--pair", name[4:]] if name.startswith("pair") \
+        else ["--order", name[1:]]
+    gen = "gen-groupoid" if name.startswith("pair") else "gen-group"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([gen, *args, "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    if section == "sigma":
+        doc["reps"]["sigma"] = conjugated_stack(doc["reps"]["sigma"], 2301)
+    else:
+        algebra = doc["arrow_algebra"]
+        algebra["generators"] = conjugated_stack(algebra["generators"], 2302)
+    path.write_text(json.dumps(doc))
+    for command, (code, expected) in HAAR_CONJUGATED[name, section].items():
+        out = tmp_path / f"{command}.json"
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            assert cli.main([command, "--in", str(path), "--out",
+                             str(out)]) == code, command
+        if code == 2:
+            assert f"error: {expected}: " in printed.getvalue()
+            continue
+        checks = json.loads(out.read_text())["checks"]
+        assert sorted(c["axiom"] for c in checks if c["residual"] is None
+                      or c["residual"] > c["threshold"]) == expected, command

@@ -1,9 +1,6 @@
-"""Check tables: verdict logic, JSON round trips, residual sanitization."""
+"""Check tables: verdict logic, JSON form, residual sanitization."""
 import json
 
-import pytest
-
-from qgw.errors import FormatError
 from qgw.linalg import Tolerance
 from qgw.report import Certificate, Check, Report, checks_from_residuals
 
@@ -29,27 +26,6 @@ def test_non_finite_residuals_become_null_and_fail():
     doc = json.loads(rep.to_json())
     assert doc["checks"][0]["residual"] is None
     assert doc["verdict"] == "fail"
-
-
-def test_json_round_trip_is_byte_identical():
-    rep = Report(
-        "hopf-check",
-        [Check("coassociative", 3.25e-16, 1e-8),
-         Check("state_pentagon", 0.0, 1e-7)],
-        1e-9,
-    )
-    text = rep.to_json()
-    back = Report.from_dict(json.loads(text))
-    assert back.to_json() == text
-    assert back.verdict == rep.verdict
-
-
-def test_from_dict_rejects_forged_verdict():
-    rep = Report("demo", [Check("a", 1.0, 1e-8)], 1e-9)
-    doc = json.loads(rep.to_json())
-    doc["verdict"] = "pass"
-    with pytest.raises(FormatError, match="verdict"):
-        Report.from_dict(doc)
 
 
 def test_timing_stays_out_of_the_document():

@@ -69,13 +69,26 @@ def test_matrix_decode_names_the_first_malformed_entry(entry):
         serialize.decode_matrix(bad, "state.rho")
 
 
-def test_matrix_decode_accepts_ints_floats_bools_and_nan():
+def test_matrix_decode_accepts_ints_floats_and_bools():
     obj = {"rows": 2, "cols": 2,
-           "data": [[1, 0], [True, False], [2.5, -0.0], [float("nan"), 10 ** 30]]}
+           "data": [[1, 0], [True, False], [2.5, -0.0], [-7, 10 ** 30]]}
     back = serialize.decode_matrix(obj)
     assert back[0, 0] == 1 and back[0, 1] == 1 and back[1, 0] == 2.5
     assert np.signbit(back[1, 0].imag)
-    assert np.isnan(back[1, 1].real) and back[1, 1].imag == 1e30
+    assert back[1, 1].real == -7 and back[1, 1].imag == 1e30
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "list"])
+def test_matrix_decode_refuses_non_finite_entries(value, packed):
+    # as json reads them from a file, packed as they are parsed or not
+    text = f'{{"rows": 1, "cols": 2, "data": [[1, 0], [0, {value}]]}}'
+    obj = json.loads(text, object_hook=serialize.pack_matrix if packed
+                     else None)
+    assert isinstance(obj["data"], np.ndarray) == packed
+    with pytest.raises(FormatError,
+                       match=r"^state\.rho: expected a finite matrix$"):
+        serialize.decode_matrix(obj, "state.rho")
 
 
 def test_stack_roundtrip_requires_uniform_shapes():

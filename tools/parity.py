@@ -4,15 +4,18 @@
 
 Each tree (a directory holding src/qgw) writes the twelve bundles of
 BUNDLES with its own gen-* commands and runs the ten check commands on them,
-except equiv-check on pair(3) and pair(4), one process per run.  Prints the exit-code counts of
-each tree, both trees' peak RSS per run with their difference and each
-tree's largest peak per command (from os.wait4, so memory is read from the
-same runs as the verdicts), every run whose peak rose by more than
-PEAK_RISE_MB, the paths at which each tree's bundles differ, every run whose
-exit code, verdict or check names and pass/fail differ, and the largest
-move of a residual that passes in both trees.  Exits 1 on a difference in
-the runs; bundles that differ in bytes and peaks that rose are reported,
-not counted.
+except equiv-check on pair(3) and pair(4), one process per run; the two
+trees run each (bundle, command) back to back, so a drift of the host's
+speed reaches both alike.  Prints the exit-code counts of each tree, both
+trees' peak RSS and CPU seconds (user + system) per run with their
+differences and each tree's largest peak per command (from os.wait4, so
+memory and time are read from the same runs as the verdicts), every run
+whose peak rose by more than PEAK_RISE_MB or whose CPU time rose by more
+than CPU_RISE, the paths at which each tree's bundles differ, every run
+whose exit code, verdict or check names and pass/fail differ, and the
+largest move of a residual that passes in both trees.  Exits 1 on a
+difference in the runs; bundles that differ in bytes, and peaks and CPU
+times that rose, are reported, not counted.
 """
 import collections
 import json
@@ -44,11 +47,12 @@ COMMANDS = ["gns", "base-check", "factorize", "rtp", "phi", "fiber",
             "morphism-check", "hopf-check", "pmu-check", "equiv-check"]
 SKIPPED = {("pair3", "equiv-check"), ("pair4", "equiv-check")}
 PEAK_RISE_MB = 1.0
+CPU_RISE = 0.25
 
 
 def qgw(tree: Path, argv: list, out: Path):
-    """(exit code, peak RSS in MB) of one qgw command run from tree's
-    sources, writing its bundle or report to out."""
+    """(exit code, peak RSS in MB, CPU seconds) of one qgw command run from
+    tree's sources, writing its bundle or report to out."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     child = subprocess.Popen(
         [sys.executable, "-m", "qgw.cli", *argv, "--out", str(out)],
@@ -56,31 +60,39 @@ def qgw(tree: Path, argv: list, out: Path):
     )
     _, status, usage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)
-    return child.returncode, usage.ru_maxrss / 1024
+    return (child.returncode, usage.ru_maxrss / 1024,
+            usage.ru_utime + usage.ru_stime)
 
 
-def run_tree(tree: Path, work: Path) -> dict:
-    """(bundle, command) -> (exit code, verdict, {check: (passed,
-    residual)}, peak RSS in MB) for one tree; a run that ends in an error
-    writes no report and has no checks."""
-    work.mkdir()
-    runs = {}
+def run_check(tree: Path, work: Path, label: str, command: str):
+    """(exit code, verdict, {check: (passed, residual)}, peak RSS in MB, CPU
+    seconds) of one check command on one of tree's bundles; a run that ends
+    in an error writes no report and has no checks."""
+    report = work / f"{label}.{command}.json"
+    code, peak, cpu = qgw(tree, [command, "--in", str(work / f"{label}.json")],
+                          report)
+    doc = json.loads(report.read_text()) if report.exists() else {}
+    checks = {c["axiom"]: (c["residual"] is not None
+                           and c["residual"] <= c["threshold"], c["residual"])
+              for c in doc.get("checks", [])}
+    return code, doc.get("verdict", "error"), checks, peak, cpu
+
+
+def run_trees(trees: list, works: list) -> list:
+    """One dict (bundle, command) -> run_check's tuple per tree, the trees'
+    runs of each (bundle, command) taken back to back."""
+    runs = [{} for _ in trees]
+    for work in works:
+        work.mkdir()
     for label, argv in BUNDLES.items():
-        bundle = work / f"{label}.json"
-        if qgw(tree, argv, bundle)[0] != 0:
-            sys.exit(f"{tree}: {' '.join(argv)} failed")
+        for tree, work in zip(trees, works):
+            if qgw(tree, argv, work / f"{label}.json")[0] != 0:
+                sys.exit(f"{tree}: {' '.join(argv)} failed")
         for command in COMMANDS:
-            if (label, command) in SKIPPED:
-                continue
-            report = work / f"{label}.{command}.json"
-            code, peak = qgw(tree, [command, "--in", str(bundle)], report)
-            doc = json.loads(report.read_text()) if report.exists() else {}
-            checks = {c["axiom"]: (c["residual"] is not None
-                                   and c["residual"] <= c["threshold"],
-                                   c["residual"])
-                      for c in doc.get("checks", [])}
-            runs[label, command] = (code, doc.get("verdict", "error"),
-                                    checks, peak)
+            if (label, command) not in SKIPPED:
+                for side, tree, work in zip(runs, trees, works):
+                    side[label, command] = run_check(tree, work, label,
+                                                     command)
     return runs
 
 
@@ -106,7 +118,7 @@ def main() -> int:
     trees = [Path(arg).resolve() for arg in sys.argv[1:]]
     with tempfile.TemporaryDirectory() as tmp:
         works = [Path(tmp) / side for side in ("old", "new")]
-        old, new = (run_tree(tree, work) for tree, work in zip(trees, works))
+        old, new = run_trees(trees, works)
         for label in BUNDLES:
             docs = [json.loads((work / f"{label}.json").read_text())
                     for work in works]
@@ -119,7 +131,8 @@ def main() -> int:
             f"{n} x {code}" for code, n in sorted(counts.items())))
     for key in old:
         print(f"peak RSS {' '.join(key)}: old {old[key][3]:.2f} MB, new "
-              f"{new[key][3]:.2f} MB, {new[key][3] - old[key][3]:+.2f} MB")
+              f"{new[key][3]:.2f} MB, {new[key][3] - old[key][3]:+.2f} MB; "
+              f"CPU old {old[key][4]:.2f} s, new {new[key][4]:.2f} s")
     for command in COMMANDS:
         peaks = [max(run[3] for (_, cmd), run in runs.items()
                      if cmd == command) for runs in (old, new)]
@@ -129,10 +142,15 @@ def main() -> int:
     print(f"{len(rose)} runs whose peak rose by more than {PEAK_RISE_MB:g} MB"
           + "".join(f"\n  {' '.join(key)}: {old[key][3]:.2f} -> "
                     f"{new[key][3]:.2f} MB" for key in rose))
+    slower = [key for key in old if new[key][4] > (1 + CPU_RISE) * old[key][4]]
+    print(f"{len(slower)} runs whose CPU time rose by more than "
+          f"{CPU_RISE:.0%}" + "".join(
+              f"\n  {' '.join(key)}: {old[key][4]:.2f} -> {new[key][4]:.2f} s"
+              for key in slower))
     differences, move, where = 0, 0.0, None
     for key in old:
-        (code_a, verdict_a, checks_a, _), (code_b, verdict_b, checks_b, _) = \
-            old[key], new[key]
+        (code_a, verdict_a, checks_a, *_), (code_b, verdict_b, checks_b,
+                                             *_) = old[key], new[key]
         passed_a = {name: ok for name, (ok, _) in checks_a.items()}
         passed_b = {name: ok for name, (ok, _) in checks_b.items()}
         if (code_a, verdict_a, passed_a) != (code_b, verdict_b, passed_b):
