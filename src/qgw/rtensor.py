@@ -179,13 +179,18 @@ class RelativeTensorSpace(QuotientRealization):
         runs = list(zip(ends - counts[key][vals], ends))
         eyes = {}
 
+        def framed(m, i):
+            return dagger(src.frame_rows(dagger(self.frame_rows(
+                m, *spans[i])), *src_spans[i]))
+
+        # not recursive: a closure that names itself is a reference cycle,
+        # which would keep the spaces and eyes until the next full collection
         def factor(m, i):
             if m is None:
                 if i not in eyes:
-                    eyes[i] = factor(np.eye((g0, g1)[i], dtype=complex), i)
+                    eyes[i] = framed(np.eye((g0, g1)[i], dtype=complex), i)
                 return eyes[i]
-            return dagger(src.frame_rows(dagger(self.frame_rows(
-                m, *spans[i])), *src_spans[i]))
+            return framed(m, i)
 
         def pull(maps, rows=None):
             rest = maps[1:]

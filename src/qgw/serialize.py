@@ -1,9 +1,9 @@
 """JSON layouts for matrices, algebras, states, bases, and factorizations.
 
-A matrix is {"rows": n, "cols": m, "data": [[re, im], ...]} with the entries
-row-major.  Doubles go through Python's shortest-roundtrip float formatting,
-so decoding returns bit-identical values; a reader may pack the data into a
-float array as it parses (pack_matrix).  Composite objects reference each
+A matrix is {"rows": n, "cols": m, "data": "<base64>"}: data is standard
+base64 of the entries' little-endian complex128 bytes, row-major, so
+decoding returns bit-identical values.  A reader may unpack the data into
+an array as it parses (pack_matrix).  Composite objects reference each
 other by section name inside one bundle document rather than by nesting.
 
 Generator lists double as stored bases: every encoder writes an
@@ -14,6 +14,7 @@ generators instead of silently re-orthonormalizing.
 """
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -26,7 +27,7 @@ from .linalg import DEFAULT_TOL, OperatorSubspace, Tolerance, dagger, mat_norm
 from .staralg import StarAlgebra
 
 FORMAT_NAME = "qgw-bundle"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def canonical_dumps(obj) -> str:
@@ -38,7 +39,7 @@ def canonical_dumps(obj) -> str:
 
 
 def encode_matrix(m: np.ndarray) -> dict:
-    m = np.ascontiguousarray(m, dtype=complex)
+    m = np.ascontiguousarray(m, dtype="<c16")
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
@@ -46,23 +47,42 @@ def encode_matrix(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": m.reshape(-1, 1).view(float).tolist(),
+        "data": base64.b64encode(m.tobytes()).decode("ascii"),
     }
 
 
+def unpack(data):
+    """The entries of a matrix's data string as a writable complex array
+    (frombuffer alone is read-only), or None unless data is a base64
+    string of whole 16-byte entries."""
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError):  # no string, or no base64
+        return None
+    return None if len(raw) % 16 else \
+        np.frombuffer(raw, "<c16").astype(complex)
+
+
 def pack_matrix(obj: dict) -> dict:
-    """json object_hook: the data of an encoded matrix packed into a float
-    array as it is parsed, when every entry is an [re, im] pair of bools,
-    floats or int64s; other data stays a list for decode_matrix to name."""
-    data = obj.get("data")
-    if {"rows", "cols"} <= obj.keys() and isinstance(data, list):
-        try:
-            pairs = np.array(data) if data else np.zeros((0, 2))
-        except ValueError:  # ragged entries
-            return obj
-        if pairs.shape == (len(data), 2) and pairs.dtype.kind in "bif":
-            obj["data"] = np.asarray(pairs, dtype=float)
+    """json object_hook: the data of an encoded matrix unpacked into an
+    array as it is parsed; malformed data stays for decode_matrix to name."""
+    if {"rows", "cols"} <= obj.keys():
+        entries = unpack(obj.get("data"))
+        if entries is not None:
+            obj["data"] = entries
     return obj
+
+
+def fields(obj, where: str, *keys) -> list:
+    """obj's values at keys; FormatError unless obj is an object that
+    holds them all."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where}: expected an object, "
+                          f"got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise FormatError(f"{where}: missing key '{key}'")
+    return [obj[key] for key in keys]
 
 
 def integer(value, where: str, least: int = 0) -> int:
@@ -75,39 +95,19 @@ def integer(value, where: str, least: int = 0) -> int:
 
 
 def decode_matrix(obj, where: str = "matrix") -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise FormatError(f"{where}: expected an object, got {type(obj).__name__}")
-    try:
-        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    except KeyError as exc:
-        raise FormatError(f"{where}: missing key {exc}") from None
+    rows, cols, data = fields(obj, where, "rows", "cols", "data")
     rows, cols = integer(rows, f"{where}.rows"), integer(cols, f"{where}.cols")
-    # a list, or an array that pack_matrix packed
-    sized = isinstance(data, (list, np.ndarray))
-    if not sized or len(data) != rows * cols:
+    if not isinstance(data, np.ndarray):  # not unpacked as it was parsed
+        data = unpack(data)
+        if data is None:
+            raise FormatError(f"{where}: data must be a base64 string of "
+                              "whole 16-byte complex entries")
+    if len(data) != rows * cols:
         raise FormatError(
-            f"{where}: data must hold {rows * cols} entries, "
-            f"got {len(data) if sized else 'non-list'}"
-        )
-    if isinstance(data, list):
-        # not packed: name the first entry that is no [re, im] pair of
-        # bools, floats or ints that fit a double
-        for i, entry in enumerate(data):
-            if (
-                not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
-            ):
-                raise FormatError(f"{where}: data[{i}] must be [re, im]")
-            try:
-                complex(*entry)
-            except OverflowError:
-                raise FormatError(
-                    f"{where}: data[{i}] is too large for a double"
-                ) from None
-        data = np.array(data, dtype=float).reshape(-1, 2)
+            f"{where}: data must hold {rows * cols} entries, got {len(data)}")
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{where}: expected a finite matrix")
-    return data.view(complex).reshape(rows, cols)
+    return data.reshape(rows, cols)
 
 
 def decode_vector(obj, where: str = "vector") -> np.ndarray:
@@ -142,13 +142,9 @@ def encode_algebra(alg: StarAlgebra) -> dict:
 
 def decode_algebra(obj, where: str = "algebra",
                    tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    if not isinstance(obj, dict):
-        raise FormatError(f"{where}: expected an object")
-    for key in ("dim_H", "generators"):
-        if key not in obj:
-            raise FormatError(f"{where}: missing key '{key}'")
-    n = integer(obj["dim_H"], f"{where}.dim_H", 1)
-    gens = decode_stack(obj["generators"], f"{where}.generators")
+    n, gens = fields(obj, where, "dim_H", "generators")
+    n = integer(n, f"{where}.dim_H", 1)
+    gens = decode_stack(gens, f"{where}.generators")
     if gens.shape[1:] != (n, n):
         raise FormatError(
             f"{where}: generators are {gens.shape[1:]} but dim_H is {n}"
@@ -175,10 +171,9 @@ def encode_state(state: State) -> dict:
 
 def decode_state(obj, where: str = "state",
                  tol: Tolerance = DEFAULT_TOL) -> State:
-    if not isinstance(obj, dict) or "rho" not in obj or "algebra" not in obj:
-        raise FormatError(f"{where}: expected keys 'algebra' and 'rho'")
-    alg = decode_algebra(obj["algebra"], f"{where}.algebra", tol)
-    return State.from_density(alg, decode_matrix(obj["rho"], f"{where}.rho"))
+    alg, rho = fields(obj, where, "algebra", "rho")
+    alg = decode_algebra(alg, f"{where}.algebra", tol)
+    return State.from_density(alg, decode_matrix(rho, f"{where}.rho"))
 
 
 def encode_base(base: CStarBase) -> dict:
@@ -194,14 +189,10 @@ def encode_base(base: CStarBase) -> dict:
 
 def decode_base(obj, where: str = "base",
                 tol: Tolerance = DEFAULT_TOL) -> CStarBase:
-    if not isinstance(obj, dict):
-        raise FormatError(f"{where}: expected an object")
-    for key in ("frak_H_dim", "B", "B_dag"):
-        if key not in obj:
-            raise FormatError(f"{where}: missing key '{key}'")
-    alg = decode_algebra(obj["B"], f"{where}.B", tol)
-    partner = decode_algebra(obj["B_dag"], f"{where}.B_dag", tol)
-    if alg.space_dim != integer(obj["frak_H_dim"], f"{where}.frak_H_dim", 1):
+    dim, alg, partner = fields(obj, where, "frak_H_dim", "B", "B_dag")
+    alg = decode_algebra(alg, f"{where}.B", tol)
+    partner = decode_algebra(partner, f"{where}.B_dag", tol)
+    if alg.space_dim != integer(dim, f"{where}.frak_H_dim", 1):
         raise FormatError(f"{where}: frak_H_dim disagrees with B")
     zeta = None
     if obj.get("zeta") is not None:
@@ -221,13 +212,9 @@ def encode_factorization(fact: Factorization, base_ref: str) -> dict:
 def decode_factorization(obj, base: CStarBase, where: str = "factorization",
                          tol: Tolerance = DEFAULT_TOL,
                          certify: bool = True) -> Factorization:
-    if not isinstance(obj, dict):
-        raise FormatError(f"{where}: expected an object")
-    for key in ("H_dim", "alpha_basis"):
-        if key not in obj:
-            raise FormatError(f"{where}: missing key '{key}'")
-    n = integer(obj["H_dim"], f"{where}.H_dim", 1)
-    mats = decode_stack(obj["alpha_basis"], f"{where}.alpha_basis")
+    n, mats = fields(obj, where, "H_dim", "alpha_basis")
+    n = integer(n, f"{where}.H_dim", 1)
+    mats = decode_stack(mats, f"{where}.alpha_basis")
     if mats.shape[1:] != (n, base.space_dim):
         raise FormatError(f"{where}: basis elements are {mats.shape[1:]}, "
                           f"expected ({n}, {base.space_dim})")
@@ -259,13 +246,8 @@ def encode_morphism(images, source_ref: str, target_ref: str) -> dict:
 def decode_morphism(obj, n_generators: int, where: str = "morphism"):
     """The map's image stack, aligned with the basis: entry i is the image
     of the i-th of the source section's n_generators stored generators."""
-    if not isinstance(obj, dict):
-        raise FormatError(f"{where}: expected an object")
-    for key in ("matrix_on_basis", "image_shape"):
-        if key not in obj:
-            raise FormatError(f"{where}: missing key '{key}'")
-    mat = decode_matrix(obj["matrix_on_basis"], f"{where}.matrix_on_basis")
-    shape = obj["image_shape"]
+    mat, shape = fields(obj, where, "matrix_on_basis", "image_shape")
+    mat = decode_matrix(mat, f"{where}.matrix_on_basis")
     if not isinstance(shape, list) or len(shape) != 2:
         raise FormatError(f"{where}.image_shape: expected two integers")
     shape = [integer(d, f"{where}.image_shape[{i}]")
@@ -297,6 +279,8 @@ def check_bundle(obj, where: str = "bundle") -> dict:
             f"{where}: format is {obj.get('format')!r}, expected '{FORMAT_NAME}'"
         )
     version = obj.get("version")
-    if version != FORMAT_VERSION or isinstance(version, bool):
-        raise FormatError(f"{where}: version {version!r} not supported")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatError(f"{where}: version {version!r} not supported, "
+                          f"this qgw reads version {FORMAT_VERSION}; "
+                          "regenerate the bundle")
     return obj

@@ -3,6 +3,7 @@
 Generation commands feed check commands; exit codes separate pass, fail,
 and input error; generated bundles are byte-identical across runs.
 """
+import base64
 import contextlib
 import io
 import json
@@ -175,7 +176,7 @@ def resized_delta(side):
     square's 8 x 8, with matrix_on_basis resized to match."""
     def edit(delta):
         rows, cols = side * side, delta["matrix_on_basis"]["cols"]
-        matrix = {"rows": rows, "cols": cols, "data": [[0.0, 0.0]] * (rows * cols)}
+        matrix = encode_matrix(np.zeros((rows, cols)))
         return {**delta, "image_shape": [side, side], "matrix_on_basis": matrix}
     return edit
 
@@ -301,9 +302,8 @@ def test_non_square_rep_exits_2_naming_it(capsys, tmp_path, linked, command,
                                           name):
     doc = json.loads(open(linked).read())
     # drop the last row of every matrix of the stack
-    for m in doc["reps"][name]:
-        m["rows"] -= 1
-        m["data"] = m["data"][:m["rows"] * m["cols"]]
+    doc["reps"][name] = [encode_matrix(decode_matrix(m)[:-1])
+                         for m in doc["reps"][name]]
     bundle = tmp_path / "non_square.json"
     bundle.write_text(json.dumps(doc))
     code, out = run(capsys, command, "--in", str(bundle))
@@ -316,8 +316,7 @@ def test_squares_live_over_the_bundle_base(capsys, tmp_path, linked):
     # the factorizations, and so the operator square, are decoded over the
     # base section: a doubled cyclic vector scales the operator Gram by four
     doc = json.loads(open(linked).read())
-    for entry in doc["base"]["zeta"]["data"]:
-        entry[:] = [2 * x for x in entry]
+    doc["base"]["zeta"] = encode_matrix(2 * decode_matrix(doc["base"]["zeta"]))
     bundle = tmp_path / "doubled_zeta.json"
     bundle.write_text(json.dumps(doc))
     code, out = run(capsys, "phi", "--in", str(bundle))
@@ -325,17 +324,26 @@ def test_squares_live_over_the_bundle_base(capsys, tmp_path, linked):
     assert "[FAIL] gram_match" in out
 
 
+def with_entry(encoded: dict, index: int, value: complex) -> dict:
+    """encoded, a matrix's JSON object, with one row-major entry replaced."""
+    m = decode_matrix(encoded).copy()
+    m.reshape(-1)[index] = value
+    return encode_matrix(m)
+
+
 @pytest.mark.parametrize("command", CHECK_COMMANDS)
 def test_entry_beyond_double_range_exits_2_naming_it(capsys, tmp_path, pair2,
                                                      command):
+    # 10 ** 400 stored as a double is an infinity, which every command
+    # refuses where it reads the state
     doc = json.loads(open(pair2).read())
-    doc["state"]["rho"]["data"][0] = [10 ** 400, 0]
+    doc["state"]["rho"] = with_entry(doc["state"]["rho"], 0, float("1e400"))
     bundle = tmp_path / "huge.json"
     bundle.write_text(json.dumps(doc))
     code, out = run(capsys, command, "--in", str(bundle))
     assert code == 2
     assert f"{command}: ERROR" in out
-    assert "state.rho: data[0]" in out
+    assert "state.rho: expected a finite matrix" in out
 
 
 # matrices of a groupoid bundle, with the path that names the first one and
@@ -358,17 +366,18 @@ READ_MATRICES = {
 @pytest.mark.parametrize("matrix", sorted(READ_MATRICES))
 def test_non_finite_entry_exits_2_in_every_command_that_reads_it(
         capsys, tmp_path, pair2, matrix, value):
-    # the first entry of the matrix, written as json writes a non-finite
-    # double or as a literal beyond the double range; the commands that do
-    # not read the matrix still pass
+    # the first entry of the matrix made the double json reads from a
+    # non-finite literal or one beyond the double range; the commands that
+    # do not read the matrix still pass
     keys, where, readers = READ_MATRICES[matrix]
     doc = json.loads(Path(pair2).read_text())
+    *parents, last = keys
     node = doc
-    for key in keys:
+    for key in parents:
         node = node[key]
-    node["data"][0] = ["NONFINITE", 0.0]
+    node[last] = with_entry(node[last], 0, float(value))
     bundle = tmp_path / "non_finite.json"
-    bundle.write_text(json.dumps(doc).replace('"NONFINITE"', value))
+    bundle.write_text(json.dumps(doc))
     for command in CHECK_COMMANDS:
         code, out = run(capsys, command, "--in", str(bundle))
         errors = [line.strip() for line in out.splitlines() if "error" in line]
@@ -610,30 +619,44 @@ def test_bad_argument_exits_2_naming_it(capsys, tmp_path, pair2, argv,
     assert len([line for line in out.splitlines() if named in line]) == 1
 
 
-def matrices(node):
-    """Every encoded matrix, an object with rows, cols and data, in node."""
+def matrices(node, keys=()):
+    """(keys, matrix) for every encoded matrix, an object with rows, cols
+    and data, in node, with the keys that lead to it."""
     if isinstance(node, dict):
         if {"rows", "cols", "data"} <= set(node):
-            yield node
-        nodes = node.values()
+            yield list(keys), node
+        items = node.items()
     else:
-        nodes = node if isinstance(node, list) else []
-    for child in nodes:
-        yield from matrices(child)
+        items = enumerate(node) if isinstance(node, list) else []
+    for key, child in items:
+        yield from matrices(child, (*keys, key))
 
 
 def mutate(data, doc):
     """Walk into doc along drawn keys, then drop the entry reached, give it
     a value of another JSON type, or put NaN in its place; or give one
     encoded matrix a shape that disagrees with its data, or agrees with it
-    in another shape.  Returns the keys walked, None for a reshape."""
-    edit = data.draw(st.sampled_from(["drop", "retype", "nan", "reshape"]))
-    if edit == "reshape":
-        mat = data.draw(st.sampled_from(list(matrices(doc))))
-        rows, cols = mat["rows"], mat["cols"]
-        mat["rows"], mat["cols"] = data.draw(st.sampled_from(
-            [(cols, rows), (rows * cols, 1), (rows + 1, cols), (rows, 0)]))
-        return None
+    in another shape; or cut its data string short, or put a character
+    that is no base64 digit into it.  Returns the keys walked, or those
+    to the data edited, and None for a reshape."""
+    edit = data.draw(st.sampled_from(["drop", "retype", "nan", "reshape",
+                                      "truncate", "corrupt"]))
+    if edit in ("reshape", "truncate", "corrupt"):
+        keys, mat = data.draw(st.sampled_from(list(matrices(doc))))
+        rows, cols, text = mat["rows"], mat["cols"], mat["data"]
+        if edit == "reshape":
+            mat["rows"], mat["cols"] = data.draw(st.sampled_from(
+                [(cols, rows), (rows * cols, 1), (rows + 1, cols), (rows, 0)]))
+            return None
+        assert text, keys  # every bundle matrix has an entry
+        at = data.draw(st.integers(0, len(text) - 1))
+        if edit == "truncate":
+            mat["data"] = text[:at]
+        else:
+            mat["data"] = text[:at] + data.draw(st.sampled_from(
+                ["!", "-", "_", " ", "\u00e9", "="]).filter(
+                    lambda char: char != text[at])) + text[at + 1:]
+        return keys + ["data"]
     holder, key, node, path = None, None, doc, []
     while isinstance(node, (dict, list)) and node and (
             holder is None or data.draw(st.booleans())):
@@ -657,8 +680,8 @@ def check_mutated_bundle(pair2, linked, unit, data):
     group's (whose 1 x 1 matrices a JSON true fits) or a random base's,
     every command ends in a verdict or an input error, never in an
     escaping exception; an edit of the header, of the whole state section
-    or of the size of a state matrix, where the command reads the state,
-    is an input error."""
+    or of the size or data of a state matrix, where the command reads the
+    state, is an input error."""
     source = data.draw(st.sampled_from([pair2, unit, linked]))
     doc = json.loads(Path(source).read_text())
     path = mutate(data, doc)
@@ -671,10 +694,10 @@ def check_mutated_bundle(pair2, linked, unit, data):
     # a linked bundle carries its own base, which the state does not feed
     reads_state = source != linked or command not in ("base-check",
                                                       "factorize")
-    sized = path is not None and path[:1] == ["state"] \
-        and path[-1] in ("rows", "cols")
+    state_entry = path is not None and path[:1] == ["state"] \
+        and path[-1] in ("rows", "cols", "data")
     if path in (["format"], ["version"]) or (
-            (path == ["state"] or sized) and reads_state):
+            (path == ["state"] or state_entry) and reads_state):
         assert code == 2
 
 
@@ -707,28 +730,54 @@ def test_one_unit_size_retyped_to_true_exits_2(pair2, linked, unit, command,
         unit, "retype", "state", True, "rho", True, size, True, command))
 
 
+def test_version_1_bundle_exits_2_asking_to_regenerate(capsys, tmp_path,
+                                                      pair2):
+    # a bundle as version 1 wrote it: data as a list of [re, im] pairs
+    doc = json.loads(Path(pair2).read_text())
+    for _, mat in matrices(doc):
+        mat["data"] = decode_matrix(mat).reshape(-1, 1).view(float).tolist()
+    doc["version"] = 1
+    bundle = tmp_path / "version1.json"
+    bundle.write_text(json.dumps(doc))
+    for command in CHECK_COMMANDS:
+        code, out = run(capsys, command, "--in", str(bundle))
+        errors = [line.strip() for line in out.splitlines() if "error" in line]
+        assert code == 2
+        assert errors == [f"error: {bundle}: version 1 not supported, this "
+                          "qgw reads version 2; regenerate the bundle"]
+
+
 @pytest.mark.parametrize("bundle", ["pair2", "linked"])
 def test_bundle_matrices_are_packed_as_they_are_parsed(request, bundle):
     ctx = cli.BundleContext(request.getfixturevalue(bundle), DEFAULT_TOL)
-    found = list(matrices(ctx.doc))
+    found = [mat for _, mat in matrices(ctx.doc)]
     assert found
     for mat in found:
         assert isinstance(mat["data"], np.ndarray)
-        assert mat["data"].shape == (mat["rows"] * mat["cols"], 2)
+        assert mat["data"].shape == (mat["rows"] * mat["cols"],)
+        assert mat["data"].dtype == complex and mat["data"].flags.writeable
 
 
-# the malformed entries of test_serialize, and a density entry that is not
+MALFORMED = "data must be a base64 string of whole 16-byte complex entries"
+
+
+def rebased(edit):
+    """An edit of a data string made on the bytes it holds."""
+    return lambda data: base64.b64encode(
+        edit(base64.b64decode(data))).decode()
+
+
+# the malformed data of test_serialize, and a density entry that is not
 # finite, reaching a command from a file
 @pytest.mark.parametrize("edit, message", [
-    (lambda d: d[:-1], "data must hold 4 entries, got 3"),
-    (lambda d: d[:-1] + [[1.0]], "data[3] must be [re, im]"),
-    (lambda d: [d[0], ["1.5", 0.0], *d[2:]], "data[1] must be [re, im]"),
-    (lambda d: [d[0], [10 ** 400, 0], *d[2:]],
-     "data[1] is too large for a double"),
-    (lambda d: [d[0], [[1.0], 0.0], *d[2:]], "data[1] must be [re, im]"),
-    (lambda d: [d[0], [1.0, 0.0, 0.0], *d[2:]], "data[1] must be [re, im]"),
-    (lambda d: [d[0], [float("nan"), 0.0], *d[2:]],
-     "expected a finite matrix"),
+    (rebased(lambda raw: raw[:-16]), "data must hold 4 entries, got 3"),
+    (rebased(lambda raw: raw[:-8]), MALFORMED),  # half an entry short
+    (lambda d: d[:4] + "." + d[5:], MALFORMED),  # no base64
+    (lambda d: 10 ** 400, MALFORMED),  # no string
+    (lambda d: [[1.0, 0.0]] * 4, MALFORMED),  # the version-1 layout
+    (lambda d: d[:-1], MALFORMED),  # a length no base64 has
+    (rebased(lambda raw: raw[:16] + np.array([np.nan, 0.0], "<f8").tobytes()
+             + raw[32:]), "expected a finite matrix"),
 ], ids=["short", "ragged", "string", "huge_int", "nested", "three", "nan"])
 def test_malformed_matrix_data_in_a_file_exits_2(capsys, tmp_path, pair2,
                                                  edit, message):

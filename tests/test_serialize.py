@@ -1,9 +1,10 @@
 """Round trips for the JSON layouts.
 
-Matrices must come back bit-identical (shortest-roundtrip float formatting),
+Matrices must come back bit-identical (base64 of their complex128 bytes),
 composite objects must rebuild with the same ordered bases, and malformed
 documents must fail with a path in the message.
 """
+import base64
 import json
 
 import numpy as np
@@ -18,8 +19,23 @@ from qgw.linalg import DEFAULT_TOL, mat_norm
 from qgw.staralg import rep_value
 
 
+MALFORMED = "data must be a base64 string of whole 16-byte complex entries"
+
+
 def roundtrip(obj):
     return json.loads(serialize.canonical_dumps(obj))
+
+
+def packed(values) -> str:
+    """A data string holding the doubles values, in the given order."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def with_entry(encoded: dict, index: int, value: complex) -> dict:
+    """encoded, a matrix's JSON object, with one row-major entry replaced."""
+    m = serialize.decode_matrix(encoded).copy()
+    m.reshape(-1)[index] = value
+    return serialize.encode_matrix(m)
 
 
 def test_matrix_roundtrip_is_bit_identical():
@@ -28,7 +44,7 @@ def test_matrix_roundtrip_is_bit_identical():
     m *= np.pi * 1e-7
     back = serialize.decode_matrix(roundtrip(serialize.encode_matrix(m)))
     assert back.shape == (3, 5)
-    # exact equality on purpose: repr formatting round-trips doubles
+    # exact equality on purpose: the bytes of the doubles are stored
     assert np.array_equal(back, m)
 
 
@@ -43,48 +59,57 @@ def test_vector_roundtrip_and_shape_guard():
 
 def test_matrix_decode_rejects_bad_layouts():
     good = serialize.encode_matrix(np.eye(2))
+    entries = serialize.decode_matrix(good).reshape(-1).view(float)
     bad = dict(good)
-    bad["data"] = good["data"][:-1]
-    with pytest.raises(FormatError, match="spot"):
+    bad["data"] = packed(entries[:-2])  # one entry short
+    with pytest.raises(FormatError, match="^spot: data must hold 4 entries, "
+                                          "got 3$"):
         serialize.decode_matrix(bad, "spot")
     bad2 = dict(good)
-    bad2["data"] = good["data"][:-1] + [[1.0]]
-    with pytest.raises(FormatError, match=r"data\[3\]"):
+    bad2["data"] = packed(entries[:-1])  # half an entry short
+    with pytest.raises(FormatError, match=f"^m: {MALFORMED}$"):
         serialize.decode_matrix(bad2, "m")
+    bad3 = dict(good)
+    bad3["data"] = entries.reshape(-1, 2).tolist()  # the version-1 layout
+    with pytest.raises(FormatError, match=f"^m: {MALFORMED}$"):
+        serialize.decode_matrix(bad3, "m")
     with pytest.raises(FormatError, match="expected an object"):
         serialize.decode_matrix([1, 2], "m")
 
 
-@pytest.mark.parametrize("entry", [
-    [10 ** 400, 0],
-    ["1.5", 0.0],
-    [[1.0], 0.0],
-    [1.0, 0.0, 0.0],
+@pytest.mark.parametrize("data", [
+    10 ** 400,  # no string
+    "AAAA.AAA" * 8,  # no base64
+    [[1.0, 0.0]] * 4,  # the version-1 layout
+    packed([1.0, 0.0, 0.0]),  # 24 bytes, one and a half entries
 ], ids=["huge_int", "string", "nested", "three"])
-def test_matrix_decode_names_the_first_malformed_entry(entry):
-    bad = serialize.encode_matrix(np.eye(2))
-    # two malformed entries: the message names the first
-    bad["data"][1] = bad["data"][3] = entry
-    with pytest.raises(FormatError, match=r"^state\.rho: data\[1\] "):
-        serialize.decode_matrix(bad, "state.rho")
+def test_matrix_decode_names_the_first_malformed_entry(data):
+    stack = serialize.encode_stack(np.stack([np.eye(2)] * 4))
+    # two malformed matrices in a stack: the message names the first
+    stack[1]["data"] = stack[3]["data"] = data
+    with pytest.raises(FormatError, match=rf"^gens\[1\]: {MALFORMED}$"):
+        serialize.decode_stack(stack, "gens")
 
 
-def test_matrix_decode_accepts_ints_floats_and_bools():
-    obj = {"rows": 2, "cols": 2,
-           "data": [[1, 0], [True, False], [2.5, -0.0], [-7, 10 ** 30]]}
-    back = serialize.decode_matrix(obj)
-    assert back[0, 0] == 1 and back[0, 1] == 1 and back[1, 0] == 2.5
-    assert np.signbit(back[1, 0].imag)
-    assert back[1, 1].real == -7 and back[1, 1].imag == 1e30
+def test_matrix_decode_keeps_every_finite_double_bit_for_bit():
+    tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+    big = np.finfo(float).max
+    m = np.array([[1, complex(-0.0, -0.0)], [complex(-tiny, big), -7 + 1e30j]])
+    back = serialize.decode_matrix(roundtrip(serialize.encode_matrix(m)))
+    assert back.tobytes() == m.tobytes()
+    assert np.signbit(back[0, 1].imag) and back[1, 0].imag == big
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
 @pytest.mark.parametrize("packed", [True, False], ids=["packed", "list"])
 def test_matrix_decode_refuses_non_finite_entries(value, packed):
-    # as json reads them from a file, packed as they are parsed or not
-    text = f'{{"rows": 1, "cols": 2, "data": [[1, 0], [0, {value}]]}}'
-    obj = json.loads(text, object_hook=serialize.pack_matrix if packed
-                     else None)
+    # the double json reads from each literal, stored as a bundle stores
+    # it; unpacked as it is parsed ("packed") or left a string that
+    # decode_matrix unpacks ("list", the layout's name before version 2)
+    doc = with_entry(serialize.encode_matrix(np.array([[1, 0]])), 1,
+                     complex(0, float(value)))
+    obj = json.loads(json.dumps(doc), object_hook=serialize.pack_matrix
+                     if packed else None)
     assert isinstance(obj["data"], np.ndarray) == packed
     with pytest.raises(FormatError,
                        match=r"^state\.rho: expected a finite matrix$"):
@@ -117,7 +142,7 @@ def test_algebra_decode_refuses_skewed_generators():
     doc = serialize.encode_algebra(
         groupoid_bundle(FiniteGroupoid.cyclic(2))["triple"].algebra
     )
-    doc["generators"][0]["data"][0] = [2.0, 0.0]
+    doc["generators"][0] = with_entry(doc["generators"][0], 0, 2.0)
     with pytest.raises(FormatError, match="HS-orthonormal"):
         serialize.decode_algebra(doc)
 
@@ -159,7 +184,7 @@ def test_factorization_roundtrip_certifies():
 def test_factorization_decode_refuses_skewed_basis():
     data = linked_bundle([2, 1], 1, 1, seed=11)
     doc = serialize.encode_factorization(data["alpha"], "state")
-    doc["alpha_basis"][0]["data"][0] = [5.0, 0.0]
+    doc["alpha_basis"][0] = with_entry(doc["alpha_basis"][0], 0, 5.0)
     with pytest.raises(FormatError, match="HS-orthonormal"):
         serialize.decode_factorization(doc, data["base"])
 
@@ -188,10 +213,12 @@ def test_bundle_header_validation():
     with pytest.raises(FormatError, match="version"):
         serialize.check_bundle({"format": serialize.FORMAT_NAME,
                                 "version": 99})
-    # a JSON true equals 1 in Python but is no format version
-    with pytest.raises(FormatError, match="version True"):
-        serialize.check_bundle({"format": serialize.FORMAT_NAME,
-                                "version": True})
+    # a JSON true or 2.0 equals an integer in Python but is no format
+    # version
+    for version in (True, 2.0):
+        with pytest.raises(FormatError, match=f"version {version!r}"):
+            serialize.check_bundle({"format": serialize.FORMAT_NAME,
+                                    "version": version})
 
 
 def test_encoding_is_compact_and_packs_back_bit_identically():
@@ -200,8 +227,10 @@ def test_encoding_is_compact_and_packs_back_bit_identically():
     text = serialize.canonical_dumps({"m": serialize.encode_matrix(m.T)})
     assert "\n" not in text[:-1] and ", " not in text
     doc = json.loads(text, object_hook=serialize.pack_matrix)
-    assert doc["m"]["data"].shape == (6, 2)
-    assert np.array_equal(serialize.decode_matrix(doc["m"]), m.T)
+    data = doc["m"]["data"]
+    assert data.shape == (6,) and data.dtype == complex
+    assert data.flags.writeable
+    assert serialize.decode_matrix(doc["m"]).tobytes() == m.T.tobytes()
 
 
 def test_canonical_dumps_rejects_non_finite():
