@@ -24,9 +24,9 @@ from .linalg import (
     Tolerance,
     canonical_rows,
     dagger,
+    extend_rows,
     intertwiner_rows,
     rank,
-    span,
     subspace_residual,
     worst_norm,
 )
@@ -69,32 +69,31 @@ class Factorization:
     def basis(self):
         return self.subspace.matrices()
 
-    def product_algebra(self) -> StarAlgebra:
-        return self.base.partner if self.flipped else self.base.algebra
-
     def acting_algebra(self) -> StarAlgebra:
         return self.base.algebra if self.flipped else self.base.partner
 
     def axiom_report(self) -> dict:
         out = {}
-        prod = self.product_algebra()
+        prod = self.base.partner if self.flipped else self.base.algebra
         xs = self.subspace.stack
         n = self.base.space_dim
         # inner products x_i* x_j land in and span the product algebra, and
         # the module products x_i b stay in the span: formed for blocks of
-        # rows i that hold no more entries than xs (x_i is target x n)
+        # rows i that hold no more entries than xs (x_i is target x n); the
+        # products' span grows by each block's part off it (extend_rows)
         in_algebra = closed = 0.0
-        prods = span([], n, n, self.tol)
+        prods = np.zeros((0, n * n), dtype=complex)
         step = max(1, self.target_dim // n)
         for rows in (xs[i:i + step] for i in range(0, self.dim, step)):
-            block = (dagger(rows)[:, None] @ xs[None]).reshape(-1, n, n)
+            block = (dagger(rows)[:, None] @ xs[None]).reshape(-1, n * n)
             in_algebra = max(in_algebra, prod.residual(block))
-            prods = span(np.concatenate([prods.stack, block]), n, n, self.tol)
+            prods = extend_rows(prods, block, self.tol)
             closed = max(closed, self.subspace.residual(
                 rows[:, None] @ prod.subspace.stack[None]))
         out["products_in_algebra"] = in_algebra
-        out["products_span_algebra"] = subspace_residual(
-            prods, prod.subspace) if self.dim else float(prod.dim)
+        out["products_span_algebra"] = subspace_residual(OperatorSubspace(
+            n, n, prods.reshape(-1, n, n)), prod.subspace) if self.dim \
+            else float(prod.dim)
         out["module_closed"] = closed
         # ranges fill the target
         cols = xs.transpose(1, 0, 2).reshape(self.target_dim, -1)

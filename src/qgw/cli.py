@@ -6,8 +6,8 @@ A check command hands one lazily built bundle context to its certifier and
 prints the certificate as a check table.  Exit codes: 0 when every check
 passes, 1 when one fails, 2 on malformed input (a bundle, an argument, or
 an --in or --out path) or when memory runs out.  The functions that use
-fiber, fixtures, hopf, pmu and rtensor import them, so a command loads only
-the modules it runs.
+cbase, fiber, fixtures, hopf, pmu and rtensor import them, so a command
+loads only the modules it runs.
 """
 from __future__ import annotations
 
@@ -21,8 +21,6 @@ import time
 import numpy as np
 
 from . import serialize
-from .cbase import base_equivalence, cbase_from_state, \
-    modular_conjugation_of_base
 from .errors import FormatError, PreconditionError, QgwError
 from .gns import gns
 from .linalg import Tolerance, dagger, unitary_residual
@@ -198,6 +196,7 @@ class BundleContext:
     def base(self):
         """The bundle's base section, or the triple's base without one;
         every factorization, and so every square, lives over it."""
+        from .cbase import cbase_from_state
         if "base" not in self.doc:
             return cbase_from_state(self.triple)
         return serialize.decode_base(self.section("base"), "base", self.tol)
@@ -301,6 +300,7 @@ def certify_gns(ctx: BundleContext) -> Certificate:
 
 
 def certify_base(ctx: BundleContext) -> Certificate:
+    from .cbase import base_equivalence, modular_conjugation_of_base
     base = ctx.base
     parts = {}
     if base.cyclic_vector is not None:

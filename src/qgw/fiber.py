@@ -5,13 +5,13 @@ a tensor product: it takes the commutant of the lifted leg commutants on the
 state-flavor quotient.  The spatial construction never mentions the
 commutants: it carves the same algebra out of the operator space of the
 operator-flavor quotient by insertion-operator conditions alone.  Per leg, S
-is the span of the insertions composed with the other leg's algebra, and an
-operator belongs iff it keeps every insertion inside S.  Both are solved in
-the eigenbasis of one seeded Hermitian element the solutions commute with
-(linalg.eigen_match), the spatial one built from the frame operators
-F_X = sum s_j X s_j* of both legs' S (s_j orthonormal).  Morphisms are
-certified two independent ways and the package refuses to return an answer
-when the two disagree.
+is the span of the insertions composed with the other leg's algebra, built
+one ket at a time, and an operator belongs iff it keeps every insertion
+inside S.  Both are solved in the eigenbasis of one seeded Hermitian element
+the solutions commute with (linalg.eigen_match), the spatial one built from
+the frame operators F_X = sum s_j X s_j* of both legs' S (s_j orthonormal).
+Morphisms are certified two independent ways and the package refuses to
+return an answer when the two disagree.
 
 The adjoint conditions of the C*-definitions (T* keeps S; V* carries the
 target factorization back) follow from the forward ones, since a Hilbert
@@ -45,12 +45,13 @@ from .linalg import (
     from_pairs,
     intersect_null_spaces,
     intertwiner_rows,
+    intertwiner_solve,
     span,
     subspace_residual,
     worst_norm,
 )
 from .report import Certificate
-from .rtensor import RelativeTensorSpace, insertions
+from .rtensor import RelativeTensorSpace, insertion_span, insertions
 from .staralg import StarAlgebra, rep_report, rep_value
 
 
@@ -61,7 +62,7 @@ def fiber_classical(space: RelativeTensorSpace, left_alg: StarAlgebra,
 
     Lifting is multiplicative on operators that descend, so the lifts of
     s (x) 1 and 1 (x) t generate the relative commutant.  With their
-    adjoints they are *-closed whatever the lifts' residual.
+    adjoints they are *-closed whatever the lifts' residual: solved unchecked.
     """
     nh, nk = space.plain_dims
     if left_alg.space_dim != nh or right_alg.space_dim != nk:
@@ -75,7 +76,7 @@ def fiber_classical(space: RelativeTensorSpace, left_alg: StarAlgebra,
     del left, right
     np.conjugate(family[:m].swapaxes(1, 2), out=family[m:])
     swap = np.roll(np.eye(2 * m), m, axis=0)
-    rows = intertwiner_rows(family, family, swap, space.tol)
+    rows = intertwiner_solve(family, family, swap, space.tol)
     algebra = StarAlgebra(q, OperatorSubspace(q, q, rows.reshape(-1, q, q)),
                           space.tol, certify=False)
     return algebra, Certificate(
@@ -112,9 +113,8 @@ def fiber_spatial(space: RelativeTensorSpace, left_alg: StarAlgebra,
     for leg, fact, partners in ((0, space.meta["left_fact"], right_alg),
                                 (1, space.meta["right_fact"], left_alg)):
         kets = insertions(space, fact.subspace.stack, leg)
-        n = kets.shape[2]
-        family = kets[:, None] @ partners.subspace.stack[None]
-        legs.append((kets, span(family.reshape(-1, q, n), q, n, tol).stack))
+        legs.append((kets, insertion_span(kets, partners.subspace.stack,
+                                          tol).stack))
 
     def frames(draw):
         frame = np.zeros((q, q), dtype=complex)

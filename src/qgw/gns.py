@@ -96,7 +96,7 @@ class GnsTriple:
         self.dim = w.shape[0]
         self.w = w
         self.w_inv = np.linalg.inv(w)
-        self.cyclic_vector = w @ algebra.identity_coefficients()
+        self.cyclic_vector = w @ algebra.coefficients(np.eye(algebra.space_dim))
         self.tol = tol
         star = algebra.star_matrix()
         # closure of x zeta -> x* zeta in coordinates

@@ -7,6 +7,8 @@ decisions follow one tolerant rule everywhere: a singular value counts iff
     sigma > eps * sigma_max * max(rows, cols).
 
 QuotientRealization and null_rows apply it to Gram eigenvalues (sigma^2).
+Row spaces have one decomposition path, extend_rows: a span grows by what
+its kept basis misses, and a one-shot span grows from the empty basis.
 
 Checks report residual norms; callers compare against explicit thresholds.
 """
@@ -135,24 +137,38 @@ class AntilinearMap:
         return self.matrix.T @ np.conj(self.matrix)
 
 
-def rank(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_cut(s[0], a.shape[0], a.shape[1])))
+def extend_rows(basis: np.ndarray, rows: np.ndarray,
+                tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """basis (k x N, orthonormal rows), then the directions that rows (m x N)
+    add: those of their residual R off basis, projected twice, whose
+    sigma_i(R) pass the rule read for the stack [basis; rows] with sigma_max
+    taken as max(1 if k, sigma_1(R)).  For k = 0 that is the one-shot rule;
+    for k > 0 the stack's singular values past the k-th lie in
+    [sigma_i(R) / (1 + |rows|), sigma_i(R)], so the two cuts differ only on
+    a sigma_i(R) within a factor (1 + |rows|)^2 above this one.  |R| under
+    the cut adds nothing and decomposes nothing; otherwise a QR on R's long
+    side and an SVD of its triangle are the only decompositions."""
+    rows, k = np.asarray(rows, dtype=complex), len(basis)
+    for _ in range(2 if k else 0):
+        rows = rows - (rows @ basis.conj().T) @ basis
+    m, n = rows.shape
+    if np.linalg.norm(rows) <= tol.rank_cut(float(k > 0), k + m, n):
+        return basis
+    q, t = np.linalg.qr(rows if m >= n else rows.T)  # t = u s vh
+    u, s, vh = np.linalg.svd(t)
+    vh = vh if m >= n else (q @ u).T  # R = t^T q^T = vh^T s (q u)^T
+    new = vh[s > tol.rank_cut(max(float(k > 0), s[0]), k + m, n)]
+    # a small kept sigma_i leaves its direction off basis to 1e-16 / sigma_i
+    return np.concatenate([basis, new - (new @ basis.conj().T) @ basis])
 
 
 def orthonormal_rows(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the row space of a, as rows, via SVD."""
-    if a.size == 0:
-        return np.zeros((0, a.shape[1]), dtype=complex)
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, a.shape[1]), dtype=complex)
-    r = int(np.sum(s > tol.rank_cut(s[0], a.shape[0], a.shape[1])))
-    return vh[:r]
+    """Orthonormal basis of the row space of a, as rows."""
+    return extend_rows(np.zeros((0, a.shape[1]), dtype=complex), a, tol)
+
+
+def rank(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+    return len(orthonormal_rows(a, tol))
 
 
 class OperatorSubspace:
@@ -346,15 +362,8 @@ def from_pairs(rows: np.ndarray, u: np.ndarray, v: np.ndarray,
 
 def intertwiner_rows(t: np.ndarray, s: np.ndarray, star: np.ndarray,
                      tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal rows spanning {T : t_i T = T s_i} in row-major vec(T).
-
-    Precondition (PreconditionError otherwise): the family is *-closed,
-    t_i* = sum_j star[j, i] t_j and likewise s_i*, as an algebra basis and
-    its image under a *-homomorphism are.  A solution then intertwines the
-    Hermitian h_t = sum d_i t_i and h_s = sum d_i s_i for d closed under the
-    star, so it maps each eigenspace of h_s into the one of h_t with the
-    same eigenvalue (eigen_match); only those entries are unknowns.
-    """
+    """intertwiner_solve, once its precondition is checked: PreconditionError
+    unless both families are *-closed under star."""
     t, s, star = as_complex(t), as_complex(s), as_complex(star)
     gap = scale = 0.0
     for f in (t, s):
@@ -369,7 +378,20 @@ def intertwiner_rows(t: np.ndarray, s: np.ndarray, star: np.ndarray,
         scale = max(scale, np.max(stack_norms(f), initial=0.0))
     if gap > tol.check * max(1.0, scale):
         raise PreconditionError(f"family is not *-closed: residual {gap:.3e}")
+    return intertwiner_solve(t, s, star, tol)
 
+
+def intertwiner_solve(t: np.ndarray, s: np.ndarray, star: np.ndarray,
+                      tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal rows spanning {T : t_i T = T s_i} in row-major vec(T).
+
+    Precondition (intertwiner_rows checks it): the family is *-closed,
+    t_i* = sum_j star[j, i] t_j and likewise s_i*, as an algebra basis and
+    its image under a *-homomorphism are.  A solution then intertwines the
+    Hermitian h_t = sum d_i t_i and h_s = sum d_i s_i for d closed under the
+    star, so it maps each eigenspace of h_s into the one of h_t with the
+    same eigenvalue (eigen_match); only those entries are unknowns.
+    """
     u, v, a, b, _ = eigen_match(star_closed_pair(t, s, star), tol)
     gram = exchange_gram(t, s, u, v, a, b)
     mats = from_pairs(null_rows(gram, tol), u, v, a, b)

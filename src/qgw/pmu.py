@@ -39,8 +39,8 @@ from .linalg import (
     worst_norm,
 )
 from .report import Certificate
-from .rtensor import insertion_span, nest_left, nest_right, phi_unitary, \
-    rtp_cstar, rtp_state
+from .rtensor import insertion_span, insertions, nest_left, nest_right, \
+    phi_unitary, rtp_cstar, rtp_state
 from .staralg import commute_residual
 
 
@@ -151,8 +151,9 @@ def operator_legs(beta_hat: Factorization, alpha_flipped: Factorization,
 
     @functools.cache
     def leg(square, action, i):
-        return insertion_span(squares[square], factors[square][1 - i],
-                              tails[action], 1 - i)
+        kets = insertions(squares[square],
+                          factors[square][1 - i].subspace.stack, 1 - i)
+        return insertion_span(kets, tails[action].subspace.stack, tol)
 
     def pair(kind, slot, lg):
         facts, space = list(factors[kind]), squares[lg[0]]

@@ -36,8 +36,8 @@ from .linalg import (
     Tolerance,
     dagger,
     eigen_match,
+    extend_rows,
     mat_norm,
-    span,
     star_closed_pair,
     unitary_residual,
 )
@@ -321,18 +321,16 @@ def insertions(space: RelativeTensorSpace, elements, leg: int) -> np.ndarray:
     return np.tensordot(col, cm, axes=(-1, 1 + leg))
 
 
-def insertion_span(space: RelativeTensorSpace, ket_fact: Factorization,
-                   tail_fact: Factorization, leg: int) -> OperatorSubspace:
-    """Span of the insertions of one factorization composed with elements of
-    another: maps from the base space into the operator-flavor quotient.
-
-    leg selects which plain factor the insertions fill; the tail supplies the
-    maps from the base space into the remaining factor.
-    """
-    kets = insertions(space, ket_fact.subspace.stack, leg)
-    family = kets[:, None] @ tail_fact.subspace.stack[None]
-    n = space.meta["base"].space_dim
-    return span(family.reshape(-1, space.dim, n), space.dim, n, space.tol)
+def insertion_span(kets: np.ndarray, tails: np.ndarray,
+                   tol: Tolerance = DEFAULT_TOL) -> OperatorSubspace:
+    """Span of the products k t of insertions k (kets) with tails t, maps
+    from the base space into the factor the kets leave open: grown one ket's
+    products at a time by their part off the span so far (extend_rows)."""
+    (q, _), n = kets.shape[1:], tails.shape[2]
+    basis = np.zeros((0, q * n), dtype=complex)
+    for ket in kets:
+        basis = extend_rows(basis, (ket @ tails).reshape(len(tails), -1), tol)
+    return OperatorSubspace(q, n, basis.reshape(-1, q, n))
 
 
 def ket_factorization(space: RelativeTensorSpace, ket_fact: Factorization,
@@ -342,7 +340,8 @@ def ket_factorization(space: RelativeTensorSpace, ket_fact: Factorization,
     of one factorization composed with elements of another (see
     insertion_span), certified like any factorization.
     """
-    sub = insertion_span(space, ket_fact, tail_fact, leg)
+    sub = insertion_span(insertions(space, ket_fact.subspace.stack, leg),
+                         tail_fact.subspace.stack, space.tol)
     return Factorization(space.meta["base"], space.dim, sub, flipped=flipped,
                          tol=space.tol)
 

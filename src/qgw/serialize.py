@@ -19,8 +19,6 @@ import json
 
 import numpy as np
 
-from .cbase import CStarBase
-from .cfact import Factorization
 from .errors import FormatError
 from .gns import State
 from .linalg import DEFAULT_TOL, OperatorSubspace, Tolerance, dagger, mat_norm
@@ -189,6 +187,7 @@ def encode_base(base: CStarBase) -> dict:
 
 def decode_base(obj, where: str = "base",
                 tol: Tolerance = DEFAULT_TOL) -> CStarBase:
+    from .cbase import CStarBase
     dim, alg, partner = fields(obj, where, "frak_H_dim", "B", "B_dag")
     alg = decode_algebra(alg, f"{where}.B", tol)
     partner = decode_algebra(partner, f"{where}.B_dag", tol)
@@ -212,6 +211,7 @@ def encode_factorization(fact: Factorization, base_ref: str) -> dict:
 def decode_factorization(obj, base: CStarBase, where: str = "factorization",
                          tol: Tolerance = DEFAULT_TOL,
                          certify: bool = True) -> Factorization:
+    from .cfact import Factorization
     n, mats = fields(obj, where, "H_dim", "alpha_basis")
     n = integer(n, f"{where}.H_dim", 1)
     mats = decode_stack(mats, f"{where}.alpha_basis")

@@ -21,6 +21,7 @@ from .linalg import (
     OperatorSubspace,
     Tolerance,
     dagger,
+    extend_rows,
     intertwiner_rows,
     mat_norm,
     null_rows,
@@ -98,9 +99,6 @@ class StarAlgebra:
         """Coordinate matrix of the antilinear star map: coords(x*) = S conj(coords(x))."""
         return self._products[1]
 
-    def identity_coefficients(self) -> np.ndarray:
-        return self.coefficients(np.eye(self.space_dim))
-
     def commutant(self) -> "StarAlgebra":
         n, stack = self.space_dim, self.subspace.stack
         rows = intertwiner_rows(stack, stack, self.star_matrix(), self.tol)
@@ -128,23 +126,22 @@ class StarAlgebra:
 
 def algebra_from_generators(space_dim: int, generators,
                             tol: Tolerance = DEFAULT_TOL) -> StarAlgebra:
-    """Smallest unital *-algebra containing the generators."""
-    mats = [np.eye(space_dim, dtype=complex)]
-    for g in generators:
-        g = np.asarray(g, dtype=complex)
-        if g.shape != (space_dim, space_dim):
-            raise DimensionError("generator has wrong shape")
-        mats.append(g)
-        mats.append(dagger(g))
-    current = span(mats, space_dim, space_dim, tol)
+    """Smallest unital *-algebra containing the generators: the span of the
+    unit, the generators and their adjoints, extended (linalg.extend_rows)
+    by each member's products with the members a round starts from, in
+    rounds until one adds nothing, and so decomposes nothing."""
+    n = space_dim
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    if any(g.shape != (n, n) for g in gens):
+        raise DimensionError("generator has wrong shape")
+    basis = span([np.eye(n)] + gens + [dagger(g) for g in gens], n, n,
+                 tol).flat()
     while True:
-        stack = current.stack
-        products = (stack[:, None] @ stack[None]).reshape(-1, *stack.shape[1:])
-        grown = np.concatenate([stack, products])
-        nxt = span(grown, space_dim, space_dim, tol)
-        if nxt.dim == current.dim:
-            return StarAlgebra(space_dim, nxt, tol)
-        current = nxt
+        stack = basis.reshape(-1, n, n)
+        for b in stack:
+            basis = extend_rows(basis, (b @ stack).reshape(-1, n * n), tol)
+        if len(basis) == len(stack):
+            return StarAlgebra(n, OperatorSubspace(n, n, stack), tol)
 
 
 def rep_value(algebra: StarAlgebra, mats: np.ndarray, x: np.ndarray) -> np.ndarray:

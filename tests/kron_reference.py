@@ -1,16 +1,62 @@
 """Kron-matrix and per-element references for what the library now computes
 without forming kron products or looping over elements, and the solves it
 made before dropping conditions that others imply; tests compare the library
-against these."""
+against these, and the one-shot spans that now grow by their new rows."""
 import numpy as np
 
 from qgw.errors import PreconditionError
 from qgw.fiber import _keep_rows, intertwiner_space
 from qgw.linalg import DEFAULT_TOL, OperatorSubspace, QuotientRealization, \
-    dagger, eigen_match, from_pairs, intersect_null_spaces, mat_norm, span, \
+    dagger, eigen_match, from_pairs, intersect_null_spaces, mat_norm, \
     stack_norms
 from qgw.rtensor import balanced_support, gram_from_r_stacks, insertions, \
     nest_left, rtp_state
+from qgw.staralg import StarAlgebra
+
+
+def svd_rows(a, tol=DEFAULT_TOL):
+    """Orthonormal rows spanning the rows of a, as first read: one SVD of
+    the whole matrix, cut by the rank rule on its singular values."""
+    if a.size == 0:
+        return np.zeros((0, a.shape[1]), dtype=complex)
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    if s[0] == 0.0:
+        return np.zeros((0, a.shape[1]), dtype=complex)
+    return vh[s > tol.rank_cut(s[0], *a.shape)]
+
+
+def svd_span(mats, m, n, tol=DEFAULT_TOL):
+    """span of a stack (k, m, n) through svd_rows."""
+    mats = np.asarray(mats, dtype=complex).reshape(-1, m * n)
+    return OperatorSubspace(m, n, svd_rows(mats, tol).reshape(-1, m, n))
+
+
+def svd_algebra_from_generators(n, generators, tol=DEFAULT_TOL):
+    """algebra_from_generators as first grown: each round one SVD of the
+    basis stacked on all k^2 products of its members."""
+    mats = [np.eye(n)] + [x for g in generators for x in (g, dagger(g))]
+    current = svd_span(mats, n, n, tol)
+    while True:
+        stack = current.stack
+        grown = np.concatenate([stack, (stack[:, None] @ stack[None])
+                                .reshape(-1, n, n)])
+        nxt = svd_span(grown, n, n, tol)
+        if nxt.dim == current.dim:
+            return StarAlgebra(n, nxt, tol)
+        current = nxt
+
+
+def svd_products_span(fact):
+    """The span of a factorization's inner products x_i* x_j, read by one
+    SVD of all of them."""
+    xs, n = fact.subspace.stack, fact.base.space_dim
+    return svd_span(dagger(xs)[:, None] @ xs[None], n, n, fact.tol)
+
+
+def svd_insertion_span(kets, tails, tol=DEFAULT_TOL):
+    """rtensor.insertion_span by one SVD of every product k t."""
+    q, n = kets.shape[1], tails.shape[2]
+    return svd_span(kets[:, None] @ tails[None], q, n, tol)
 
 
 def identity_frame(*dims) -> dict:
@@ -228,10 +274,8 @@ def spatial_legs(space, left_alg, right_alg):
     for leg, fact, partners in ((0, space.meta["left_fact"], right_alg),
                                 (1, space.meta["right_fact"], left_alg)):
         kets = insertions(space, fact.subspace.stack, leg)
-        n = kets.shape[2]
-        family = kets[:, None] @ partners.subspace.stack[None]
-        legs.append((kets, span(family.reshape(-1, q, n), q, n,
-                                space.tol).stack))
+        legs.append((kets, svd_insertion_span(
+            kets, partners.subspace.stack, space.tol).stack))
     return legs
 
 

@@ -161,19 +161,23 @@ def test_coassociativity_holds_under_5_mb_on_pair3():
 
 
 def test_intertwiner_solves_follow_the_tolerance(monkeypatch):
-    """Both fiber-layer solves of the state check, the coassociativity
-    intertwiners included, run at the squares' tolerance."""
+    """Both fiber-layer solves of the state check, the classical product's
+    (unchecked, intertwiner_solve) and the coassociativity intertwiners'
+    (intertwiner_rows), run at the squares' tolerance."""
     h = groupoid_hopf(FiniteGroupoid.pair(2), tol=Tolerance(eps=1e-6))
     seen = []
-    real = fiber.intertwiner_rows
 
-    def spy(*args):
-        seen.append(args[3].eps)
-        return real(*args)
+    def spy(real):
+        def solve(*args):
+            seen.append((real.__name__, args[3].eps))
+            return real(*args)
+        return solve
 
-    monkeypatch.setattr(fiber, "intertwiner_rows", spy)
+    for name in ("intertwiner_rows", "intertwiner_solve"):
+        monkeypatch.setattr(fiber, name, spy(getattr(fiber, name)))
     check_hopf_state(h["state_space"], h["algebra"], h["delta_state"])
-    assert len(seen) == 2 and set(seen) == {1e-6}
+    assert sorted(seen) == [("intertwiner_rows", 1e-6),
+                            ("intertwiner_solve", 1e-6)]
 
 
 def test_coassociative_includes_the_solve_residuals(monkeypatch):

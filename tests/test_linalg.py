@@ -13,6 +13,7 @@ from qgw.linalg import (
     dagger,
     eigen_match,
     exchange_gram,
+    extend_rows,
     induced_between,
     intersect_null_spaces,
     intertwiner_rows,
@@ -28,7 +29,7 @@ from qgw.linalg import (
     unitary_residual,
 )
 from kron_reference import commutator_operator, identity_frame, \
-    mul_operator
+    mul_operator, svd_rows
 from small_fixtures import full_matrix_algebra
 
 
@@ -74,6 +75,68 @@ def test_orthonormal_rows_spans_and_is_isometric():
     # original rows recovered by projection
     proj = (stacked @ dagger(q)) @ q
     assert mat_norm(proj - stacked) < 1e-10
+
+
+def planted_frame():
+    """Orthonormal rows of C^24: a basis of 4 rows, then the rest."""
+    frame = random_unitary(24, rng(29))
+    return frame[:4], frame[4:]
+
+
+def planted_case(case):
+    """(basis, rows) for extend_rows: new rows on the planted frame, each
+    case planting what the rank rule must read."""
+    gen = rng(30)
+    basis, rest = planted_frame()
+    if case == "planted-rank":  # rank 3 off the basis, some rows along it
+        return basis, random_mat(gen, 6, 3) @ rest[:3] \
+            + random_mat(gen, 6, 4) @ basis
+    if case == "repeated":
+        row = random_mat(gen, 1, 24)
+        return basis, np.repeat(row, 6, axis=0)
+    if case == "in-basis":
+        return basis, random_mat(gen, 6, 4) @ basis
+    if case == "sigma-at-2-and-half-the-cut":  # sigma 1, 2 cut, cut / 2
+        cut = DEFAULT_TOL.rank_cut(1.0, 4 + 3, 24)
+        phases = np.exp(2j * np.pi * gen.random(3))
+        return basis, (phases * [1.0, 2.0 * cut, 0.5 * cut])[:, None] \
+            * rest[:3]
+    if case == "empty-basis":
+        return basis[:0], random_mat(gen, 6, 3) @ rest[:3]
+    return basis, np.zeros((0, 24), dtype=complex)  # empty rows
+
+
+@pytest.mark.parametrize("case", ["planted-rank", "repeated", "in-basis",
+                                  "sigma-at-2-and-half-the-cut",
+                                  "empty-basis", "empty-rows"])
+def test_extend_rows_keeps_what_the_one_shot_rule_keeps(case):
+    basis, rows = planted_case(case)
+    grown = extend_rows(basis, rows)
+    stack = np.concatenate([basis, rows])
+    reference = svd_rows(stack)
+    assert len(grown) == len(reference) == rank(stack)
+    assert np.allclose(grown[:len(basis)], basis, atol=0.0, rtol=0.0)
+    assert mat_norm(grown.conj() @ grown.T - np.eye(len(grown))) < 1e-12
+    if case.startswith("sigma"):
+        # one SVD of the whole stack fixes the direction of sigma = 2 cut,
+        # 5e-8 of the largest, only to about 1e-16 / 5e-8; the planted span
+        # is exact, and the grown one must match it
+        reference = np.concatenate([basis, planted_frame()[1][:2]])
+    sub = [OperatorSubspace(1, 24, r.reshape(-1, 1, 24))
+           for r in (grown, reference)]
+    assert subspace_residual(*sub) < 1e-12
+
+
+def test_a_closing_round_decomposes_nothing(monkeypatch):
+    basis, rows = planted_case("in-basis")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposed a closing round")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    assert extend_rows(basis, rows) is basis
+    assert extend_rows(basis, np.zeros((0, 24))) is basis
 
 
 def test_span_projection_and_residual():

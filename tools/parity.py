@@ -20,10 +20,14 @@ rose, are reported, not counted.
 Bundles are compared by value: a matrix is equal when its shape and the
 bits of its entries are, whether its data is written as base64 (format
 version 2) or as [re, im] pairs (version 1), and the version itself is
-printed, not compared.  A CPU time read from one run per side follows the
-host's slow phases, so each (bundle, command) whose CPU time rose is run
-RERUNS more times per side, the trees alternating, and is listed only if
-the least of its new CPU times still rose over the least of its old ones.
+printed, not compared.  A list of matrices that differs by value, such as a
+stored generator list, is also read as a basis: the report says whether the
+two lists span the same subspace (to SAME_SPAN) and gives the largest
+distance of a unit vector of either span to the other.  A CPU time read
+from one run per side follows the host's slow phases, so each (bundle,
+command) whose CPU time rose is run RERUNS more times per side, the trees
+alternating, and is listed only if the least of its new CPU times still
+rose over the least of its old ones.
 """
 import base64
 import collections
@@ -34,6 +38,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 BUNDLES = {
     "pair2": ["gen-groupoid", "--pair", "2"],
@@ -59,6 +65,7 @@ SKIPPED = {("pair3", "equiv-check"), ("pair4", "equiv-check")}
 PEAK_RISE_MB = 1.0
 CPU_RISE = 0.25
 RERUNS = 3
+SAME_SPAN = 1e-12
 
 
 def qgw(tree: Path, argv: list, out: Path):
@@ -137,17 +144,43 @@ def matrix_value(mat: dict):
     return mat["rows"], mat["cols"], raw
 
 
+def is_matrix(doc) -> bool:
+    return isinstance(doc, dict) and {"rows", "cols", "data"} <= set(doc)
+
+
+def span_note(old: list, new: list) -> str:
+    """Whether two lists of encoded matrices of one shape span the same
+    subspace, and the largest distance of a unit vector of either span to
+    the other, each span read from an SVD of its flattened list."""
+    spans = []
+    for mats in (old, new):
+        flat = np.array([np.frombuffer(matrix_value(m)[2], "<c16")
+                         for m in mats])
+        _, s, vh = np.linalg.svd(flat, full_matrices=False)
+        spans.append(vh[s > 1e-9 * s[0] * max(flat.shape)])
+    gap = max(np.max(np.linalg.norm(a - a @ b.conj().T @ b, axis=1),
+                     initial=0.0) for a, b in (spans, spans[::-1]))
+    same = len(spans[0]) == len(spans[1]) and gap <= SAME_SPAN
+    return f"{'same' if same else 'different'} span, residual {gap:.1e}"
+
+
 def diff_paths(old, new, path: str = "") -> list:
     """Paths at which two JSON documents differ; an encoded matrix, compared
     by value, or a list is one leaf, and a key present on one side only
-    says which."""
-    if all(isinstance(doc, dict) and {"rows", "cols", "data"} <= set(doc)
-           for doc in (old, new)):
+    says which; a differing list of matrices of one shape carries its
+    span_note."""
+    if is_matrix(old) and is_matrix(new):
         return [] if matrix_value(old) == matrix_value(new) else [path]
     if isinstance(old, list) and isinstance(new, list):
         same = len(old) == len(new) and not any(
             diff_paths(a, b) for a, b in zip(old, new))
-        return [] if same else [path]
+        if same:
+            return []
+        mats = old + new
+        if mats and all(is_matrix(m) for m in mats) and len(
+                {matrix_value(m)[:2] for m in mats}) == 1:
+            return [f"{path} ({span_note(old, new)})"]
+        return [path]
     if not (isinstance(old, dict) and isinstance(new, dict)):
         return [] if old == new else [path]
     out = []
