@@ -354,7 +354,7 @@ def certify_morphism(ctx: BundleContext) -> Certificate:
     arrow = ctx.arrow
     delta = ctx.delta("operator")
     alpha = ctx.factorization("alpha")
-    fp, _ = fiber_spatial(cs, arrow, arrow)
+    fp = fiber_spatial(cs, arrow, arrow)
     alpha2 = ket_factorization(cs, alpha, alpha, leg=0, flipped=False)
     try:
         cert = is_morphism(delta, arrow, alpha, fp, alpha2)

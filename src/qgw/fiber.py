@@ -9,9 +9,10 @@ is the span of the insertions composed with the other leg's algebra, built
 one ket at a time, and an operator belongs iff it keeps every insertion
 inside S.  Both are solved in the eigenbasis of one seeded Hermitian element
 the solutions commute with (linalg.eigen_match), the spatial one built from
-the frame operators F_X = sum s_j X s_j* of both legs' S (s_j orthonormal).
-Morphisms are certified two independent ways and the package refuses to
-return an answer when the two disagree.
+the frame operators F_X = sum s_j X s_j* of both legs' S (s_j orthonormal),
+each through the closed-form Gram of its conditions, so no condition row is
+formed.  Morphisms are certified two independent ways and the package
+refuses to return an answer when the two disagree.
 
 The adjoint conditions of the C*-definitions (T* keeps S; V* carries the
 target factorization back) follow from the forward ones, since a Hilbert
@@ -43,9 +44,9 @@ from .linalg import (
     dagger,
     eigen_match,
     from_pairs,
-    intersect_null_spaces,
     intertwiner_rows,
     intertwiner_solve,
+    null_rows,
     span,
     subspace_residual,
     worst_norm,
@@ -83,27 +84,12 @@ def fiber_classical(space: RelativeTensorSpace, left_alg: StarAlgebra,
         {"lift_well_defined": max(worst_left, worst_right)}, space.tol)
 
 
-def _keep_rows(kets: np.ndarray, basis: np.ndarray, a: np.ndarray,
-               b: np.ndarray):
-    """Rows in the unknowns T[a_p, b_p] of (1 - P_S)(T k), yielded one ket
-    k at a time, S spanned by the orthonormal basis: T[a_p, b_p] sends k to
-    e_(a_p) (x) k[b_p], whose part along s_j is <s_j[a_p], k[b_p]>."""
-    p, flat = np.arange(a.size), basis.reshape(len(basis), -1)
-    picked = basis[:, a].conj()
-    for ket in kets:
-        rows = ket[b]
-        along = np.einsum("jpn,pn->pj", picked, rows)
-        moved = (-along @ flat).reshape((a.size,) + ket.shape)
-        moved[p, a] += rows
-        yield moved.reshape(a.size, -1).T
-
-
 def fiber_spatial(space: RelativeTensorSpace, left_alg: StarAlgebra,
-                  right_alg: StarAlgebra):
-    """Insertion-operator construction on the operator-flavor quotient;
-    returns (algebra, Certificate).  The forward keep rows are solved in
-    the eigenbasis of a seeded combination of both legs' frame operators,
-    which every member commutes with."""
+                  right_alg: StarAlgebra) -> StarAlgebra:
+    """Insertion-operator construction on the operator-flavor quotient.
+    The forward keep conditions are solved in the eigenbasis of a seeded
+    combination of both legs' frame operators, which every member commutes
+    with, through their Gram in closed form."""
     if space.flavor != "cstar":
         raise PreconditionError("spatial construction needs the operator flavor")
     nh, nk = space.plain_dims
@@ -124,12 +110,21 @@ def fiber_spatial(space: RelativeTensorSpace, left_alg: StarAlgebra,
         return frame, frame
 
     u, _, a, b, _ = eigen_match(frames, tol)
-
-    rows = (r for kets, basis in legs
-            for r in _keep_rows(dagger(u) @ kets, dagger(u) @ basis, a, b))
-    stack = from_pairs(intersect_null_spaces(rows, a.size, tol), u, u, a, b)
-    algebra = StarAlgebra(q, OperatorSubspace(q, q, stack), tol)
-    return algebra, Certificate({}, tol)
+    # T[a_p, b_p] sends a ket k (in u's frame) to e_(a_p) (x) k[b_p], whose
+    # part along s_j is A[p, j] = <s_j[a_p], k[b_p]>.  So the keep rows
+    # (1 - P_S) T k have the Gram sum_k d(a_p, a_r) <k[b_p], k[b_r]> -
+    # conj(A[p]) . A[r], d the Kronecker delta: a difference of O(1) terms
+    gram = np.zeros((a.size, a.size), dtype=complex)
+    inner = np.zeros((q, q), dtype=complex)
+    for kets, basis in legs:
+        picked = (dagger(u) @ basis)[:, a].conj()
+        for ket in dagger(u) @ kets:
+            along = np.einsum("jpn,pn->pj", picked, ket[b])
+            gram -= along.conj() @ along.T
+            inner += ket.conj() @ ket.T
+    gram += (a[:, None] == a[None]) * inner[b[:, None], b[None]]
+    stack = from_pairs(null_rows(gram, tol), u, u, a, b)
+    return StarAlgebra(q, OperatorSubspace(q, q, stack), tol)
 
 
 def conjugated_algebra(u: np.ndarray, algebra: StarAlgebra,
@@ -155,19 +150,19 @@ def fiber_equivalence(state_space: RelativeTensorSpace,
                       cstar_space: RelativeTensorSpace,
                       left_alg: StarAlgebra, right_alg: StarAlgebra,
                       phi: np.ndarray) -> Certificate:
-    """Both fiber products of the leg algebras, as the children "classical"
-    and "spatial"; the parent's residuals are their dimension defect and
-    the transport of one onto the other under phi (the squares' flavor
-    unitary)."""
+    """Both fiber products of the leg algebras; the residuals are their
+    dimension defect and the transport of one onto the other under phi (the
+    squares' flavor unitary), and the child "classical" is the classical
+    product's certificate."""
     tol = state_space.tol
     classical, classical_cert = fiber_classical(state_space, left_alg,
                                                 right_alg)
-    spatial, spatial_cert = fiber_spatial(cstar_space, left_alg, right_alg)
+    spatial = fiber_spatial(cstar_space, left_alg, right_alg)
     _, transport = transported_match(phi, classical, spatial, tol.check)
     return Certificate(
         {"dimension_defect": float(abs(classical.dim - spatial.dim)),
          "transport": transport},
-        tol, {"classical": classical_cert, "spatial": spatial_cert},
+        tol, {"classical": classical_cert},
     )
 
 
@@ -241,8 +236,9 @@ def is_morphism(images: np.ndarray, source_alg: StarAlgebra,
     carried = inter[:, None] @ source_fact.subspace.stack[None]
     good = _kept(target_fact.subspace, carried, thr)
     if good.any():
-        carried = span(carried[good].reshape(-1, *carried.shape[2:]),
-                       tol=tol)
+        # the whole stack is released before span decomposes the kept part
+        carried = carried[good].reshape(-1, *carried.shape[2:])
+        carried = span(carried, tol=tol)
         res["intertwiners_carry_factorization"] = subspace_residual(
             carried, target_fact.subspace
         ) + abs(carried.dim - target_fact.dim)

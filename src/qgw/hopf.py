@@ -104,7 +104,7 @@ def check_hopf_cstar(space: RelativeTensorSpace, algebra: StarAlgebra,
     alpha = space.meta["left_fact"]
     beta = space.meta["right_fact"]
     res: dict = {}
-    fp, _ = fiber_spatial(space, algebra, algebra)
+    fp = fiber_spatial(space, algebra, algebra)
     for k, v in hom_report(delta, algebra, fp).items():
         res["hom_" + k] = v
     alpha2 = ket_factorization(space, alpha, alpha, leg=0, flipped=False)

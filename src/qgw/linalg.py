@@ -258,7 +258,8 @@ def intersect_null_spaces(blocks, n_unknowns: int, tol: Tolerance = DEFAULT_TOL)
 
     blocks is any iterable, consumed once, so a generator keeps one block
     alive at a time.  Accumulates M = sum |block|^2 and reads the null space
-    with null_rows.  Returns an orthonormal basis as rows (k, n).
+    with null_rows.  Returns an orthonormal basis as rows (k, n).  The
+    center of a StarAlgebra is solved through it, as one block.
     """
     m = np.zeros((n_unknowns, n_unknowns), dtype=complex)
     for b in blocks:

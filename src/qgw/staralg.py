@@ -22,9 +22,9 @@ from .linalg import (
     Tolerance,
     dagger,
     extend_rows,
+    intersect_null_spaces,
     intertwiner_rows,
     mat_norm,
-    null_rows,
     span,
     stack_norms,
     subspace_equal,
@@ -112,10 +112,12 @@ class StarAlgebra:
     def _center(self) -> "StarAlgebra":
         """The elements sum_i x_i b_i that commute with every b_j: the null
         space of the antisymmetrized structure tensor,
-        sum_i x_i (c[i, j, l] - c[j, i, l]) = 0 for all j and l."""
+        sum_i x_i (c[i, j, l] - c[j, i, l]) = 0 for all j and l, one
+        constraint block for linalg.intersect_null_spaces."""
         n, c = self.space_dim, self.structure()
         d = (c - c.transpose(1, 0, 2)).reshape(self.dim, -1)
-        rows = null_rows(d.conj() @ d.T, self.tol) @ self.subspace.flat()
+        rows = intersect_null_spaces([d.T], self.dim, self.tol) \
+            @ self.subspace.flat()
         return StarAlgebra(n, OperatorSubspace(n, n, rows.reshape(-1, n, n)),
                            self.tol, certify=False)
 

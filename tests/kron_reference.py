@@ -5,7 +5,7 @@ against these, and the one-shot spans that now grow by their new rows."""
 import numpy as np
 
 from qgw.errors import PreconditionError
-from qgw.fiber import _keep_rows, intertwiner_space
+from qgw.fiber import intertwiner_space
 from qgw.linalg import DEFAULT_TOL, OperatorSubspace, QuotientRealization, \
     dagger, eigen_match, from_pairs, intersect_null_spaces, mat_norm, \
     stack_norms
@@ -265,6 +265,21 @@ def stacked_coassociativity_residual(space, algebra, delta):
                                for legs in ([plain, None], [None, plain]))
     gap = stack_norms(first - last) / np.maximum(1.0, stack_norms(first))
     return max(r1, r2, float(np.max(gap)))
+
+
+def _keep_rows(kets, basis, a, b):
+    """Rows in the unknowns T[a_p, b_p] of (1 - P_S)(T k), yielded one ket
+    k at a time, S spanned by the orthonormal basis: T[a_p, b_p] sends k to
+    e_(a_p) (x) k[b_p], whose part along s_j is <s_j[a_p], k[b_p]>.  Their
+    Gram is what fiber_spatial writes down in closed form."""
+    p, flat = np.arange(a.size), basis.reshape(len(basis), -1)
+    picked = basis[:, a].conj()
+    for ket in kets:
+        rows = ket[b]
+        along = np.einsum("jpn,pn->pj", picked, rows)
+        moved = (-along @ flat).reshape((a.size,) + ket.shape)
+        moved[p, a] += rows
+        yield moved.reshape(a.size, -1).T
 
 
 def spatial_legs(space, left_alg, right_alg):

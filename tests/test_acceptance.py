@@ -189,7 +189,7 @@ def test_06_conjugation_carries_classical_to_spatial():
         vn, cs = linked_squares(data)
         a, b = legs(data)
         classical, _ = fiber_classical(vn, a, b)
-        spatial, _ = fiber_spatial(cs, a, b)
+        spatial = fiber_spatial(cs, a, b)
         phi, _ = phi_unitary(vn, cs)
         ok, res = transported_match(phi, classical, spatial, 1e-8)
         assert ok, res
@@ -216,7 +216,7 @@ def test_07_morphism_criteria_agree():
     for gpd in (FiniteGroupoid.pair(2), FiniteGroupoid.cyclic(3)):
         h = groupoid_hopf(gpd)
         cs = h["cstar_space"]
-        fp, _ = fiber_spatial(cs, h["algebra"], h["algebra"])
+        fp = fiber_spatial(cs, h["algebra"], h["algebra"])
         alpha2 = ket_factorization(cs, h["alpha"], h["alpha"], leg=0,
                                    flipped=False)
         record(h["delta_cstar"], h["algebra"], h["alpha"], fp,
@@ -236,7 +236,7 @@ def test_07_morphism_criteria_agree():
            False)
     h = groupoid_hopf(FiniteGroupoid.pair(2))
     cs = h["cstar_space"]
-    fp, _ = fiber_spatial(cs, h["algebra"], h["algebra"])
+    fp = fiber_spatial(cs, h["algebra"], h["algebra"])
     alpha2 = ket_factorization(cs, h["alpha"], h["alpha"], leg=0,
                                flipped=False)
     w = random_unitary(cs.dim, rng(9))

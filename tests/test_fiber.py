@@ -56,9 +56,9 @@ from qgw.staralg import (
     commute_residual,
     rep_value,
 )
-from kron_reference import adjoint_fiber_spatial, identity_frame, \
-    keep_gaps, kron_connectors, mul_operator, \
-    pinv_images, stacked_fiber_morphism
+from kron_reference import _keep_rows, adjoint_fiber_spatial, \
+    identity_frame, keep_gaps, kron_connectors, mul_operator, \
+    pinv_images, spatial_legs, stacked_fiber_morphism
 from small_fixtures import full_matrix_algebra, trivial_bundle, two_point_bundle
 
 
@@ -105,7 +105,7 @@ def test_spatial_product_is_unital_algebra():
     bundle = two_point_bundle()
     _, cs = spaces(bundle)
     a, b = leg_algebras(bundle)
-    fp, _ = fiber_spatial(cs, a, b)
+    fp = fiber_spatial(cs, a, b)
     # construction self-certifies closure; identity sits inside
     assert fp.residual(np.eye(cs.dim)) <= fp.tol.check
 
@@ -125,7 +125,7 @@ def test_transport_carries_classical_to_spatial(case):
     assert cert.ok
     a, b = leg_algebras(bundle)
     classical, _ = fiber_classical(vn, a, b)
-    spatial, _ = fiber_spatial(cs, a, b)
+    spatial = fiber_spatial(cs, a, b)
     ok, res = transported_match(phi, classical, spatial, 1e-8)
     assert ok, f"transport residual {res:.3e}"
 
@@ -138,8 +138,8 @@ def test_transport_with_full_legs():
     nk = bundle["sigma"].shape[1]
     classical, _ = fiber_classical(vn, full_matrix_algebra(nh),
                                    full_matrix_algebra(nk))
-    spatial, _ = fiber_spatial(cs, full_matrix_algebra(nh),
-                               full_matrix_algebra(nk))
+    spatial = fiber_spatial(cs, full_matrix_algebra(nh),
+                            full_matrix_algebra(nk))
     ok, res = transported_match(phi, classical, spatial, 1e-8)
     assert ok, f"transport residual {res:.3e}"
 
@@ -153,7 +153,7 @@ def test_transport_over_full_block_base(blocks, ml, mr):
     vn, cs = spaces(bundle)
     a, b = leg_algebras(bundle)
     classical, _ = fiber_classical(vn, a, b)
-    spatial, _ = fiber_spatial(cs, a, b)
+    spatial = fiber_spatial(cs, a, b)
     assert spatial.dim >= 1
     phi, _ = phi_unitary(vn, cs)
     ok, res = transported_match(phi, classical, spatial, 1e-8)
@@ -236,7 +236,7 @@ def test_unit_swap_twist_keeps_no_intertwiner():
     gpd = FiniteGroupoid.pair(2)
     h = groupoid_hopf(gpd)
     cs, arrow, alpha = h["cstar_space"], h["algebra"], h["alpha"]
-    fp, _ = fiber_spatial(cs, arrow, arrow)
+    fp = fiber_spatial(cs, arrow, arrow)
     alpha2 = ket_factorization(cs, alpha, alpha, leg=0, flipped=False)
     # arrows (0, 1) and (1, 0)
     swap = gpd.lambda_matrix(1) + gpd.lambda_matrix(2)
@@ -523,14 +523,15 @@ def test_spatial_matches_kron_block_construction(blocks, ml, mr, seed, legs):
     a, b = leg_algebras(bundle)
     if legs == "commutants":
         a, b = a.commutant(), b.commutant()
-    spatial, _ = fiber_spatial(cs, a, b)
+    spatial = fiber_spatial(cs, a, b)
     reference = kron_block_spatial(cs, a, b)
     assert spatial.dim == reference.dim
     assert subspace_residual(spatial.subspace, reference) < 1e-10
 
 
 # the bundles on which every restricted solve of fiber, hopf-check and
-# morphism-check keeps its nearest unpaired eigenvalues well past the cut
+# morphism-check keeps its nearest unpaired eigenvalues well past the cut,
+# and every spatial Gram its eigenvalues well on either side of the rank cut
 MARGIN_BUNDLES = {
     "pair2": ["gen-groupoid", "--pair", "2"],
     "pair3": ["gen-groupoid", "--pair", "3"],
@@ -543,7 +544,7 @@ MARGIN_BUNDLES = {
 
 @pytest.mark.parametrize("name", sorted(MARGIN_BUNDLES))
 def test_eigen_match_margins_are_wide(name, tmp_path, monkeypatch, capsys):
-    margins = []
+    margins, spectra = [], []
     original = linalg.eigen_match
 
     def recording(*args, **kwargs):
@@ -551,8 +552,13 @@ def test_eigen_match_margins_are_wide(name, tmp_path, monkeypatch, capsys):
         margins.append(match[-1])
         return match
 
+    def solving(gram, tol):
+        spectra.append((np.linalg.eigvalsh(0.5 * (gram + dagger(gram))), tol))
+        return linalg.null_rows(gram, tol)
+
     for module in (linalg, fiber):
         monkeypatch.setattr(module, "eigen_match", recording)
+    monkeypatch.setattr(fiber, "null_rows", solving)
     path = str(tmp_path / "bundle.json")
     assert cli.main(MARGIN_BUNDLES[name] + ["--out", path]) == 0
     ctx = cli.BundleContext(path, DEFAULT_TOL)
@@ -561,32 +567,14 @@ def test_eigen_match_margins_are_wide(name, tmp_path, monkeypatch, capsys):
         cli.certify_hopf(ctx)
         cli.certify_morphism(ctx)
     assert margins and min(margins) >= 100
-
-
-def test_spatial_hands_one_kets_rows_per_block(tmp_path, monkeypatch):
-    """fiber_spatial streams its keep rows into intersect_null_spaces one
-    ket at a time: on pair(3) each block holds the rows of one ket, a map
-    from the other plain leg into the q-dimensional square, with one block
-    per ket and one family, the forward one, per leg."""
-    shapes = []
-    original = fiber.intersect_null_spaces
-
-    def recording(blocks, *args):
-        def seen():
-            for block in blocks:
-                shapes.append(block.shape)
-                yield block
-        return original(seen(), *args)
-
-    monkeypatch.setattr(fiber, "intersect_null_spaces", recording)
-    path = str(tmp_path / "pair3.json")
-    assert cli.main(["gen-groupoid", "--pair", "3", "--out", path]) == 0
-    ctx = cli.BundleContext(path, DEFAULT_TOL)
-    assert cli.certify_fiber(ctx).ok
-    square = ctx.squares[1]
-    widths = [square.plain_dims[1]] * ctx.factorization("alpha").dim \
-        + [square.plain_dims[0]] * ctx.factorization("beta").dim
-    assert [rows for rows, _ in shapes] == [square.dim * w for w in widths]
+    assert spectra
+    for w, tol in spectra:
+        n = w.size
+        if w[-1] <= tol.rank_cut(1.0, n, n):  # carries no constraint
+            continue
+        cut = tol.rank_cut(w[-1], n, n)
+        assert np.max(np.abs(w[w <= cut])) <= 1e-4 * cut
+        assert np.min(w[w > cut]) >= 1e4 * cut
 
 
 def fiber_command_case(bundle):
@@ -661,12 +649,42 @@ def test_forward_keep_rows_give_the_adjoint_solve(case):
     the algebra that the forward and adjoint rows gave, and its members'
     adjoints keep every insertion in S."""
     space, left, right = LEMMA_CASES[case]()
-    product, _ = fiber_spatial(space, left, right)
+    product = fiber_spatial(space, left, right)
     reference = adjoint_fiber_spatial(space, left, right)
     assert product.dim == reference.dim
     assert subspace_residual(product.subspace, reference) <= 1e-12
     forward, adjoint = keep_gaps(space, left, right, product.subspace.stack)
     assert forward <= 1e-12 and adjoint <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["blocks-3,2,1-seed-2-mult-2",
+                                  "pair3-fiber", "pair3-hopf", "z3-fiber"])
+def test_spatial_gram_is_the_keep_rows_gram(case, monkeypatch):
+    """fiber_spatial hands null_rows the Gram sum_k R_k* R_k of its forward
+    keep rows, R_k = (1 - P_S) T k in the unknowns T[a_p, b_p] of its
+    eigenbasis, over every leg's kets k, without forming any R_k.  On the
+    hopf case eigenspaces are paired with several others, so the Kronecker
+    delta of the closed form is not the identity."""
+    space, left, right = LEMMA_CASES[case]()
+    seen = {}
+
+    def matching(*args):
+        seen["match"] = linalg.eigen_match(*args)
+        return seen["match"]
+
+    def solving(gram, *args):
+        seen["gram"] = gram.copy()
+        return linalg.null_rows(gram, *args)
+
+    monkeypatch.setattr(fiber, "eigen_match", matching)
+    monkeypatch.setattr(fiber, "null_rows", solving)
+    fiber_spatial(space, left, right)
+    u, _, a, b, _ = seen["match"]
+    expected = sum(dagger(r) @ r
+                   for kets, basis in spatial_legs(space, left, right)
+                   for r in _keep_rows(dagger(u) @ kets, dagger(u) @ basis,
+                                       a, b))
+    assert mat_norm(seen["gram"] - expected) <= 1e-12 * mat_norm(expected)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPOIDS))
@@ -676,7 +694,7 @@ def test_kept_intertwiners_carry_the_target_factorization_back(name):
     one back, on both insertion morphisms of hopf-check."""
     h = groupoid_hopf(GROUPOIDS[name]())
     space, arrow, delta = h["cstar_space"], h["algebra"], h["delta_cstar"]
-    product, _ = fiber_spatial(space, arrow, arrow)
+    product = fiber_spatial(space, arrow, arrow)
     alpha, beta = space.meta["left_fact"], space.meta["right_fact"]
     inter = intertwiner_space(delta, arrow)
     for source, target in (
